@@ -124,12 +124,21 @@ def _emit(out_dir: str | None, filename: str, text: str) -> None:
     (path / filename).write_text(text)
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+def _parse_vector(text: str, flag: str) -> np.ndarray:
+    try:
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} needs at least one number")
+    return np.array(values)
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    return np.array([[float(x) for x in row.split(",")] for row in text.split(";")])
+def _parse_matrix(text: str, flag: str) -> np.ndarray:
+    rows = [_parse_vector(row, flag) for row in text.split(";")]
+    if len({row.size for row in rows}) != 1:
+        raise ValueError(f"{flag} rows must all have the same length, got {text!r}")
+    return np.array(rows)
 
 
 def _load_scenario(path: str) -> dict:
@@ -199,7 +208,7 @@ def _build_job(args) -> Job:
             else:
                 record_every = cast(val)
     if getattr(args, "v0", None) is not None:
-        v0 = _parse_vector(args.v0)
+        v0 = _parse_vector(args.v0, "--v0")
     if getattr(args, "out", None) is not None:
         out_dir = args.out
     return Job(model, v0, sampler, t_end, rtol, atol, record_every,
@@ -231,8 +240,7 @@ def _parse_kernel(text: str) -> EntropyKernel:
     if text == "quadratic":
         return EntropyKernel.quadratic()
     if text.startswith("poly:"):
-        coeffs = [float(x) for x in text[len("poly:"):].split(",")]
-        return EntropyKernel.polynomial(coeffs)
+        return EntropyKernel.polynomial(_parse_vector(text[len("poly:"):], "--kernel poly:"))
     raise ValueError(
         f"unknown kernel {text!r}; expected linear, quadratic, or poly:<coeffs>"
     )
@@ -331,6 +339,10 @@ def _cmd_stability(args) -> int:
     if job.sampler is not None:
         n_samples = int(job.sampler["count"])
         seed = int(job.sampler["seed"])
+        if n_samples < 1:
+            raise ValueError("key 'count' in scenario key 'initial' must be at least 1")
+    elif n_samples < 1:
+        raise ValueError("--samples must be at least 1")
     report = global_stability_experiment(
         job.model, n_samples=n_samples, seed=seed, t_end=job.t_end,
         tol=args.tol, force=args.force,
@@ -365,10 +377,10 @@ def _cmd_sweep(args) -> int:
                 "sweep on a uniform model needs --amp and --w (or use a "
                 "perturbed model)"
             )
-        amp = _parse_vector(args.amp)
-        w = _parse_matrix(args.w)
+        amp = _parse_vector(args.amp, "--amp")
+        w = _parse_matrix(args.w, "--w")
         base = model
-    eps_grid = [float(x) for x in args.eps.split(",")]
+    eps_grid = _parse_vector(args.eps, "--eps")
     table = perturbation_sweep(base, amp, w, eps_grid)
     _emit(job.out_dir, "report.json",
           serialize.dumps_json(serialize.sweep_to_dict(table)))

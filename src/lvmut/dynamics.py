@@ -105,16 +105,21 @@ def integrate(
         raise NonFiniteState("initial state contains non-finite entries")
     if np.any(v0 < 0.0):
         raise ValueError("initial state must be nonnegative")
-    if float(t_end) <= 0.0:
-        raise ValueError("t_end must be positive")
     t_end = float(t_end)
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+    if rtol == 0.0 and atol == 0.0:
+        raise ValueError("rtol and atol must not both be zero")
     if not np.any(v0 > 0.0):
         warnings.warn("initial state is identically zero; the flow stays at zero")
     if record_every is None:
         record_every = t_end / 500.0
     record_every = float(record_every)
-    if record_every <= 0.0:
-        raise ValueError("record_every must be positive")
+    if not 0.0 < record_every < np.inf:
+        raise ValueError("record_every must be positive and finite")
 
     r = model.r
     big_k = model.big_k
@@ -162,7 +167,7 @@ def integrate(
     while grid_idx < grid.size:
         target = grid[grid_idx]
         h = min(h_ctrl, target - t)
-        if h < 1e-14 * t_end:
+        if not h >= 1e-14 * t_end:
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t:g}")
         clamped = h < h_ctrl
 

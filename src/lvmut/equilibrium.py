@@ -27,7 +27,7 @@ from .errors import (
     NonPositivePerron,
     WrongInteractionKind,
 )
-from .linalg import _lu_factor, _lu_solve, perron_eigenpair, solve_linear, symmetric_spectrum
+from .linalg import perron_eigenpair, require_nonsingular, solve_linear
 from .model import (
     CrowdingLinear,
     Model,
@@ -146,9 +146,9 @@ def _apriori_box(model: Model, config: HomotopyConfig) -> tuple[float, float]:
     if config.box_lo is not None and config.box_hi is not None:
         return float(config.box_lo), float(config.box_hi)
     a = growth_mutation_matrix(model)
-    spec = symmetric_spectrum(0.5 * (a + a.T))
-    lmax = float(spec.eigenvalues[0])
-    lmin = float(spec.eigenvalues[-1])
+    eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
+    lmin = float(eigenvalues[0])
+    lmax = float(eigenvalues[-1])
     cmin, kmax, off = _pressure_bounds(model)
     big_k = model.big_k
     if lmin <= 0.0 or cmin <= 0.0 or big_k * lmin <= off:
@@ -167,7 +167,6 @@ def _in_box(v: np.ndarray, lo: float, hi: float) -> bool:
 def _stage_solve(
     model: Model,
     a: np.ndarray,
-    lu,
     s: float,
     v: np.ndarray,
     config: HomotopyConfig,
@@ -187,7 +186,7 @@ def _stage_solve(
 
     for _ in range(config.max_inner):
         psi_s = stage_pressure(v)
-        tv = _lu_solve(lu, psi_s * v / big_k)
+        tv = np.linalg.solve(a, psi_s * v / big_k)
         if float(np.max(np.abs(tv - v))) <= config.inner_tol:
             return v
         g = a @ v - psi_s * v / big_k
@@ -237,7 +236,7 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
         )
 
     a = growth_mutation_matrix(model)
-    lu = _lu_factor(a)
+    require_nonsingular(a)
     box_lo, box_hi = _apriori_box(model, config)
     big_k = model.big_k
 
@@ -251,7 +250,7 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
 
     s_values = np.linspace(0.0, 1.0, config.s_steps)
     for s in s_values[1:]:
-        v = _stage_solve(model, a, lu, float(s), v, config, box_lo, box_hi)
+        v = _stage_solve(model, a, float(s), v, config, box_lo, box_hi)
         path.append((float(s), v.copy(), residual(model, v)))
 
     v = _newton_polish(model, a, v)

@@ -1,10 +1,12 @@
-"""Dense linear algebra for small genotype systems.
+"""Dense linear algebra for small genotype systems: thin wrappers over LAPACK.
 
-Everything here is written for matrices of modest size (a handful to a few
-hundred genotypes): power iteration for dominant eigenpairs of shifted
-nonnegative matrices, cyclic Jacobi sweeps for symmetric spectra, Gaussian
-elimination with partial pivoting, and the matrix exponential action built
-from the symmetric eigendecomposition.
+numpy's LAPACK routines do the arithmetic; the wrappers keep the checks and
+error contracts the rest of the package relies on. Symmetric spectra come
+from eigh in descending order. The dominant eigenpair of a Metzler matrix
+starts from the eigh or eig eigenvector and is certified by shifted power
+iteration. Linear solves reject numerically singular matrices by their
+smallest singular value before the LU solve. The matrix exponential action
+is built from the symmetric eigendecomposition.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 
 _SYM_ATOL = 1e-12
 _PIVOT_REL = 1e-14
-_OFFDIAG_REL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,31 @@ def is_irreducible(mat: np.ndarray) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
+def _dominant_eigenvector(mat: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the eigenvalue with the largest real part, with a positive sum."""
+    try:
+        if np.array_equal(mat, mat.T):
+            x = np.linalg.eigh(mat)[1][:, -1]
+        else:
+            values, vectors = np.linalg.eig(mat)
+            x = vectors[:, int(np.argmax(values.real))].real
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    x = x / np.linalg.norm(x)
+    return x if x.sum() > 0.0 else -x
+
+
 def perron_eigenpair(
     mat: np.ndarray,
     shift_to_nonneg: bool = False,
     tol: float = 1e-13,
     max_iter: int = 200_000,
 ) -> PerronResult:
-    """Dominant eigenpair of a Metzler-type matrix via shifted power iteration.
+    """Dominant eigenpair of a Metzler-type matrix.
 
+    The LAPACK eigenvector starts a shifted power iteration, which stops once
+    the eigenvalue and the residual are both below tol; iterations counts its
+    steps (1 when the start is already an eigenvector to that accuracy).
     The shift mu_bar is the largest off-diagonal row sum by default (the
     natural choice when mat is a growth-plus-mutation matrix), or the minimal
     diagonal shift making every entry nonnegative when shift_to_nonneg is set.
@@ -92,7 +110,7 @@ def perron_eigenpair(
         mu_bar = max(mu_bar, -float(np.min(np.diag(mat))), 0.0)
     shifted = mat + mu_bar * np.eye(n)
 
-    x = np.full(n, 1.0 / np.sqrt(n))
+    x = _dominant_eigenvector(mat)
     z = shifted @ x
     nu = float(x @ z)
     iterations = 0
@@ -127,102 +145,46 @@ def perron_eigenpair(
 
 
 def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps."""
+    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
     s = np.asarray(mat, dtype=float)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError("matrix must be square")
     if np.max(np.abs(s - s.T), initial=0.0) > _SYM_ATOL:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
-    a = 0.5 * (s + s.T)  # kill roundoff asymmetry
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if n == 1 or fro == 0.0:
-        return SymmetricSpectrum(eigenvalues=np.diag(a).copy(), eigenvectors=v)
-
-    threshold = _OFFDIAG_REL * fro
-    for _ in range(200):
-        # summed directly, not as fro^2 minus diag^2: that difference hits
-        # rounding noise at sqrt(eps)*fro and would never pass the threshold
-        off_mat = a.copy()
-        np.fill_diagonal(off_mat, 0.0)
-        off = float(np.sqrt(np.sum(off_mat * off_mat)))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                rot_p = a[:, p].copy()
-                rot_q = a[:, q].copy()
-                a[:, p] = c * rot_p - sn * rot_q
-                a[:, q] = sn * rot_p + c * rot_q
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - sn * rot_q
-                a[q, :] = sn * rot_p + c * rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        raise NoConvergence("Jacobi sweeps failed to reduce the off-diagonal mass")
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return SymmetricSpectrum(eigenvalues=eigenvalues[order], eigenvectors=v[:, order])
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (s + s.T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    return SymmetricSpectrum(eigenvalues=eigenvalues[::-1].copy(),
+                             eigenvectors=eigenvectors[:, ::-1].copy())
 
 
-def _lu_factor(mat: np.ndarray):
-    """LU with partial pivoting; returns (lu, piv). Raises SingularMatrix."""
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a).sum(axis=1), initial=0.0))
-    piv = np.arange(n)
-    for k in range(n):
-        row = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[row, k]) < _PIVOT_REL * max(scale, 1e-300):
-            raise SingularMatrix(f"pivot {k} below threshold")
-        if row != k:
-            a[[k, row]] = a[[row, k]]
-            piv[[k, row]] = piv[[row, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return a, piv
-
-
-def _lu_solve(lu_piv, b: np.ndarray) -> np.ndarray:
-    lu, piv = lu_piv
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float)[piv].copy()
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+def require_nonsingular(mat: np.ndarray) -> None:
+    """Raise SingularMatrix unless the smallest singular value of mat is at
+    least 1e-14 times its largest absolute row sum."""
+    scale = float(np.max(np.abs(mat).sum(axis=1), initial=0.0))
+    try:
+        sigma_min = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"singular value decomposition failed: {exc}") from exc
+    if not sigma_min >= _PIVOT_REL * max(scale, 1e-300):
+        raise SingularMatrix(f"smallest singular value {sigma_min:g} below threshold")
 
 
 def solve_linear(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = b by Gaussian elimination with partial pivoting."""
+    """Solve mat @ x = b by LU with partial pivoting, rejecting singular mat."""
     mat = np.asarray(mat, dtype=float)
     b = np.asarray(b, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     if b.shape != (mat.shape[0],):
         raise ValueError("right-hand side has wrong length")
-    return _lu_solve(_lu_factor(mat), b)
+    require_nonsingular(mat)
+    try:
+        return np.linalg.solve(mat, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
 
 
 def expm_action(sym: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
@@ -235,5 +197,4 @@ def expm_action(sym: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
 def is_positive_definite(mat: np.ndarray) -> bool:
     """True when the symmetric part's smallest eigenvalue is strictly positive."""
     mat = np.asarray(mat, dtype=float)
-    spec = symmetric_spectrum(0.5 * (mat + mat.T))
-    return bool(spec.eigenvalues[-1] > 0.0)
+    return bool(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] > 0.0)

@@ -116,13 +116,11 @@ def point_mutation_matrix(n_loci: int, rate: float) -> np.ndarray:
     """
     if not (0.0 < rate < 1.0):
         raise NonPositiveRate("point mutation rate must lie in (0, 1)")
-    size = 2 ** n_loci
-    full = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            d = bin(i ^ j).count("1")
-            full[i, j] = rate ** d * (1.0 - rate) ** (n_loci - d)
-    full -= np.eye(size)
+    labels = np.arange(2 ** n_loci)
+    diff = labels[:, None] ^ labels[None, :]
+    distance = sum((diff >> bit) & 1 for bit in range(n_loci))
+    by_distance = np.array([rate ** d * (1.0 - rate) ** (n_loci - d) for d in range(n_loci + 1)])
+    full = by_distance[distance] - np.eye(labels.size)
     return offdiagonal_mutation(full)
 
 

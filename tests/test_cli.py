@@ -244,6 +244,24 @@ def test_negative_v0_flag_rejected(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--preset", "sym2", "--rtol", "0", "--atol", "0", "--t-end", "1"],
+         "rtol and atol"),
+        (["stability", "--preset", "sym2", "--samples", "0"], "--samples"),
+        (["sweep", "--preset", "sym2", "--amp", "1,1", "--w", "1,0;0"], "--w"),
+        (["entropy", "--preset", "sym2", "--kernel", "poly:"], "--kernel"),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert flag in payload["message"]
+
 def test_verify_single_preset_filter(capsys):
     code, out, _ = _run(capsys, "verify", "--preset", "pert2")
     assert code == 0

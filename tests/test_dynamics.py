@@ -66,6 +66,24 @@ def test_non_finite_start_rejected():
         integrate(model, np.array([np.nan, 2.0]), 1.0)
 
 
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"rtol": 0.0, "atol": 0.0}, "rtol and atol"),
+        ({"rtol": float("nan")}, "rtol"),
+        ({"atol": -1e-10}, "atol"),
+        ({"atol": float("inf")}, "atol"),
+        ({"t_end": float("nan")}, "t_end"),
+        ({"record_every": float("nan")}, "record_every"),
+    ],
+)
+def test_bad_tolerances_and_times_rejected(kwargs, name):
+    model = get_preset("sym2").model
+    kwargs = {"t_end": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        integrate(model, [1.0, 1.0], **kwargs)
+
 def test_positivity_and_strictness_from_boundary():
     model = get_preset("sym2").model
     traj = integrate(model, np.array([0.0, 5.0]), 10.0)

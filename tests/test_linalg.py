@@ -15,6 +15,7 @@ from lvmut.linalg import (
     solve_linear,
     symmetric_spectrum,
 )
+from lvmut.model import point_mutation_matrix
 
 
 def test_perron_2x2_closed_form():
@@ -142,3 +143,36 @@ def test_jacobi_handles_tiny_offdiagonals():
     a[0, 1] = a[1, 0] = 1e-200
     spec = symmetric_spectrum(a)
     assert np.allclose(spec.eigenvalues, [3.0, 2.0, 1.0])
+
+
+def test_solve_linear_rejects_near_singular():
+    with pytest.raises(SingularMatrix):
+        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.array([1.0, 1.0]))
+
+
+def test_perron_nonsymmetric_metzler_matches_numpy():
+    a = np.array([[-0.3, 0.2, 0.0], [0.0, 0.5, 0.7], [0.4, 0.1, -1.2]])
+    res = perron_eigenpair(a)
+    assert abs(res.lambda_p - max(np.linalg.eigvals(a).real)) < 1e-12
+    assert np.all(res.v_p > 0)
+    assert res.residual < 1e-12
+
+
+def test_perron_starts_from_the_lapack_eigenvector():
+    a = point_mutation_matrix(6, 0.01) + np.diag(np.linspace(0.5, 2.0, 64))
+    res = perron_eigenpair(a)
+    # power iteration only certifies the start: thousands of steps from a flat start
+    assert 1 <= res.iterations <= 2
+    assert res.residual < 1e-12
+    assert abs(res.lambda_p - np.linalg.eigvalsh(a)[-1]) < 1e-12
+
+
+def test_symmetric_spectrum_at_n128_matches_numpy():
+    rng = np.random.default_rng(128)
+    m = rng.normal(size=(128, 128))
+    sym = 0.5 * (m + m.T)
+    spec = symmetric_spectrum(sym)
+    ref = np.linalg.eigvalsh(sym)[::-1]
+    assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-12 * np.max(np.abs(ref))
+    q = spec.eigenvectors
+    assert np.max(np.abs(q.T @ q - np.eye(128))) < 1e-12

@@ -40,6 +40,19 @@ def test_point_mutation_matrix_structure():
     assert np.allclose(m, m.T)
 
 
+
+@pytest.mark.parametrize("loci", range(1, 8))
+def test_point_mutation_matrix_matches_the_loop_formula(loci):
+    rate = 0.013
+    size = 2 ** loci
+    full = np.empty((size, size))
+    for i in range(size):
+        for j in range(size):
+            d = bin(i ^ j).count("1")
+            full[i, j] = rate ** d * (1.0 - rate) ** (loci - d)
+    full -= np.eye(size)
+    np.testing.assert_array_equal(point_mutation_matrix(loci, rate), offdiagonal_mutation(full))
+
 def test_full_matrix_conversion_requires_zero_row_sums():
     mu = 0.01
     m = point_mutation_matrix(2, mu)
