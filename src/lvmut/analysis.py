@@ -133,23 +133,16 @@ def convergence_rate(
     span = times[-1] - times[0]
     cutoff = times[-1] - tail_fraction * span
 
-    ts, e_hs, sups = [], [], []
-    for t, v in zip(times, trajectory.states):
-        if t < cutoff:
-            continue
-        dec = decompose(v, v_bar)
-        if dec.e_h <= _EH_FLOOR:
-            continue
-        ts.append(t)
-        e_hs.append(dec.e_h)
-        sups.append(float(np.max(np.abs(v - v_bar))))
-    if len(ts) < 20:
-        raise InsufficientTail(f"only {len(ts)} usable tail samples")
+    in_tail = times >= cutoff
+    tail = trajectory.states[in_tail]
+    e_h = decompose(tail, v_bar).e_h
+    usable = e_h > _EH_FLOOR
+    ts = times[in_tail][usable]
+    if ts.size < 20:
+        raise InsufficientTail(f"only {ts.size} usable tail samples")
 
-    ts = np.asarray(ts)
-    log_eh = np.log(np.asarray(e_hs))
-    slope_eh, r_squared = _least_squares_line(ts, log_eh)
-    sups = np.asarray(sups)
+    sups = np.max(np.abs(tail[usable] - v_bar), axis=1)
+    slope_eh, r_squared = _least_squares_line(ts, np.log(e_h[usable]))
     good = sups > 0.0
     if int(np.sum(good)) >= 2:
         slope_sup, _ = _least_squares_line(ts[good], np.log(sups[good]))
@@ -208,6 +201,8 @@ def global_stability_experiment(
 ) -> StabilityReport:
     """Integrate a batch of random starts and compare endpoints pairwise
     and against the solver equilibrium."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     in_scope = _theorem_scope(model)
     if not in_scope and not force:
         raise OutOfTheoremScope(

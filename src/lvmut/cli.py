@@ -21,7 +21,7 @@ from .analysis import (
     spectral_gap,
 )
 from .dynamics import integrate
-from .entropy import EntropyKernel, decompose, dissipation
+from .entropy import Decomposition, EntropyKernel, EntropyReport, decompose, dissipation
 from .equilibrium import equilibrium_homotopy, equilibrium_uniform
 from .errors import (
     AsymmetricMutation,
@@ -306,8 +306,11 @@ def _cmd_entropy(args) -> int:
         job.model, v0, job.t_end, rtol=job.rtol, atol=job.atol,
         record_every=job.record_every,
     )
-    reports = [dissipation(job.model, v, eq.v_bar, kernel) for v in traj.states]
-    decomps = [decompose(v, eq.v_bar) for v in traj.states]
+    rep = dissipation(job.model, traj.states, eq.v_bar, kernel)
+    dec = decompose(traj.states, eq.v_bar)
+    # the CSV writer takes one report and one decomposition per sample
+    reports = map(EntropyReport, rep.h_value, rep.d_value, rep.gamma_term, rep.analytic_dt)
+    decomps = map(Decomposition, dec.lambda_coef, dec.h, dec.e_h, dec.beta, dec.f_value)
     _emit(job.out_dir, "entropy.csv",
           serialize.entropy_csv(traj.times, reports, decomps))
     return 0

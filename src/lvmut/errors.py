@@ -44,6 +44,10 @@ class StepSizeUnderflow(LvmutError):
     pass
 
 
+class StepBudgetExceeded(LvmutError):
+    pass
+
+
 class NonFiniteState(LvmutError):
     pass
 

@@ -201,18 +201,53 @@ def build_model(n: int, r, big_k: float, mu, interaction: Interaction) -> Model:
     return Model(n=n, r=r, big_k=big_k, mu=mu_arr, interaction=interaction)
 
 
-def interaction_values(model: Model, v: np.ndarray) -> np.ndarray:
-    """Psi(v), one competitive pressure value per genotype."""
-    v = np.asarray(v, dtype=float)
+def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v for one state (n,) or for each state of a stack (..., n).
+
+    A stack takes one BLAS matrix-vector product per state, the call a
+    single state takes, so each row matches the single-state result bit
+    for bit.
+    """
+    if v.ndim == 1:
+        return matrix @ v
+    return (matrix @ v[..., None])[..., 0]
+
+
+def _shared_pressure(a: np.ndarray):
+    """v -> a @ v, one value per state shaped to broadcast against the genotype axis.
+
+    That is a scalar for one state and (..., 1) for a stack, whose
+    (..., 1, n) @ (n,) product is one dot product per state, as a @ v is.
+    """
+    return lambda v: a @ v if v.ndim == 1 else v[..., None, :] @ a
+
+
+def _pressure(model: Model):
+    """Psi as a function of states (..., n), with the interaction kind dispatched once."""
     inter = model.interaction
     if isinstance(inter, UniformLinear):
-        return np.full(model.n, float(inter.a @ v))
+        return _shared_pressure(inter.a)
     if isinstance(inter, CrowdingLinear):
-        return inter.alpha @ (model.r * v)
+        alpha = inter.alpha
+        r = model.r
+        return lambda v: _matvec(alpha, r * v)
     if isinstance(inter, Perturbed):
-        base = float(inter.base.a @ v)
-        return base + inter.eps * inter.amp * np.tanh(inter.w @ v)
+        base = _shared_pressure(inter.base.a)
+        w = inter.w
+        eps_amp = inter.eps * inter.amp
+        return lambda v: base(v) + eps_amp * np.tanh(_matvec(w, v))
     raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
+
+
+def interaction_values(model: Model, v: np.ndarray) -> np.ndarray:
+    """Psi(v), one competitive pressure value per genotype.
+
+    v is one state (n,) or a stack of states (..., n); the result has v's shape.
+    """
+    v = np.asarray(v, dtype=float)
+    psi = _pressure(model)(v)
+    # a uniform pressure comes back as one value per state
+    return psi if psi.shape == v.shape else np.full(v.shape, psi)
 
 
 def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
@@ -231,11 +266,30 @@ def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
     raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
 
 
+def _vector_field(model: Model):
+    """The vector field as a function of states (..., n).
+
+    The interaction kind and the outflow rates are bound once, so a caller
+    that evaluates the field many times (the integrator) pays for them once.
+    """
+    r = model.r
+    big_k = model.big_k
+    mu = model.mu
+    out_rates = mu.sum(axis=1)
+    psi = _pressure(model)
+
+    def field(v: np.ndarray) -> np.ndarray:
+        return v * (r - psi(v) / big_k) + _matvec(mu, v) - out_rates * v
+
+    return field
+
+
 def rhs(model: Model, v: np.ndarray) -> np.ndarray:
-    """The vector field v_i (r_i - Psi_i(v)/K) + sum_j mu_ij (v_j - v_i)."""
-    v = np.asarray(v, dtype=float)
-    psi = interaction_values(model, v)
-    return v * (model.r - psi / model.big_k) + model.mu @ v - model.mu.sum(axis=1) * v
+    """The vector field v_i (r_i - Psi_i(v)/K) + sum_j mu_ij (v_j - v_i).
+
+    v is one state (n,) or a stack of states (..., n), genotypes on the last axis.
+    """
+    return _vector_field(model)(np.asarray(v, dtype=float))
 
 
 def growth_mutation_matrix(model: Model) -> np.ndarray:

@@ -121,6 +121,13 @@ def test_global_stability_single_sample():
     assert (rep.n_samples, rep.seed, rep.t_end, rep.tol) == (1, 2, 100.0, 1e-6)
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_global_stability_needs_a_sample(n_samples):
+    model = get_preset("sym2").model
+    with pytest.raises(ValueError, match="n_samples"):
+        global_stability_experiment(model, n_samples=n_samples, seed=0, t_end=10.0, tol=1e-6)
+
+
 def test_global_stability_scope_gate():
     model = get_preset("crowd3").model
     with pytest.raises(OutOfTheoremScope):

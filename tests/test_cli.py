@@ -253,6 +253,8 @@ def test_negative_v0_flag_rejected(capsys):
         (["stability", "--preset", "sym2", "--samples", "0"], "--samples"),
         (["sweep", "--preset", "sym2", "--amp", "1,1", "--w", "1,0;0"], "--w"),
         (["entropy", "--preset", "sym2", "--kernel", "poly:"], "--kernel"),
+        (["simulate", "--preset", "sym2", "--t-end", "10", "--record-every", "1e-9"],
+         "record_every"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
@@ -261,6 +263,18 @@ def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert flag in payload["message"]
+
+def test_step_budget_is_a_solver_error(capsys, monkeypatch):
+    from lvmut import dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 100)
+    code, out, err = _run(capsys, "simulate", "--preset", "sym2")
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "StepBudgetExceeded"
+    assert "100 attempted steps" in payload["message"]
+
 
 def test_verify_single_preset_filter(capsys):
     code, out, _ = _run(capsys, "verify", "--preset", "pert2")

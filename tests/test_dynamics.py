@@ -1,9 +1,11 @@
 """Integrator behavior, closed forms, envelopes, and the mass floor."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from lvmut import dynamics
 from lvmut.dynamics import (
     closed_form_uniform_linear,
     integrate,
@@ -14,12 +16,26 @@ from lvmut.equilibrium import equilibrium_uniform
 from lvmut.errors import (
     AsymmetricMutation,
     NonFiniteState,
+    StepBudgetExceeded,
     WrongInteractionKind,
     ZeroInitialMass,
 )
 from lvmut.linalg import perron_eigenpair
 from lvmut.model import build_model, growth_mutation_matrix, uniform_linear
 from lvmut.presets import get_preset
+from lvmut.serialize import trajectory_csv
+
+# sha256 of trajectory.csv and the accepted/rejected step counts of each
+# preset run from its own v0 to its t_end at the default tolerances.
+# Recorded from the integrator before its step loop was streamlined; any
+# change to the arithmetic of a step shows up here.
+_GOLDEN = {
+    "sym2": ("b3cf027df2c5a1e903d3c5844e371a0c8ba436846af0a64ab4f91cb847a6ee18", 501, 0),
+    "fit2asym": ("cc38745f5ce445258a3887d3fb26e3335ca4478eac49671852081261ef939194", 501, 0),
+    "mut4": ("3d991411a9ebd57658f50c0b78c3fb1a81e0d1d6aed686cb6978c0ec455714f4", 586, 0),
+    "pert2": ("234f0156880c9333f03695c79f5531efc82550404153090aa5548f2e8ad7cdf5", 501, 0),
+    "crowd3": ("5b022475d9ae05af07fa6e55c94c0a98eb69913e4c406113e6016823563fed15", 595, 0),
+}
 
 
 def _logistic(v0, r, big_k, t):
@@ -29,6 +45,14 @@ def _logistic(v0, r, big_k, t):
 
 def _scalar_model(r=2.0, big_k=1.0):
     return build_model(1, [r], big_k, np.zeros((1, 1)), uniform_linear([r]))
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_preset_trajectories_are_bit_identical(name):
+    preset = get_preset(name)
+    traj = integrate(preset.model, preset.v0, preset.t_end)
+    digest = hashlib.sha256(trajectory_csv(traj).encode()).hexdigest()
+    assert (digest, traj.accepted_steps, traj.rejected_steps) == _GOLDEN[name]
 
 
 def test_scalar_logistic_closed_form():
@@ -83,6 +107,25 @@ def test_bad_tolerances_and_times_rejected(kwargs, name):
     kwargs = {"t_end": 1.0, **kwargs}
     with pytest.raises(ValueError, match=name):
         integrate(model, [1.0, 1.0], **kwargs)
+
+def test_recording_grid_is_capped():
+    # t_end / record_every = 1e10 samples would need 74.5 GiB of grid
+    model = get_preset("sym2").model
+    with pytest.raises(ValueError, match="record_every"):
+        integrate(model, [8.0, 2.0], 10.0, record_every=1e-9)
+    with pytest.raises(ValueError, match="record_every"):
+        integrate(model, [8.0, 2.0], 10.0, record_every=1e-320)
+
+
+def test_step_budget_bounds_the_work(monkeypatch):
+    preset = get_preset("sym2")
+    steps = integrate(preset.model, preset.v0, preset.t_end).accepted_steps
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", steps)
+    assert integrate(preset.model, preset.v0, preset.t_end).accepted_steps == steps
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetExceeded, match=f"{steps - 1} attempted steps"):
+        integrate(preset.model, preset.v0, preset.t_end)
+
 
 def test_positivity_and_strictness_from_boundary():
     model = get_preset("sym2").model

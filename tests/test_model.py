@@ -93,6 +93,26 @@ def test_rhs_hand_computed():
     assert np.max(np.abs(rhs(model, v) - expected)) < 1e-14
 
 
+def _hypercube16():
+    r = np.random.default_rng(5).uniform(0.8, 1.2, size=16)
+    return build_model(16, r, 10.0, point_mutation_matrix(4, 0.02), uniform_linear(r))
+
+
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4", "pert2", "crowd3", "hypercube16"])
+def test_stacked_states_match_row_by_row(name):
+    model = _hypercube16() if name == "hypercube16" else get_preset(name).model
+    rng = np.random.default_rng(31)
+    states = rng.uniform(0.0, 2.0 * model.big_k, size=(2, 9, model.n))
+    rows = states.reshape(-1, model.n)
+    for fn in (rhs, interaction_values):
+        by_row = np.array([fn(model, v) for v in rows])
+        assert np.array_equal(fn(model, rows), by_row)
+        assert np.array_equal(fn(model, states), by_row.reshape(states.shape))
+    # a stack as tall as the state is long is no matrix-vector product in disguise
+    square = rows[: model.n]
+    assert np.array_equal(rhs(model, square), np.array([rhs(model, v) for v in square]))
+
+
 def test_growth_mutation_matrix():
     model = _sym2_model()
     a = growth_mutation_matrix(model)
