@@ -209,8 +209,9 @@ def integrate(
                 np.clip(y5, 0.0, None, out=y5)
             v = y5
             t = target if clamped else t + h
-            # FSAL holds unless the clip moved the state
-            k1 = f(v) if y5_min < 0.0 else ks[6]
+            # FSAL holds unless the clip moved the state; copy, because the
+            # next attempt overwrites ks[6] even when it is rejected
+            k1 = f(v) if y5_min < 0.0 else ks[6].copy()
             accepted += 1
             if t >= target - grid_slack:
                 t = target

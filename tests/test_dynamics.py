@@ -21,7 +21,7 @@ from lvmut.errors import (
     ZeroInitialMass,
 )
 from lvmut.linalg import perron_eigenpair
-from lvmut.model import build_model, growth_mutation_matrix, uniform_linear
+from lvmut.model import build_model, growth_mutation_matrix, rhs, uniform_linear
 from lvmut.presets import get_preset
 from lvmut.serialize import trajectory_csv
 
@@ -278,3 +278,107 @@ def test_envelopes_require_fitness_weighting():
         logistic_envelopes(model, 0.5, np.array([1.0]))
     with pytest.raises(ZeroInitialMass):
         logistic_envelopes(get_preset("sym2").model, 0.0, np.array([1.0]))
+
+
+def _reference_integrate(model, v0, t_end, rtol, atol, record_every):
+    """A plain one-state Dormand-Prince loop: the same stages, controller and
+    recording grid as `integrate`, one state at a time, FSAL in its own array."""
+    f = lambda v: rhs(model, v)  # noqa: E731
+    n = model.n
+    grid = dynamics._record_grid(t_end, record_every).tolist()
+    v = np.asarray(v0, dtype=float).copy()
+    times, states = [0.0], [v.copy()]
+    k1 = f(v)
+    scale0 = atol + rtol * np.abs(v)
+    d0 = float(np.sqrt(np.mean((v / scale0) ** 2)))
+    d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
+    h_ctrl = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
+    h_ctrl = min(h_ctrl, t_end / 10.0, record_every)
+    t, accepted, rejected, err_prev, idx = 0.0, 0, 0, 1.0, 0
+    ks = np.empty((7, n))
+    while idx < len(grid):
+        target = grid[idx]
+        h = min(h_ctrl, target - t)
+        clamped = h < h_ctrl
+        ks[0] = k1
+        for s in range(1, 7):
+            ks[s] = f(v + h * (dynamics._A[s] @ ks[:s]))
+        y5 = v + h * (dynamics._B5 @ ks)
+        if not np.isfinite(ks).all() or not np.isfinite(y5).all():
+            rejected += 1
+            h_ctrl = h * 0.25
+            continue
+        y5_min = float(y5.min())
+        if y5_min < -atol:
+            rejected += 1
+            h_ctrl = h * 0.5
+            continue
+        q = h * (dynamics._E @ ks) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
+        err = math.sqrt(np.add.reduce(q * q) / n)
+        if err > 1.0:
+            rejected += 1
+            h_ctrl = h * max(0.1, 0.9 * err ** -0.2)
+            continue
+        if y5_min <= 0.0:
+            y5 = np.clip(y5, 0.0, None)
+        v = y5
+        t = target if clamped else t + h
+        k1 = f(v) if y5_min < 0.0 else ks[6].copy()
+        accepted += 1
+        if t >= target - 1e-12 * max(t_end, 1.0):
+            t = target
+            times.append(t)
+            states.append(v)
+            idx += 1
+        factor = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
+        h_ctrl = h * min(5.0, max(0.2, factor))
+        err_prev = max(err, 1e-4)
+    return np.asarray(times), np.asarray(states), accepted, rejected
+
+
+def _c04_starts(count=20):
+    model = get_preset("mut4").model
+    rng = np.random.default_rng(404)
+    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(count, model.n))
+    assert np.all(starts.max(axis=1) > 0.0)
+    return model, starts
+
+
+def _assert_same_run(traj, ref):
+    times, states, accepted, rejected = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert (traj.accepted_steps, traj.rejected_steps) == (accepted, rejected)
+
+
+def test_rejected_steps_restart_from_the_field_at_the_state():
+    # criterion 04's starts reject steps for accuracy; every retry must be a
+    # true Dormand-Prince step from v, whose first stage is f(v)
+    model, starts = _c04_starts(4)
+    rejected = 0
+    for v0 in starts:
+        traj = integrate(model, v0, 200.0, rtol=1e-10, atol=1e-12, record_every=200.0)
+        _assert_same_run(traj, _reference_integrate(model, v0, 200.0, 1e-10, 1e-12, 200.0))
+        rejected += traj.rejected_steps
+    assert rejected > 0
+
+
+def test_non_finite_attempt_does_not_poison_the_retry(monkeypatch):
+    # the last stage of the second attempt comes back non-finite; that
+    # attempt is rejected and the retry starts again from f(v)
+    preset = get_preset("sym2")
+    field = dynamics._vector_field(preset.model)
+    calls = []
+
+    def flaky(model):
+        def g(x):
+            calls.append(np.array(x, copy=True))
+            out = field(x)
+            return np.full_like(out, np.nan) if len(calls) == 13 else out
+        return g
+
+    monkeypatch.setattr(dynamics, "_vector_field", flaky)
+    traj = integrate(preset.model, preset.v0, preset.t_end)
+    assert traj.rejected_steps == 1
+    assert np.isfinite(calls[13]).all()
+    assert np.isfinite(traj.states).all()
