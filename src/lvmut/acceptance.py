@@ -17,7 +17,13 @@ from .analysis import (
     perturbation_sweep,
     spectral_gap,
 )
-from .dynamics import closed_form_uniform_linear, integrate, logistic_envelopes, positivity_floor
+from .dynamics import (
+    closed_form_uniform_linear,
+    integrate,
+    integrate_batch,
+    logistic_envelopes,
+    positivity_floor,
+)
 from .entropy import EntropyKernel, identity_residual, lyapunov_descent, log_energy_slopes
 from .equilibrium import (
     HomotopyConfig,
@@ -64,8 +70,9 @@ def _c01_positivity_floor() -> tuple[bool, str]:
         preset = get_preset(preset_name)
         model = preset.model
         rng = np.random.default_rng(101)
-        for v0 in _random_starts(rng, model.n, model.big_k, 10):
-            traj = integrate(model, v0, preset.t_end, rtol=1e-8, atol=atol)
+        starts = _random_starts(rng, model.n, model.big_k, 10)
+        trajs = integrate_batch(model, starts, preset.t_end, rtol=1e-8, atol=atol)
+        for v0, traj in zip(starts, trajs):
             floor = positivity_floor(model, v0)
             worst_state = min(worst_state, float(np.min(traj.states)))
             totals = np.sum(traj.states, axis=1)

@@ -13,7 +13,7 @@ from .errors import (
     NonPositiveReference,
     OutOfTheoremScope,
 )
-from .dynamics import Trajectory, integrate
+from .dynamics import Trajectory, integrate_batch
 from .entropy import decompose
 from .equilibrium import EquilibriumResult, equilibrium_homotopy, equilibrium_uniform
 from .linalg import symmetric_spectrum
@@ -216,16 +216,10 @@ def global_stability_experiment(
             starts[i] = rng.uniform(0.0, 2.0 * model.big_k, size=model.n)
 
     eq = _solve_equilibrium(model)
-    endpoints = np.empty_like(starts)
-    for i in range(n_samples):
-        traj = integrate(model, starts[i], t_end, rtol=rtol, atol=atol,
-                         record_every=t_end)
-        endpoints[i] = traj.states[-1]
+    trajs = integrate_batch(model, starts, t_end, rtol=rtol, atol=atol, record_every=t_end)
+    endpoints = np.array([traj.states[-1] for traj in trajs])
 
-    max_pair = 0.0
-    for i in range(n_samples):
-        for j in range(i + 1, n_samples):
-            max_pair = max(max_pair, float(np.max(np.abs(endpoints[i] - endpoints[j]))))
+    max_pair = float(np.max(np.abs(endpoints[:, None] - endpoints[None])))
     max_eq = float(np.max(np.abs(endpoints - eq.v_bar[None, :])))
     return StabilityReport(
         converged=bool(max_pair <= tol and max_eq <= tol),

@@ -107,16 +107,42 @@ def integrate(
 ) -> Trajectory:
     """Integrate the model flow from v0 over [0, t_end].
 
-    The work is bounded: a recording grid of more than _MAX_SAMPLES points
-    is a ValueError, and a run that needs more than _MAX_STEPS attempted
-    steps raises StepBudgetExceeded.
+    The one-start call of `integrate_batch`, with the same checks and work
+    bounds.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (model.n,):
         raise ValueError(f"v0 must have shape ({model.n},)")
-    if not np.isfinite(v0).all():
+    return integrate_batch(model, v0[None], t_end, rtol, atol, record_every)[0]
+
+
+def integrate_batch(
+    model: Model,
+    starts,
+    t_end: float,
+    rtol: float = 1e-8,
+    atol: float = 1e-10,
+    record_every: float | None = None,
+) -> list[Trajectory]:
+    """Integrate the model flow from each row of starts (B, n) over [0, t_end].
+
+    The rows step in lockstep: each stage is one field evaluation on the
+    stack of rows still running. Every row keeps its own time, step size,
+    controller memory, grid position and counters, so each trajectory
+    equals its one-start run bit for bit. A row leaves the batch when it
+    reaches t_end.
+
+    The work is bounded: a recording grid of more than _MAX_SAMPLES points
+    is a ValueError, and a row that needs more than _MAX_STEPS attempted
+    steps raises StepBudgetExceeded. The first row to fail aborts the call.
+    """
+    starts = np.asarray(starts, dtype=float)
+    n = model.n
+    if starts.ndim != 2 or starts.shape[1] != n or len(starts) == 0:
+        raise ValueError(f"starts must have shape (B, {n}) with B >= 1")
+    if not np.isfinite(starts).all():
         raise NonFiniteState("initial state contains non-finite entries")
-    if np.any(v0 < 0.0):
+    if np.any(starts < 0.0):
         raise ValueError("initial state must be nonnegative")
     t_end = float(t_end)
     if not 0.0 < t_end < np.inf:
@@ -126,8 +152,10 @@ def integrate(
             raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
     if rtol == 0.0 and atol == 0.0:
         raise ValueError("rtol and atol must not both be zero")
-    if not np.any(v0 > 0.0):
-        warnings.warn("initial state is identically zero; the flow stays at zero")
+    n_rows = len(starts)
+    for b in np.flatnonzero(~np.any(starts > 0.0, axis=1)):
+        row = f" (row {b})" if n_rows > 1 else ""
+        warnings.warn(f"initial state{row} is identically zero; the flow stays at zero")
     if record_every is None:
         record_every = t_end / 500.0
     record_every = float(record_every)
@@ -140,99 +168,145 @@ def integrate(
         )
 
     f = _vector_field(model)
-    n = model.n
-    grid = _record_grid(t_end, record_every).tolist()
-    times = [0.0]
-    states = [v0.copy()]
+    grid = _record_grid(t_end, record_every)
+    times = np.concatenate(([0.0], grid))  # every recorded time is a grid point
+    grid = grid.tolist()
+    n_grid = len(grid)
+    paths = [np.empty((n_grid + 1, n)) for _ in range(n_rows)]
+    for path, v0 in zip(paths, starts):
+        path[0] = v0
 
-    t = 0.0
-    v = v0.copy()
-    k1 = f(v)
-    if not np.isfinite(k1).all():
+    # ks[b, s] holds stage s of row b; ks[b, 0] is f at the row's state
+    v = starts.copy()
+    ks = np.empty((n_rows, 7, n))
+    ks[:, 0] = f(v)
+    if not np.isfinite(ks[:, 0]).all():
         raise NonFiniteState("vector field is non-finite at the initial state")
 
     # modest startup step; the controller adapts within a few steps
-    scale0 = atol + rtol * np.abs(v)
-    d0 = float(np.sqrt(np.mean((v / scale0) ** 2)))
-    d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
-    h_ctrl = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
-    h_ctrl = min(h_ctrl, t_end / 10.0, record_every)
+    h_ctrl = []
+    for v_b, k1 in zip(v, ks[:, 0]):
+        scale0 = atol + rtol * np.abs(v_b)
+        d0 = float(np.sqrt(np.mean((v_b / scale0) ** 2)))
+        d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
+        h = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
+        h_ctrl.append(min(h, t_end / 10.0, record_every))
 
     h_floor = 1e-14 * t_end
     grid_slack = 1e-12 * max(t_end, 1.0)
-    accepted = 0
-    rejected = 0
-    err_prev = 1.0
-    grid_idx = 0
-    ks = np.empty((7, n))
-    # stage s evaluates f at v + h * (_A[s] @ ks[:s]) and stores it in ks[s]
-    stages = [(s, _A[s], ks[:s]) for s in range(1, 7)]
+    t = [0.0] * n_rows
+    err_prev = [1.0] * n_rows
+    grid_idx = [0] * n_rows
+    accepted = [0] * n_rows
+    rejected = [0] * n_rows
+    rows = list(range(n_rows))  # the rows still running, in buffer order
 
-    while grid_idx < len(grid):
-        if accepted + rejected >= _MAX_STEPS:
-            raise StepBudgetExceeded(
-                f"no end after {_MAX_STEPS} attempted steps; stopped at t={t:g} of {t_end:g}"
-            )
-        target = grid[grid_idx]
-        h = min(h_ctrl, target - t)
-        if not h >= h_floor:
-            raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t:g}")
-        clamped = h < h_ctrl
+    def plan():
+        # one field call per stage on the running rows; a lone row takes the
+        # one-state field, which is cheaper than a stack of one
+        field = (lambda x: f(x[0])[None]) if len(rows) == 1 else f
+        # stage s evaluates f at v + h * (_A[s] @ ks[:, :s]) into ks[:, s]
+        return field, [(_A[s], ks[:, :s], ks[:, s]) for s in range(1, 7)]
 
-        ks[0] = k1
-        bad = False
-        for s, a_s, ks_s in stages:
-            ks[s] = k = f(v + h * (a_s @ ks_s))
-            if not np.isfinite(k).all():
-                bad = True
-                break
-        if not bad:
-            y5 = v + h * (_B5 @ ks)
-            bad = not np.isfinite(y5).all()
-        if bad:
-            rejected += 1
-            h_ctrl = h * 0.25
-            continue
+    field, stages = plan()
+    # a non-finite stage rejects its step; numpy's warnings about the
+    # stages computed from it say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows:
+            hs = []
+            for b in rows:
+                if accepted[b] + rejected[b] >= _MAX_STEPS:
+                    raise StepBudgetExceeded(
+                        f"no end after {_MAX_STEPS} attempted steps; "
+                        f"stopped at t={t[b]:g} of {t_end:g}"
+                    )
+                h = min(h_ctrl[b], grid[grid_idx[b]] - t[b])
+                if not h >= h_floor:
+                    raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
+                hs.append(h)
+            # a Python float multiplies faster than a broadcast column
+            h_col = hs[0] if len(hs) == 1 else np.array(hs)[:, None]
 
-        y5_min = float(y5.min())
-        if y5_min < -atol:
-            rejected += 1
-            h_ctrl = h * 0.5
-            continue
+            for a_s, ks_s, ks_out in stages:
+                ks_out[...] = field(v + h_col * (a_s @ ks_s))
+            y5 = v + h_col * (_B5 @ ks)
+            finite = None
+            if not (np.isfinite(ks).all() and np.isfinite(y5).all()):
+                finite = (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y5).all(axis=1)).tolist()
+            y5_min = y5.min(axis=1).tolist()
+            q = h_col * (_E @ ks) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
+            sq_sums = np.add.reduce(q * q, axis=1).tolist()
 
-        q = h * (_E @ ks) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
-        err = math.sqrt(np.add.reduce(q * q) / n)
+            stay = []      # rejected: keep the state and its first stage
+            refresh = []   # accepted, but clipped: f changed at the state
+            finished = []
+            for j, b in enumerate(rows):
+                h = hs[j]
+                if finite is not None and not finite[j]:
+                    rejected[b] += 1
+                    h_ctrl[b] = h * 0.25
+                    stay.append(j)
+                    continue
+                if y5_min[j] < -atol:
+                    rejected[b] += 1
+                    h_ctrl[b] = h * 0.5
+                    stay.append(j)
+                    continue
+                err = math.sqrt(sq_sums[j] / n)
+                if err <= 1.0:
+                    if y5_min[j] <= 0.0:
+                        # also turns -0.0 into 0.0
+                        np.clip(y5[j], 0.0, None, out=y5[j])
+                        if y5_min[j] < 0.0:
+                            refresh.append(j)
+                    target = grid[grid_idx[b]]
+                    t_b = target if h < h_ctrl[b] else t[b] + h
+                    accepted[b] += 1
+                    if t_b >= target - grid_slack:
+                        t_b = target
+                        grid_idx[b] += 1
+                        paths[b][grid_idx[b]] = y5[j]
+                        if grid_idx[b] == n_grid:
+                            finished.append(j)
+                    t[b] = t_b
+                    factor = (
+                        _SAFETY * err ** (-_PI_ALPHA) * err_prev[b] ** _PI_BETA
+                        if err > 0 else _MAX_FACTOR
+                    )
+                    h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                    err_prev[b] = max(err, 1e-4)
+                else:
+                    rejected[b] += 1
+                    h_ctrl[b] = h * max(0.1, _SAFETY * err ** (-0.2))
+                    stay.append(j)
 
-        if err <= 1.0:
-            if y5_min <= 0.0:
-                # also turns -0.0 into 0.0
-                np.clip(y5, 0.0, None, out=y5)
+            # FSAL: an accepted row's last stage is f at its new state
+            if stay:
+                y5[stay] = v[stay]
+                moved = [j for j in range(len(rows)) if j not in stay]
+                ks[moved, 0] = ks[moved, 6]
+            else:
+                ks[:, 0] = ks[:, 6]
             v = y5
-            t = target if clamped else t + h
-            # FSAL holds unless the clip moved the state; copy, because the
-            # next attempt overwrites ks[6] even when it is rejected
-            k1 = f(v) if y5_min < 0.0 else ks[6].copy()
-            accepted += 1
-            if t >= target - grid_slack:
-                t = target
-                times.append(t)
-                states.append(v)  # a fresh array each step, never written again
-                grid_idx += 1
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA if err > 0 else _MAX_FACTOR
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            h_ctrl = h * factor
-            err_prev = max(err, 1e-4)
-        else:
-            rejected += 1
-            h_ctrl = h * max(0.1, _SAFETY * err ** (-0.2))
+            for j in refresh:
+                ks[j, 0] = f(v[j])
+            if finished:
+                keep = [j for j in range(len(rows)) if j not in finished]
+                rows = [rows[j] for j in keep]
+                v = v[keep]
+                ks = ks[keep]
+                field, stages = plan()
 
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        accepted_steps=accepted,
-        rejected_steps=rejected,
-        tol_used=(rtol, atol),
-    )
+    return [
+        Trajectory(
+            times=times.copy(),
+            states=paths[b],
+            accepted_steps=accepted[b],
+            rejected_steps=rejected[b],
+            tol_used=(rtol, atol),
+        )
+        for b in range(n_rows)
+    ]
 
 
 def _adaptive_panel(g, a: float, b: float, tol: float, depth: int = 0) -> np.ndarray:

@@ -147,6 +147,21 @@ def test_global_stability_mut4():
     assert np.allclose(rep.attractor, 25.0, atol=1e-9)
 
 
+def test_global_stability_equals_a_loop_over_integrate():
+    model = get_preset("mut4").model
+    rep = global_stability_experiment(model, n_samples=6, seed=404, t_end=60.0, tol=1e-3)
+    rng = np.random.default_rng(404)
+    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(6, model.n))
+    ends = [integrate(model, v0, 60.0, rtol=1e-10, atol=1e-12, record_every=60.0).states[-1]
+            for v0 in starts]
+    max_pair = max(
+        float(np.max(np.abs(ends[i] - ends[j]))) for i in range(6) for j in range(i + 1, 6)
+    )
+    assert np.array_equal(rep.endpoints, np.array(ends))
+    assert rep.max_pairwise_gap == max_pair
+    assert rep.max_equilibrium_gap == float(np.max(np.abs(np.array(ends) - rep.attractor)))
+
+
 def _pert2_params():
     preset = get_preset("pert2")
     inter = preset.model.interaction

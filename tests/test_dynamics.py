@@ -1,6 +1,7 @@
 """Integrator behavior, closed forms, envelopes, and the mass floor."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lvmut import dynamics
 from lvmut.dynamics import (
     closed_form_uniform_linear,
     integrate,
+    integrate_batch,
     logistic_envelopes,
     positivity_floor,
 )
@@ -21,7 +23,13 @@ from lvmut.errors import (
     ZeroInitialMass,
 )
 from lvmut.linalg import perron_eigenpair
-from lvmut.model import build_model, growth_mutation_matrix, rhs, uniform_linear
+from lvmut.model import (
+    build_model,
+    growth_mutation_matrix,
+    point_mutation_matrix,
+    rhs,
+    uniform_linear,
+)
 from lvmut.presets import get_preset
 from lvmut.serialize import trajectory_csv
 
@@ -382,3 +390,129 @@ def test_non_finite_attempt_does_not_poison_the_retry(monkeypatch):
     assert traj.rejected_steps == 1
     assert np.isfinite(calls[13]).all()
     assert np.isfinite(traj.states).all()
+
+
+def _hypercube16():
+    rng = np.random.default_rng(16)
+    r = rng.uniform(0.8, 1.2, size=16)
+    model = build_model(16, r, 10.0, point_mutation_matrix(4, 0.02), uniform_linear(r))
+    return model, rng.uniform(0.0, 20.0, size=(4, 16))
+
+
+def _batch_cases():
+    for name in sorted(_GOLDEN):
+        preset = get_preset(name)
+        rng = np.random.default_rng(3)
+        starts = np.vstack([preset.v0, rng.uniform(0.0, 2.0 * preset.model.big_k,
+                                                   size=(3, preset.model.n))])
+        yield name, preset.model, starts, {"t_end": preset.t_end}
+    model, starts = _hypercube16()
+    yield "hypercube16", model, starts, {"t_end": 30.0, "rtol": 1e-10, "atol": 1e-12,
+                                         "record_every": 0.5}
+
+
+@pytest.mark.parametrize("name, model, starts, kwargs", list(_batch_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_batch_rows_equal_their_single_runs(name, model, starts, kwargs):
+    batch = integrate_batch(model, starts, **kwargs)
+    assert len(batch) == len(starts)
+    for v0, traj in zip(starts, batch):
+        single = integrate(model, v0, **kwargs)
+        _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
+                                single.rejected_steps))
+        assert traj.tol_used == single.tol_used
+    # the rows leave the batch at different steps
+    assert len({traj.accepted_steps for traj in batch}) > 1
+
+
+def test_batch_rows_equal_the_reference_loop():
+    model, starts = _hypercube16()
+    for v0, traj in zip(starts[:2], integrate_batch(model, starts[:2], 5.0, record_every=0.5)):
+        _assert_same_run(traj, _reference_integrate(model, v0, 5.0, 1e-8, 1e-10, 0.5))
+
+
+def test_batch_rows_with_rejections_equal_their_single_runs():
+    model, starts = _c04_starts()
+    kwargs = {"t_end": 200.0, "rtol": 1e-10, "atol": 1e-12, "record_every": 200.0}
+    batch = integrate_batch(model, starts, **kwargs)
+    for v0, traj in zip(starts, batch):
+        single = integrate(model, v0, **kwargs)
+        _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
+                                single.rejected_steps))
+    assert sum(traj.rejected_steps for traj in batch) == 23
+
+
+def test_batch_of_one_is_integrate():
+    preset = get_preset("mut4")
+    (traj,) = integrate_batch(preset.model, preset.v0[None], preset.t_end)
+    digest = hashlib.sha256(trajectory_csv(traj).encode()).hexdigest()
+    assert (digest, traj.accepted_steps, traj.rejected_steps) == _GOLDEN["mut4"]
+
+
+def test_batch_zero_row_warns_and_stays_zero():
+    preset = get_preset("sym2")
+    starts = np.array([[8.0, 2.0], [0.0, 0.0], [1.0, 3.0]])
+    with pytest.warns(UserWarning, match="row 1"):
+        batch = integrate_batch(preset.model, starts, 5.0)
+    assert np.all(batch[1].states == 0.0)
+    for i in (0, 2):
+        assert np.array_equal(batch[i].states, integrate(preset.model, starts[i], 5.0).states)
+
+
+@pytest.mark.parametrize(
+    "starts, error",
+    [
+        ([[8.0, 2.0], [-1.0, 2.0]], ValueError),
+        ([[8.0, 2.0], [np.inf, 2.0]], NonFiniteState),
+        ([[8.0, 2.0], [np.nan, 2.0]], NonFiniteState),
+        ([8.0, 2.0], ValueError),
+        ([[8.0, 2.0, 1.0]], ValueError),
+        (np.empty((0, 2)), ValueError),
+    ],
+)
+def test_batch_bad_rows_rejected(starts, error):
+    model = get_preset("sym2").model
+    with pytest.raises(error):
+        integrate_batch(model, starts, 1.0)
+
+
+def test_batch_step_budget_is_per_row(monkeypatch):
+    preset = get_preset("sym2")
+    starts = np.array([preset.v0, [1.0, 3.0]])
+    batch = integrate_batch(preset.model, starts, preset.t_end)
+    steps = max(traj.accepted_steps for traj in batch)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", steps)
+    assert [t.accepted_steps for t in integrate_batch(preset.model, starts, preset.t_end)] == [
+        t.accepted_steps for t in batch
+    ]
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetExceeded, match=f"{steps - 1} attempted steps"):
+        integrate_batch(preset.model, starts, preset.t_end)
+
+
+def test_batch_non_finite_stage_rejects_its_row_quietly(monkeypatch):
+    # one row's second stage overflows on the second attempt; the stages
+    # computed from it must not raise numpy warnings, and only that row retries
+    preset = get_preset("pert2")
+    starts = np.array([preset.v0, [1.0, 3.0]])
+    field = dynamics._vector_field(preset.model)
+    calls = []
+
+    def flaky(model):
+        def g(x):
+            calls.append(None)
+            out = field(x)
+            if len(calls) == 9:
+                out = out.copy()
+                out[0] = [np.inf, -np.inf]
+            return out
+        return g
+
+    monkeypatch.setattr(dynamics, "_vector_field", flaky)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = integrate_batch(preset.model, starts, preset.t_end)
+    monkeypatch.undo()
+    assert [traj.rejected_steps for traj in batch] == [1, 0]
+    assert np.array_equal(batch[1].states, integrate(preset.model, starts[1], preset.t_end).states)
+    assert np.isfinite(batch[0].states).all()
