@@ -46,17 +46,13 @@ def is_irreducible(mat: np.ndarray) -> bool:
     np.fill_diagonal(adj, False)
 
     def reaches_all(a: np.ndarray) -> bool:
+        # breadth-first search from node 0, one boolean frontier per level
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in np.nonzero(a[i])[0]:
-                    if not seen[j]:
-                        seen[j] = True
-                        nxt.append(j)
-            frontier = nxt
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = a[frontier].any(axis=0) & ~seen
+            seen |= frontier
         return bool(seen.all())
 
     return reaches_all(adj) and reaches_all(adj.T)

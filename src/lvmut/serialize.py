@@ -155,13 +155,13 @@ def table_csv(header: list[str], rows) -> str:
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:
-    n = trajectory.states.shape[1]
-    header = ["t"] + [f"v_{i + 1}" for i in range(n)] + ["total"]
-    rows = [
-        [t, *state, float(np.sum(state))]
-        for t, state in zip(trajectory.times, trajectory.states)
-    ]
-    return table_csv(header, rows)
+    """`t,v_1,...,v_n,total`: the bytes table_csv writes, one row template at a time."""
+    states = np.ascontiguousarray(trajectory.states)
+    n = states.shape[1]
+    header = ",".join(["t"] + [f"v_{i + 1}" for i in range(n)] + ["total"])
+    row = ",".join(["%.17g"] * (n + 2))
+    table = np.column_stack([trajectory.times, states, states.sum(axis=1)])
+    return "\n".join([header] + [row % tuple(cells) for cells in table.tolist()]) + "\n"
 
 
 def entropy_csv(times, reports, decomps) -> str:

@@ -59,6 +59,53 @@ def test_irreducibility():
     assert not is_irreducible(chain)
 
 
+def _irreducible_by_search(mat):
+    """Strong connectivity by a node-at-a-time breadth-first search both ways."""
+    adj = np.asarray(mat) > 0.0
+    np.fill_diagonal(adj, False)
+
+    def reaches_all(a):
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in np.nonzero(a[i])[0]:
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        return len(seen) == len(a)
+
+    return reaches_all(adj) and reaches_all(adj.T)
+
+
+def _irreducibility_cases():
+    rng = np.random.default_rng(4)
+    block = rng.uniform(0.1, 1.0, size=(6, 6))
+    block[3:, :3] = 0.0  # block upper triangular: no path from the lower block back
+    one_way = np.roll(np.eye(7), 1, axis=1)  # i -> i + 1 around a cycle
+    broken = one_way.copy()
+    broken[6, 0] = 0.0
+    sparse = (rng.uniform(size=(40, 40)) < 0.04).astype(float)
+    cube = point_mutation_matrix(7, 0.02)
+    cut = cube.copy()
+    cut[:, 0] = 0.0  # nothing reaches genotype 0
+    return [block, one_way, broken, sparse, cube, cut, np.zeros((3, 3))]
+
+
+@pytest.mark.parametrize("mat", _irreducibility_cases())
+def test_irreducible_matches_node_search(mat):
+    assert is_irreducible(mat) == _irreducible_by_search(mat)
+
+
+def test_irreducible_verdicts():
+    block, one_way, broken, _, cube, cut, zeros = _irreducibility_cases()
+    assert [is_irreducible(m) for m in (block, one_way, broken, cube, cut, zeros)] == [
+        False, True, False, True, False, False
+    ]
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
 def test_jacobi_matches_numpy(n, seed):

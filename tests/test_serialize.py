@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from lvmut.dynamics import integrate
+from lvmut.dynamics import Trajectory, integrate
 from lvmut.entropy import EntropyKernel, decompose, dissipation
 from lvmut.equilibrium import equilibrium_homotopy, equilibrium_uniform
 from lvmut.presets import get_preset
@@ -14,6 +14,7 @@ from lvmut.serialize import (
     model_from_dict,
     model_to_dict,
     sweep_csv,
+    table_csv,
     trajectory_csv,
 )
 
@@ -79,6 +80,23 @@ def test_trajectory_csv_shape():
     assert float(first[3]) == 10.0
     # rendering is deterministic
     assert text == trajectory_csv(traj)
+
+
+def test_trajectory_csv_equals_table_csv_per_cell():
+    # the row template must write what table_csv writes cell by cell,
+    # non-finite entries, signed zeros and subnormals included
+    rng = np.random.default_rng(16)
+    states = rng.uniform(0.0, 20.0, size=(41, 16))
+    states[3, 2] = np.nan
+    states[4, 0] = np.inf
+    states[5, 7] = -np.inf
+    states[6, 1] = -0.0
+    states[7, :] = 5e-324
+    traj = Trajectory(times=np.linspace(0.0, 4.0, 41), states=states,
+                      accepted_steps=0, rejected_steps=0, tol_used=(1e-8, 1e-10))
+    header = ["t"] + [f"v_{i + 1}" for i in range(16)] + ["total"]
+    rows = [[t, *state, float(np.sum(state))] for t, state in zip(traj.times, states)]
+    assert trajectory_csv(traj) == table_csv(header, rows)
 
 
 def test_entropy_csv_header():
