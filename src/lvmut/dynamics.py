@@ -243,42 +243,39 @@ def integrate_batch(
             for j, b in enumerate(rows):
                 h = hs[j]
                 if finite is not None and not finite[j]:
-                    rejected[b] += 1
-                    h_ctrl[b] = h * 0.25
-                    stay.append(j)
-                    continue
-                if y5_min[j] < -atol:
-                    rejected[b] += 1
-                    h_ctrl[b] = h * 0.5
-                    stay.append(j)
-                    continue
-                err = math.sqrt(sq_sums[j] / n)
-                if err <= 1.0:
-                    if y5_min[j] <= 0.0:
-                        # also turns -0.0 into 0.0
-                        np.clip(y5[j], 0.0, None, out=y5[j])
-                        if y5_min[j] < 0.0:
-                            refresh.append(j)
-                    target = grid[grid_idx[b]]
-                    t_b = target if h < h_ctrl[b] else t[b] + h
-                    accepted[b] += 1
-                    if t_b >= target - grid_slack:
-                        t_b = target
-                        grid_idx[b] += 1
-                        paths[b][grid_idx[b]] = y5[j]
-                        if grid_idx[b] == n_grid:
-                            finished.append(j)
-                    t[b] = t_b
-                    factor = (
-                        _SAFETY * err ** (-_PI_ALPHA) * err_prev[b] ** _PI_BETA
-                        if err > 0 else _MAX_FACTOR
-                    )
-                    h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                    err_prev[b] = max(err, 1e-4)
+                    shrink = 0.25
+                elif y5_min[j] < -atol:
+                    shrink = 0.5
                 else:
+                    err = math.sqrt(sq_sums[j] / n)
+                    shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** (-0.2))
+                if shrink is not None:
                     rejected[b] += 1
-                    h_ctrl[b] = h * max(0.1, _SAFETY * err ** (-0.2))
+                    h_ctrl[b] = h * shrink
                     stay.append(j)
+                    continue
+
+                if y5_min[j] <= 0.0:
+                    # also turns -0.0 into 0.0
+                    np.clip(y5[j], 0.0, None, out=y5[j])
+                    if y5_min[j] < 0.0:
+                        refresh.append(j)
+                target = grid[grid_idx[b]]
+                t_b = target if h < h_ctrl[b] else t[b] + h
+                accepted[b] += 1
+                if t_b >= target - grid_slack:
+                    t_b = target
+                    grid_idx[b] += 1
+                    paths[b][grid_idx[b]] = y5[j]
+                    if grid_idx[b] == n_grid:
+                        finished.append(j)
+                t[b] = t_b
+                factor = (
+                    _SAFETY * err ** (-_PI_ALPHA) * err_prev[b] ** _PI_BETA
+                    if err > 0 else _MAX_FACTOR
+                )
+                h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                err_prev[b] = max(err, 1e-4)
 
             # FSAL: an accepted row's last stage is f at its new state
             if stay:

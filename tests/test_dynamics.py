@@ -288,10 +288,10 @@ def test_envelopes_require_fitness_weighting():
         logistic_envelopes(get_preset("sym2").model, 0.0, np.array([1.0]))
 
 
-def _reference_integrate(model, v0, t_end, rtol, atol, record_every):
+def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None):
     """A plain one-state Dormand-Prince loop: the same stages, controller and
     recording grid as `integrate`, one state at a time, FSAL in its own array."""
-    f = lambda v: rhs(model, v)  # noqa: E731
+    f = field or (lambda v: rhs(model, v))
     n = model.n
     grid = dynamics._record_grid(t_end, record_every).tolist()
     v = np.asarray(v0, dtype=float).copy()
@@ -371,25 +371,31 @@ def test_rejected_steps_restart_from_the_field_at_the_state():
     assert rejected > 0
 
 
+def _field_failing_at(model, call):
+    """The model's field, except that evaluation number `call` comes back NaN."""
+    field = dynamics._vector_field(model)
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x, copy=True))
+        out = field(x)
+        return np.full_like(out, np.nan) if len(calls) == call else out
+
+    return g, calls
+
+
 def test_non_finite_attempt_does_not_poison_the_retry(monkeypatch):
     # the last stage of the second attempt comes back non-finite; that
     # attempt is rejected and the retry starts again from f(v)
     preset = get_preset("sym2")
-    field = dynamics._vector_field(preset.model)
-    calls = []
-
-    def flaky(model):
-        def g(x):
-            calls.append(np.array(x, copy=True))
-            out = field(x)
-            return np.full_like(out, np.nan) if len(calls) == 13 else out
-        return g
-
-    monkeypatch.setattr(dynamics, "_vector_field", flaky)
+    flaky, calls = _field_failing_at(preset.model, 13)
+    monkeypatch.setattr(dynamics, "_vector_field", lambda model: flaky)
     traj = integrate(preset.model, preset.v0, preset.t_end)
     assert traj.rejected_steps == 1
     assert np.isfinite(calls[13]).all()
-    assert np.isfinite(traj.states).all()
+    reference_field, _ = _field_failing_at(preset.model, 13)
+    _assert_same_run(traj, _reference_integrate(preset.model, preset.v0, preset.t_end, 1e-8,
+                                                1e-10, preset.t_end / 500.0, reference_field))
 
 
 def _hypercube16():
@@ -477,17 +483,19 @@ def test_batch_bad_rows_rejected(starts, error):
 
 
 def test_batch_step_budget_is_per_row(monkeypatch):
-    preset = get_preset("sym2")
-    starts = np.array([preset.v0, [1.0, 3.0]])
-    batch = integrate_batch(preset.model, starts, preset.t_end)
-    steps = max(traj.accepted_steps for traj in batch)
+    # attempted steps count, rejected ones included
+    model, starts = _c04_starts(3)
+    kwargs = {"t_end": 200.0, "rtol": 1e-10, "atol": 1e-12, "record_every": 200.0}
+    batch = integrate_batch(model, starts, **kwargs)
+    assert all(traj.rejected_steps > 0 for traj in batch)
+    steps = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
     monkeypatch.setattr(dynamics, "_MAX_STEPS", steps)
-    assert [t.accepted_steps for t in integrate_batch(preset.model, starts, preset.t_end)] == [
+    assert [t.accepted_steps for t in integrate_batch(model, starts, **kwargs)] == [
         t.accepted_steps for t in batch
     ]
     monkeypatch.setattr(dynamics, "_MAX_STEPS", steps - 1)
     with pytest.raises(StepBudgetExceeded, match=f"{steps - 1} attempted steps"):
-        integrate_batch(preset.model, starts, preset.t_end)
+        integrate_batch(model, starts, **kwargs)
 
 
 def test_batch_non_finite_stage_rejects_its_row_quietly(monkeypatch):
@@ -516,3 +524,18 @@ def test_batch_non_finite_stage_rejects_its_row_quietly(monkeypatch):
     assert [traj.rejected_steps for traj in batch] == [1, 0]
     assert np.array_equal(batch[1].states, integrate(preset.model, starts[1], preset.t_end).states)
     assert np.isfinite(batch[0].states).all()
+
+
+def test_clipped_state_refreshes_its_first_stage(monkeypatch):
+    # a field that falls faster below zero: an accepted step that lands in
+    # (-atol, 0) is clipped, and f at the clipped state replaces the FSAL stage
+    def field(model):
+        return lambda x: np.where(x < 0.0, -2.0, -1.0)
+
+    monkeypatch.setattr(dynamics, "_vector_field", field)
+    model = get_preset("sym2").model
+    starts = np.array([[1.0, 1.5], [0.7, 2.0]])
+    batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=0.5)
+    for v0, traj in zip(starts, batch):
+        _assert_same_run(traj, _reference_integrate(model, v0, 4.0, 0.0, 0.5, 0.5, field(model)))
+    assert np.all(batch[0].states[-1] == 0.0)
