@@ -219,7 +219,9 @@ def global_stability_experiment(
     trajs = integrate_batch(model, starts, t_end, rtol=rtol, atol=atol, record_every=t_end)
     endpoints = np.array([traj.states[-1] for traj in trajs])
 
-    max_pair = float(np.max(np.abs(endpoints[:, None] - endpoints[None])))
+    # the largest pairwise gap of each component is its range: rounding is
+    # monotone, so this equals the max over pairs of |e_i - e_j| exactly
+    max_pair = float(np.max(np.ptp(endpoints, axis=0)))
     max_eq = float(np.max(np.abs(endpoints - eq.v_bar[None, :])))
     return StabilityReport(
         converged=bool(max_pair <= tol and max_eq <= tol),
