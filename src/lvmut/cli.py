@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -454,7 +455,13 @@ def _add_source_args(sub, with_sim_params=True):
         sub.add_argument("--record-every", dest="record_every", type=float)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    Building the tree costs far more than a parse, and each parse makes a
+    fresh namespace from the parser's defaults, so calls share nothing.
+    """
     parser = _Parser(
         prog="lvmut",
         description="competition dynamics with mutation: simulate, solve, certify",

@@ -97,6 +97,20 @@ def _record_grid(t_end: float, record_every: float) -> np.ndarray:
     return grid
 
 
+def _finite_rows(ks: np.ndarray, y5: np.ndarray) -> list[bool] | None:
+    """None when every entry of the stages ks (B, 7, n) and the states y5 (B, n)
+    is finite, else one flag per row: are that row's entries all finite.
+
+    One sum of each array settles the common case, since a finite total
+    proves every entry finite. A total that is not finite (a non-finite
+    entry, or finite entries whose sum overflows) falls through to the
+    entry-wise test, so the verdicts are exact.
+    """
+    if math.isfinite(np.add.reduce(ks, axis=None) + np.add.reduce(y5, axis=None)):
+        return None
+    return (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y5).all(axis=1)).tolist()
+
+
 def integrate(
     model: Model,
     v0,
@@ -202,13 +216,19 @@ def integrate_batch(
     rows = list(range(n_rows))  # the rows still running, in buffer order
 
     def plan():
-        # one field call per stage on the running rows; a lone row takes the
-        # one-state field, which is cheaper than a stack of one
-        field = (lambda x: f(x[0])[None]) if len(rows) == 1 else f
-        # stage s evaluates f at v + h * (_A[s] @ ks[:, :s]) into ks[:, s]
-        return field, [(_A[s], ks[:, :s], ks[:, s]) for s in range(1, 7)]
+        # One field call per stage on the running rows. Stage s evaluates f
+        # at v + h * (_A[s] @ ks[:, :s]) into ks[:, s]; the step's y5 and
+        # error estimate weigh all of ks by _B5 and _E. A lone row takes the
+        # one-state field and ndarray.dot on its own (7, n) stages: the same
+        # products as on a stack of one, at a fraction of the call cost.
+        if len(rows) == 1:
+            k = ks[0]
+            stages = [(_A[s].dot, k[:s], k[s]) for s in range(1, 7)]
+            return lambda x: f(x[0]), stages, _B5.dot, _E.dot, k
+        stages = [(_A[s].__matmul__, ks[:, :s], ks[:, s]) for s in range(1, 7)]
+        return f, stages, _B5.__matmul__, _E.__matmul__, ks
 
-    field, stages = plan()
+    field, stages, weigh5, weigh_err, k_all = plan()
     # a non-finite stage rejects its step; numpy's warnings about the
     # stages computed from it say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,14 +247,12 @@ def integrate_batch(
             # a Python float multiplies faster than a broadcast column
             h_col = hs[0] if len(hs) == 1 else np.array(hs)[:, None]
 
-            for a_s, ks_s, ks_out in stages:
-                ks_out[...] = field(v + h_col * (a_s @ ks_s))
-            y5 = v + h_col * (_B5 @ ks)
-            finite = None
-            if not (np.isfinite(ks).all() and np.isfinite(y5).all()):
-                finite = (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y5).all(axis=1)).tolist()
-            y5_min = y5.min(axis=1).tolist()
-            q = h_col * (_E @ ks) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
+            for weigh_s, ks_s, ks_out in stages:
+                ks_out[...] = field(v + h_col * weigh_s(ks_s))
+            y5 = v + h_col * weigh5(k_all)
+            finite = _finite_rows(ks, y5)
+            y5_min = np.minimum.reduce(y5, axis=1).tolist()
+            q = h_col * weigh_err(k_all) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
             sq_sums = np.add.reduce(q * q, axis=1).tolist()
 
             stay = []      # rejected: keep the state and its first stage
@@ -292,7 +310,7 @@ def integrate_batch(
                 rows = [rows[j] for j in keep]
                 v = v[keep]
                 ks = ks[keep]
-                field, stages = plan()
+                field, stages, weigh5, weigh_err, k_all = plan()
 
     return [
         Trajectory(

@@ -14,6 +14,7 @@ update rule.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,17 +26,18 @@ from .errors import (
     InnerNoConvergence,
     LeftAprioriBox,
     NonPositivePerron,
+    SingularMatrix,
     WrongInteractionKind,
 )
-from .linalg import perron_eigenpair, require_nonsingular, solve_linear
+from .linalg import _PIVOT_REL, perron_eigenpair, require_nonsingular
 from .model import (
     CrowdingLinear,
     Model,
     Perturbed,
     UniformLinear,
+    _pressure_values,
     growth_mutation_matrix,
     interaction_gradient,
-    interaction_values,
     mutation_symmetric,
     rhs,
     validate,
@@ -72,19 +74,15 @@ def residual(model: Model, v) -> float:
     return float(np.max(np.abs(rhs(model, np.asarray(v, dtype=float)))))
 
 
-def _uniform_pressure(model: Model, v: np.ndarray) -> float:
-    """The shared pressure value Psi_1(v) for uniform interactions."""
-    return float(interaction_values(model, v)[0])
-
-
 def _scale_to_pressure(model: Model, direction: np.ndarray, target: float) -> np.ndarray:
     """Find m > 0 with Psi_1(m * direction) = target for increasing Psi_1."""
     inter = model.interaction
     if isinstance(inter, UniformLinear):
         return (target / float(inter.a @ direction)) * direction
+    pressure = _pressure_values(model)
 
     def shared(m: float) -> float:
-        return _uniform_pressure(model, m * direction)
+        return float(pressure(m * direction)[0])
 
     hi = 1.0
     for _ in range(200):
@@ -164,6 +162,42 @@ def _in_box(v: np.ndarray, lo: float, hi: float) -> bool:
     return bool(np.min(v) >= 0.0 and lo <= total <= hi)
 
 
+def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(jac, b), raising SingularMatrix when the solve shows jac singular.
+
+    The solve itself is the test, so a Newton step costs no SVD. solve_linear
+    accepts a matrix when sigma_min >= 1e-14 ||J||_inf. Since
+    ||J^-1||_inf <= sqrt(n) ||J^-1||_2 = sqrt(n) / sigma_min, the solution of
+    every matrix it accepts obeys
+        ||J||_inf ||x||_inf <= ||J||_inf ||J^-1||_inf ||b||_inf <= sqrt(n) 1e14 ||b||_inf,
+    so a growth above twice that bound (the 2 leaves room for rounding in x)
+    proves J ill-conditioned, and every Jacobian that solve_linear accepts
+    passes here (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
+    """
+    try:
+        x = np.linalg.solve(jac, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    # a non-finite x makes the growth inf or nan
+    growth = float(np.max(np.abs(jac).sum(axis=1))) * float(np.max(np.abs(x)))
+    bound = 2.0 * math.sqrt(len(b)) / _PIVOT_REL * float(np.max(np.abs(b)))
+    if not (math.isfinite(growth) and growth <= bound):
+        raise SingularMatrix(
+            f"Newton step growth ||J|| ||x|| = {growth:g} exceeds {bound:g}; "
+            "the Jacobian is numerically singular"
+        )
+    return x
+
+
+def _newton_step(
+    a: np.ndarray, big_k: float, v: np.ndarray, psi: np.ndarray, grad: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """The Newton step of g(v) = a v - psi(v) v / K: solve J x = -g with
+    J = a - diag(psi)/K - (v outer grad psi)/K, through the guarded solve."""
+    jac = a - np.diag(psi) / big_k - (v[:, None] * grad) / big_k
+    return _guarded_solve(jac, -g)
+
+
 def _stage_solve(
     model: Model,
     a: np.ndarray,
@@ -179,9 +213,10 @@ def _stage_solve(
     done only when ||T(v) - v||_inf <= inner_tol.
     """
     big_k = model.big_k
+    pressure = _pressure_values(model)
 
     def stage_pressure(x: np.ndarray) -> np.ndarray:
-        psi = interaction_values(model, x)
+        psi = pressure(x)
         return s * psi + (1.0 - s) * psi[0]
 
     for _ in range(config.max_inner):
@@ -193,8 +228,7 @@ def _stage_solve(
         g_norm = float(np.max(np.abs(g)))
         grad = interaction_gradient(model, v)
         grad_s = s * grad + (1.0 - s) * np.broadcast_to(grad[0], grad.shape)
-        jac = a - np.diag(psi_s) / big_k - (v[:, None] * grad_s) / big_k
-        step = solve_linear(jac, -g)
+        step = _newton_step(a, big_k, v, psi_s, grad_s, g)
         t = 1.0
         accepted = False
         for _ in range(60):
@@ -270,14 +304,14 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
 
 def _newton_polish(model: Model, a: np.ndarray, v: np.ndarray, max_iter: int = 50) -> np.ndarray:
     big_k = model.big_k
+    pressure = _pressure_values(model)
     scale = max(1.0, float(np.max(np.abs(v))))
     for _ in range(max_iter):
-        psi = interaction_values(model, v)
+        psi = pressure(v)
         g = a @ v - psi * v / big_k
         if float(np.max(np.abs(g))) <= 1e-15 * scale:
             break
-        jac = a - np.diag(psi) / big_k - (v[:, None] * interaction_gradient(model, v)) / big_k
-        step = solve_linear(jac, -g)
+        step = _newton_step(a, big_k, v, psi, interaction_gradient(model, v), g)
         t = 1.0
         cand = v + step
         for _ in range(40):

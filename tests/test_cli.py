@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from lvmut import cli
 from lvmut.cli import main
 from lvmut.model import interaction_values
 from lvmut.presets import get_preset
@@ -305,6 +306,37 @@ def test_missing_subcommand_is_usage_error(capsys):
     code, _, err = _run(capsys)
     assert code == 2
     assert json.loads(err)["error"] == "UsageError"
+
+
+def test_successive_calls_share_no_flags_or_defaults(capsys, tmp_path):
+    # the parser is built once per process; every call parses afresh
+    assert cli._build_parser() is cli._build_parser()
+    out_dir = tmp_path / "stab"
+    code, _, _ = _run(
+        capsys, "stability", "--preset", "crowd3", "--samples", "2",
+        "--t-end", "5", "--force", "--out", str(out_dir)
+    )
+    assert code == 0
+    # neither --force nor --out carries over
+    code, out, err = _run(
+        capsys, "stability", "--preset", "crowd3", "--samples", "2", "--t-end", "5"
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "OutOfTheoremScope"
+    # a flag of one call is not the default of the next
+    code, _, _ = _run(capsys, "equilibrium", "--preset", "crowd3", "--method", "perron")
+    assert code == 2
+    code, out, _ = _run(capsys, "equilibrium", "--preset", "crowd3")
+    assert code == 0
+    assert json.loads(out)["method"] == "homotopy"
+    # an option's default comes back after a call that set it, or failed on it
+    rates = ("rates", "--preset", "sym2", "--record-every", "0.1")
+    code, default_out, _ = _run(capsys, *rates)
+    assert code == 0
+    code, tail_out, _ = _run(capsys, *rates, "--tail", "0.9")
+    assert code == 0 and tail_out != default_out
+    assert _run(capsys, *rates, "--tail", "x")[0] == 2
+    assert _run(capsys, *rates) == (0, default_out, "")
 
 
 def test_scenario_model_round_trips_through_cli(capsys, tmp_path):

@@ -538,3 +538,29 @@ def test_clipped_state_refreshes_its_first_stage(monkeypatch):
     for v0, traj in zip(starts, batch):
         _assert_same_run(traj, _reference_integrate(model, v0, 4.0, 0.0, 0.5, 0.5, field(model)))
     assert np.all(batch[0].states[-1] == 0.0)
+
+
+def _finite_cases():
+    rng = np.random.default_rng(11)
+    clean = (rng.standard_normal((2, 7, 3)), rng.standard_normal((2, 3)))
+    nan = (clean[0].copy(), clean[1])
+    nan[0][1, 3, 2] = np.nan
+    inf_pair = (clean[0].copy(), clean[1].copy())
+    inf_pair[0][0, 2, 1] = np.inf
+    inf_pair[1][1, 0] = -np.inf
+    overflow = (clean[0].copy(), clean[1])
+    overflow[0][0, 1:3, 0] = 1e308
+    return {"clean": clean, "nan": nan, "inf-pair": inf_pair, "overflow": overflow}
+
+
+@pytest.mark.parametrize("case", ["clean", "nan", "inf-pair", "overflow"])
+def test_finite_rows_match_the_entrywise_test(case):
+    ks, y5 = _finite_cases()[case]
+    exact = (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y5).all(axis=1)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = dynamics._finite_rows(ks, y5)
+    # None is the one-sum verdict "all finite"; the overflow of finite
+    # entries falls through to the exact per-row flags
+    assert rows == (None if case == "clean" else exact)
+    assert exact == {"clean": [True, True], "nan": [True, False],
+                     "inf-pair": [False, False], "overflow": [True, True]}[case]

@@ -1,4 +1,5 @@
 """Equilibrium solvers against closed-form oracles and cross-checks."""
+import hashlib
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from lvmut.equilibrium import (
     HomotopyConfig,
     Method,
+    _guarded_solve,
     equilibrium_homotopy,
     equilibrium_uniform,
     residual,
 )
-from lvmut.errors import Hypothesis3Violated, WrongInteractionKind
-from lvmut.model import build_model, crowding_linear, uniform_linear
+from lvmut.errors import Hypothesis3Violated, SingularMatrix, WrongInteractionKind
+from lvmut.linalg import require_nonsingular
+from lvmut.model import build_model, crowding_linear, point_mutation_matrix, uniform_linear
 from lvmut.presets import get_preset, preset_names
 
 
@@ -131,3 +134,79 @@ def test_eigenvector_scaling_rejects_state_dependent_pressures():
     crowd = get_preset("crowd3")
     with pytest.raises(WrongInteractionKind):
         equilibrium_uniform(crowd.model)
+
+
+# -- Newton steps ---------------------------------------------------------------
+
+# sha256 of the bytes of v_bar and of the path residuals, recorded when every
+# Newton step still ran solve_linear's SVD test
+_HOMOTOPY_GOLDEN = {
+    "crowd3": ("4ad42fbe29702237cecf8b4144eefeda1b4e8ee1b1b317427e48df949b90bf90",
+               "2af393361c381c7c19c9def1163b27d9fb866f2c2959e52619471dcca4c5382a"),
+    "pert2": ("003e88ea593141a60165a802e14b8cc6088fb3560eef9b63afb9aab9d280ac86",
+              "3ad61f2df6e11fa7bd916ff51df92aa692d5d59d91ca5db1e7676876c14062d8"),
+    "crowd16": ("de244b22ef256b6cc9cc35dc417b87d3c21db5d1817f9eddd0bbbf1decaf0eaf",
+                "c0a7d45203374184498ab178f306b34314923806e671ef1312e963254b97d2e3"),
+}
+
+
+def _self_crowding_hypercube16():
+    r = np.random.default_rng(16).uniform(0.5, 2.0, size=16)
+    alpha = 0.8 * np.ones((16, 16)) + 0.2 * np.eye(16)
+    return build_model(16, r, 10.0, point_mutation_matrix(4, 0.01), crowding_linear(alpha))
+
+
+@pytest.mark.parametrize("name", sorted(_HOMOTOPY_GOLDEN))
+def test_homotopy_is_bit_identical(name):
+    model = _self_crowding_hypercube16() if name == "crowd16" else get_preset(name).model
+    eq = equilibrium_homotopy(model)
+    residuals = np.array([res for _, _, res in eq.homotopy_path])
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (eq.v_bar, residuals))
+    assert digests == _HOMOTOPY_GOLDEN[name]
+
+
+def test_guarded_solve_rejects_an_exactly_singular_matrix():
+    with pytest.raises(SingularMatrix):
+        _guarded_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+
+def test_guarded_solve_rejects_growth_above_the_bound():
+    jac = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    # LAPACK solves it; ||J|| ||x|| is about 1.8e15 against 2 sqrt(2) 1e14
+    assert np.isfinite(np.linalg.solve(jac, np.array([1.0, 0.0]))).all()
+    with pytest.raises(SingularMatrix, match="exceeds"):
+        _guarded_solve(jac, np.array([1.0, 0.0]))
+
+
+def test_guarded_solve_rejects_a_non_finite_step():
+    with pytest.raises(SingularMatrix):
+        _guarded_solve(np.eye(2), np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_guarded_solve_equals_numpy_on_well_conditioned_matrices(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        jac = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n)
+        x = _guarded_solve(jac, b)
+        assert x.tobytes() == np.linalg.solve(jac, b).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+def test_guarded_solve_accepts_what_the_svd_test_accepts(n):
+    # ill-conditioned matrices on both sides of solve_linear's threshold
+    rng = np.random.default_rng(100 + n)
+    accepted = 0
+    for _ in range(20):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        jac = (u * np.logspace(0.0, rng.uniform(-15.0, -12.0), n)) @ w.T
+        try:
+            require_nonsingular(jac)
+        except SingularMatrix:
+            continue
+        accepted += 1
+        for _ in range(3):
+            _guarded_solve(jac, rng.standard_normal(n))
+    assert accepted > 0
