@@ -24,32 +24,7 @@ from .analysis import (
 from .dynamics import integrate
 from .entropy import Decomposition, EntropyKernel, EntropyReport, decompose, dissipation
 from .equilibrium import equilibrium_homotopy, equilibrium_uniform
-from .errors import (
-    AsymmetricMutation,
-    DimensionMismatch,
-    Hypothesis3Violated,
-    InnerNoConvergence,
-    InsufficientTail,
-    KernelMismatch,
-    LeftAprioriBox,
-    LvmutError,
-    NegativeMutation,
-    NoConvergence,
-    NonFiniteState,
-    NonPositivePerron,
-    NonPositiveRate,
-    NonPositiveReference,
-    NotIrreducible,
-    NotStationaryReference,
-    NotSymmetric,
-    OutOfTheoremScope,
-    SingularMatrix,
-    StepSizeUnderflow,
-    TooFewSamples,
-    WrongInteractionKind,
-    ZeroInitialMass,
-    ZeroReference,
-)
+from .errors import LvmutError
 from .model import (
     Model,
     Perturbed,
@@ -64,22 +39,6 @@ from .presets import catalog, get_preset
 _TASKS = (
     "validate", "simulate", "equilibrium", "spectrum", "entropy",
     "rates", "stability", "sweep",
-)
-
-_USAGE_ERRORS = (
-    ValueError, KeyError, OSError, json.JSONDecodeError,
-    DimensionMismatch, NonPositiveRate, NegativeMutation, NotSymmetric,
-    WrongInteractionKind, NotIrreducible, AsymmetricMutation,
-    ZeroInitialMass, NonPositiveReference, ZeroReference,
-)
-_VALIDATION_ERRORS = (
-    Hypothesis3Violated, OutOfTheoremScope, NotStationaryReference,
-    KernelMismatch,
-)
-_SOLVER_ERRORS = (
-    NoConvergence, InnerNoConvergence, LeftAprioriBox, StepSizeUnderflow,
-    NonFiniteState, SingularMatrix, NonPositivePerron, TooFewSamples,
-    InsufficientTail,
 )
 
 _FORCE_BANNER = (
@@ -158,6 +117,20 @@ def _load_scenario(path: str) -> dict:
     return obj
 
 
+def _scenario_number(obj: dict, key: str, default: float | None) -> float | None:
+    """obj[key] as a float; a missing key gives default, and so does null
+    when default is None (record_every)."""
+    value = obj.get(key)
+    if value is None and (key not in obj or default is None):
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"key {key!r} in scenario must be a number, got {json.dumps(value)}"
+        ) from None
+
+
 def _build_job(args) -> Job:
     preset_name = getattr(args, "preset", None)
     scenario_path = getattr(args, "scenario", None)
@@ -166,16 +139,14 @@ def _build_job(args) -> Job:
 
     v0 = None
     sampler = None
-    t_end = 50.0
-    rtol, atol = 1e-8, 1e-10
-    record_every = None
+    scalars = {"t_end": 50.0, "rtol": 1e-8, "atol": 1e-10, "record_every": None}
     out_dir = None
 
     if preset_name is not None:
         preset = get_preset(preset_name)
         model = preset.model
         v0 = preset.v0.copy()
-        t_end = preset.t_end
+        scalars["t_end"] = preset.t_end
     else:
         obj = _load_scenario(scenario_path)
         model = serialize.model_from_dict(obj["model"])
@@ -187,33 +158,18 @@ def _build_job(args) -> Job:
             sampler = initial
         elif initial is not None:
             v0 = np.asarray(initial, dtype=float)
-        t_end = float(obj.get("t_end", t_end))
-        rtol = float(obj.get("rtol", rtol))
-        atol = float(obj.get("atol", atol))
-        if obj.get("record_every") is not None:
-            record_every = float(obj["record_every"])
+        for key, default in scalars.items():
+            scalars[key] = _scenario_number(obj, key, default)
         out_dir = obj.get("outputs")
 
-    for attr, cast in (
-        ("t_end", float), ("rtol", float), ("atol", float),
-        ("record_every", float),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            if attr == "t_end":
-                t_end = cast(val)
-            elif attr == "rtol":
-                rtol = cast(val)
-            elif attr == "atol":
-                atol = cast(val)
-            else:
-                record_every = cast(val)
+    for key in scalars:
+        if getattr(args, key, None) is not None:
+            scalars[key] = getattr(args, key)
     if getattr(args, "v0", None) is not None:
         v0 = _parse_vector(args.v0, "--v0")
     if getattr(args, "out", None) is not None:
         out_dir = args.out
-    return Job(model, v0, sampler, t_end, rtol, atol, record_every,
-               out_dir, preset_name)
+    return Job(model, v0, sampler, out_dir=out_dir, preset_name=preset_name, **scalars)
 
 
 def _require_v0(job: Job) -> np.ndarray:
@@ -538,15 +494,13 @@ def main(argv=None) -> int:
             return 0
         return _fail(2, "UsageError", "invalid command line; see --help")
     try:
-        return args.fn(args)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(1, type(exc).__name__, str(exc))
-    except _SOLVER_ERRORS as exc:
-        return _fail(3, type(exc).__name__, str(exc))
-    except _USAGE_ERRORS as exc:
-        return _fail(2, type(exc).__name__, str(exc))
+        # overflow in a bad input surfaces as an error below, not as a warning line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except LvmutError as exc:
-        return _fail(3, type(exc).__name__, str(exc))
+        return _fail(exc.exit_code, type(exc).__name__, str(exc))
+    except (ValueError, KeyError, OSError) as exc:
+        return _fail(2, type(exc).__name__, str(exc))
 
 
 if __name__ == "__main__":

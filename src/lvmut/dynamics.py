@@ -63,8 +63,6 @@ _PI_BETA = 0.4 / 5.0
 _MAX_SAMPLES = 1_000_000
 _MAX_STEPS = 10_000_000
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -324,32 +322,14 @@ def integrate_batch(
     ]
 
 
-def _adaptive_panel(g, a: float, b: float, tol: float, depth: int = 0) -> np.ndarray:
-    """Vector-valued adaptive Gauss-Legendre integral of g over [a, b]."""
-
-    def panel(lo: float, hi: float) -> np.ndarray:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vals = [wq * g(mid + half * xq) for xq, wq in zip(_GL_NODES, _GL_WEIGHTS)]
-        return half * np.sum(vals, axis=0)
-
-    whole = panel(a, b)
-    mid = 0.5 * (a + b)
-    left = panel(a, mid)
-    right = panel(mid, b)
-    refined = left + right
-    gap = float(np.max(np.abs(whole - refined), initial=0.0))
-    if gap <= tol * (1.0 + float(np.max(np.abs(refined), initial=0.0))) or depth >= 40:
-        return refined
-    return _adaptive_panel(g, a, mid, tol, depth + 1) + _adaptive_panel(g, mid, b, tol, depth + 1)
-
-
 def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     """Exact solution for uniform linear interactions.
 
     v(t) = V(t) / (1 + sum_j (a_j/K) * int_0^t V_j(s) ds) with
     V(t) = exp(t (R+M)) v0. Requires symmetric mutation so the propagator
-    can be built from the symmetric eigendecomposition.
+    can be built from the symmetric eigendecomposition, where the integral
+    is exact per eigenmode: the phi_1 function expm1(lam t) / lam (Higham,
+    Functions of Matrices, section 10.7).
     """
     if not isinstance(model.interaction, UniformLinear):
         raise WrongInteractionKind("closed form applies to uniform linear interactions")
@@ -369,22 +349,20 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
         times = np.concatenate(([0.0], times))
 
     spec = symmetric_spectrum(growth_mutation_matrix(model))
+    lam = spec.eigenvalues
     coeff = spec.eigenvectors.T @ v0
-
-    def propagated(s: float) -> np.ndarray:
-        return spec.eigenvectors @ (np.exp(spec.eigenvalues * s) * coeff)
-
-    a_over_k = model.interaction.a / model.big_k
-    states = [v0.copy()]
-    integral = np.zeros(model.n)
-    for lo, hi in zip(times[:-1], times[1:]):
-        integral = integral + _adaptive_panel(propagated, float(lo), float(hi), 1e-10)
-        denom = 1.0 + float(a_over_k @ integral)
-        states.append(propagated(float(hi)) / denom)
+    lt = np.multiply.outer(times, lam)
+    # phi_1 per eigenmode; its limit at lam == 0 is t
+    zero = lam == 0.0
+    phi1 = np.where(zero, times[:, None], np.expm1(lt) / np.where(zero, 1.0, lam))
+    propagated = (np.exp(lt) * coeff) @ spec.eigenvectors.T
+    integral = (phi1 * coeff) @ spec.eigenvectors.T
+    states = propagated / (1.0 + integral @ (model.interaction.a / model.big_k))[:, None]
+    states[0] = v0
 
     return Trajectory(
         times=times.copy(),
-        states=np.asarray(states),
+        states=states,
         accepted_steps=0,
         rejected_steps=0,
         tol_used=(0.0, 0.0),

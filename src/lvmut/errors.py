@@ -1,30 +1,37 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Each class carries the command line's exit code for it as ``exit_code``:
+1 for a failed validation or verification, 2 for bad input (usage), and 3,
+the base class's default, for a solver failure.
+"""
 
 
 class LvmutError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+
 
 # model construction and validation
 class DimensionMismatch(LvmutError):
-    pass
+    exit_code = 2
 
 
 class NonPositiveRate(LvmutError):
-    pass
+    exit_code = 2
 
 
 class NegativeMutation(LvmutError):
-    pass
+    exit_code = 2
 
 
 class WrongInteractionKind(LvmutError):
-    pass
+    exit_code = 2
 
 
 # linear algebra
 class NotIrreducible(LvmutError):
-    pass
+    exit_code = 2
 
 
 class NoConvergence(LvmutError):
@@ -32,7 +39,7 @@ class NoConvergence(LvmutError):
 
 
 class NotSymmetric(LvmutError):
-    pass
+    exit_code = 2
 
 
 class SingularMatrix(LvmutError):
@@ -53,7 +60,7 @@ class NonFiniteState(LvmutError):
 
 
 class ZeroInitialMass(LvmutError):
-    pass
+    exit_code = 2
 
 
 # equilibrium solvers
@@ -62,7 +69,7 @@ class NonPositivePerron(LvmutError):
 
 
 class Hypothesis3Violated(LvmutError):
-    pass
+    exit_code = 1
 
 
 class InnerNoConvergence(LvmutError):
@@ -79,15 +86,15 @@ class LeftAprioriBox(LvmutError):
 
 # entropy diagnostics
 class NonPositiveReference(LvmutError):
-    pass
+    exit_code = 2
 
 
 class AsymmetricMutation(LvmutError):
-    pass
+    exit_code = 2
 
 
 class NotStationaryReference(LvmutError):
-    pass
+    exit_code = 1
 
 
 class TooFewSamples(LvmutError):
@@ -95,11 +102,11 @@ class TooFewSamples(LvmutError):
 
 
 class ZeroReference(LvmutError):
-    pass
+    exit_code = 2
 
 
 class KernelMismatch(LvmutError):
-    pass
+    exit_code = 1
 
 
 # analysis
@@ -108,4 +115,4 @@ class InsufficientTail(LvmutError):
 
 
 class OutOfTheoremScope(LvmutError):
-    pass
+    exit_code = 1

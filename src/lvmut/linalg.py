@@ -5,8 +5,7 @@ error contracts the rest of the package relies on. Symmetric spectra come
 from eigh in descending order. The dominant eigenpair of a Metzler matrix
 starts from the eigh or eig eigenvector and is certified by shifted power
 iteration. Linear solves reject numerically singular matrices by their
-smallest singular value before the LU solve. The matrix exponential action
-is built from the symmetric eigendecomposition.
+smallest singular value before the LU solve.
 """
 from __future__ import annotations
 
@@ -181,13 +180,6 @@ def solve_linear(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(mat, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
-
-
-def expm_action(sym: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
-    """exp(t*sym) @ v0 for symmetric sym, via the eigendecomposition."""
-    spec = symmetric_spectrum(sym)
-    w = spec.eigenvectors.T @ np.asarray(v0, dtype=float)
-    return spec.eigenvectors @ (np.exp(spec.eigenvalues * t) * w)
 
 
 def is_positive_definite(mat: np.ndarray) -> bool:

@@ -130,6 +130,8 @@ def uniform_linear(a) -> UniformLinear:
         raise DimensionMismatch("a must be a vector")
     if np.any(a <= 0.0):
         raise NonPositiveRate("uniform interaction weights must be positive")
+    if np.any(~np.isfinite(a)):
+        raise NonPositiveRate("uniform interaction weights a must be finite")
     return UniformLinear(a=a)
 
 
@@ -139,6 +141,8 @@ def crowding_linear(alpha) -> CrowdingLinear:
         raise DimensionMismatch("alpha must be a square matrix")
     if np.any(alpha < 0.0):
         raise NegativeMutation("crowding coefficients must be nonnegative")
+    if np.any(~np.isfinite(alpha)):
+        raise NegativeMutation("crowding coefficients alpha must be finite")
     return CrowdingLinear(alpha=alpha)
 
 
@@ -148,12 +152,17 @@ def perturbed(base: UniformLinear, eps: float, amp, w) -> Perturbed:
     eps = float(eps)
     if eps < 0.0:
         raise NonPositiveRate("eps must be nonnegative")
+    if not np.isfinite(eps):
+        raise NonPositiveRate("eps must be finite")
     amp = _lock(amp)
     w = _lock(w)
     if amp.ndim != 1 or w.ndim != 2:
         raise DimensionMismatch("amp must be a vector and w a matrix")
     if w.shape != (amp.shape[0], amp.shape[0]):
         raise DimensionMismatch("w must be square with amp's length")
+    for name, values in (("amp", amp), ("w", w)):
+        if np.any(~np.isfinite(values)):
+            raise NonPositiveRate(f"perturbation {name} must be finite")
     return Perturbed(base=base, eps=eps, amp=amp, w=w)
 
 

@@ -1,10 +1,12 @@
 """End-to-end command line coverage, run in process through main()."""
+import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from lvmut import cli
+from lvmut import cli, errors
 from lvmut.cli import main
 from lvmut.model import interaction_values
 from lvmut.presets import get_preset
@@ -237,6 +239,90 @@ def test_scenario_errors(capsys, tmp_path):
     code, _, err = _run(capsys, "simulate", "--scenario", str(unknown_task))
     assert code == 2
     assert "summon" in json.loads(err)["message"]
+
+
+def _scenario(tmp_path, model=None, **keys):
+    """Write a sym2 scenario, with model entries and top-level keys replaced."""
+    obj = json.loads(dumps_json(model_to_dict(get_preset("sym2").model)))
+    obj.update(model or {})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"model": obj, "initial": [8.0, 2.0], **keys}))
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["rtol", "t_end"])
+@pytest.mark.parametrize("value", [None, "x"])
+def test_scenario_scalars_must_be_numbers(capsys, tmp_path, key, value):
+    path = _scenario(tmp_path, **{key: value})
+    code, out, err = _run(capsys, "simulate", "--scenario", path)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert repr(key) in payload["message"]
+
+
+def test_non_finite_interaction_in_scenario_is_usage_error(capsys, tmp_path):
+    path = _scenario(tmp_path, {"interaction": {"kind": "uniform", "a": [float("nan"), 1.0]}})
+    code, out, err = _run(capsys, "equilibrium", "--scenario", path)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "NonPositiveRate"
+    assert "a must be finite" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command, model, initial",
+    [
+        ("equilibrium", {"mu": [[0.0, 1e308], [1e308, 0.0]]}, [8.0, 2.0]),
+        ("simulate", None, [1e308, 1e308]),
+        ("simulate", {"r": [1e308, 1e308]}, [8.0, 2.0]),
+    ],
+)
+def test_overflowing_inputs_fail_without_numpy_warnings(
+    capsys, tmp_path, command, model, initial
+):
+    path = _scenario(tmp_path, model, initial=initial, t_end=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, command, "--scenario", path)
+    assert (code, out) == (3, "")
+    assert "error" in json.loads(err)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# the exit code each error class had when the command line kept them in tuples
+_EXIT_CODES = {
+    "LvmutError": 3,
+    "DimensionMismatch": 2, "NonPositiveRate": 2, "NegativeMutation": 2,
+    "WrongInteractionKind": 2, "NotIrreducible": 2, "NotSymmetric": 2,
+    "ZeroInitialMass": 2, "NonPositiveReference": 2, "AsymmetricMutation": 2,
+    "ZeroReference": 2,
+    "Hypothesis3Violated": 1, "NotStationaryReference": 1, "KernelMismatch": 1,
+    "OutOfTheoremScope": 1,
+    "NoConvergence": 3, "SingularMatrix": 3, "StepSizeUnderflow": 3,
+    "StepBudgetExceeded": 3, "NonFiniteState": 3, "NonPositivePerron": 3,
+    "InnerNoConvergence": 3, "LeftAprioriBox": 3, "TooFewSamples": 3,
+    "InsufficientTail": 3,
+}
+
+
+def test_every_error_class_keeps_its_exit_code(capsys, monkeypatch):
+    classes = {
+        name: cls for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.LvmutError)
+    }
+    assert sorted(classes) == sorted(_EXIT_CODES)
+    for name, cls in classes.items():
+        assert cls.exit_code == _EXIT_CODES[name], name
+        exc = cls(0.5) if name in ("InnerNoConvergence", "LeftAprioriBox") else cls("boom")
+
+        def raising():
+            raise exc
+
+        monkeypatch.setattr(cli, "catalog", raising)
+        code, out, err = _run(capsys, "presets")
+        assert (code, out) == (_EXIT_CODES[name], ""), name
+        assert json.loads(err)["error"] == name
 
 
 def test_negative_v0_flag_rejected(capsys):

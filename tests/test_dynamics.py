@@ -229,6 +229,17 @@ def test_closed_form_scalar_reduces_to_logistic():
         )
 
 
+def test_closed_form_with_a_zero_eigenvalue_matches_integrator():
+    # R + M = [[0.1, 0.1], [0.1, 0.1]] has eigenvalues 0.2 and exactly 0; the
+    # unequal weights a give the zero mode's integral t a nonzero share
+    model = build_model(2, [0.2, 0.2], 1.0, [[0.0, 0.1], [0.1, 0.0]],
+                        uniform_linear([1.0, 2.0]))
+    v0 = np.array([0.3, 0.05])
+    ref = integrate(model, v0, 20.0, rtol=1e-13, atol=1e-15, record_every=0.5)
+    closed = closed_form_uniform_linear(model, v0, ref.times[1:])
+    assert np.max(np.abs(closed.states - ref.states)) < 1e-9
+
+
 def test_closed_form_rejects_wrong_family():
     crowd = get_preset("crowd3")
     with pytest.raises(WrongInteractionKind):

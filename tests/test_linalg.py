@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lvmut.errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 from lvmut.linalg import (
-    expm_action,
     is_irreducible,
     is_positive_definite,
     perron_eigenpair,
@@ -154,29 +153,6 @@ def test_solve_linear_matches_numpy(n, seed):
 def test_solve_linear_singular():
     with pytest.raises(SingularMatrix):
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
-
-
-def test_expm_action_taylor_oracle():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 4))
-    sym = 0.5 * (m + m.T)
-    v0 = rng.normal(size=4)
-    t = 0.37
-    term = v0.copy()
-    total = v0.copy()
-    for k in range(1, 40):
-        term = sym @ term * (t / k)
-        total += term
-    assert np.max(np.abs(expm_action(sym, t, v0) - total)) < 1e-12
-
-
-def test_expm_action_semigroup():
-    sym = np.array([[0.9, 0.1], [0.1, 1.9]])
-    v0 = np.array([1.0, 2.0])
-    one = expm_action(sym, 0.7, expm_action(sym, 0.3, v0))
-    both = expm_action(sym, 1.0, v0)
-    assert np.max(np.abs(one - both)) < 1e-12
-    assert np.max(np.abs(expm_action(sym, 0.0, v0) - v0)) < 1e-15
 
 
 def test_positive_definiteness():

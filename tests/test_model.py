@@ -82,6 +82,26 @@ def test_build_model_validation_errors():
                     uniform_linear([1.0, 1.0]))
 
 
+_BASE = uniform_linear([1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, error, field",
+    [
+        (lambda: uniform_linear([np.nan, 1.0]), NonPositiveRate, "a"),
+        (lambda: uniform_linear([np.inf, 1.0]), NonPositiveRate, "a"),
+        (lambda: crowding_linear([[1.0, np.nan], [0.0, 1.0]]), NegativeMutation, "alpha"),
+        (lambda: perturbed(_BASE, np.nan, [1.0, 1.0], np.eye(2)), NonPositiveRate, "eps"),
+        (lambda: perturbed(_BASE, 0.1, [np.inf, 1.0], np.eye(2)), NonPositiveRate, "amp"),
+        (lambda: perturbed(_BASE, 0.1, [1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]]),
+         NonPositiveRate, "w"),
+    ],
+)
+def test_interaction_constructors_reject_non_finite(build, error, field):
+    with pytest.raises(error, match=rf"\b{field}\b.*finite"):
+        build()
+
+
 def test_rhs_hand_computed():
     model = _sym2_model()
     v = np.array([6.0, 2.0])
