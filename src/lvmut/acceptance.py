@@ -26,7 +26,6 @@ from .dynamics import (
 )
 from .entropy import EntropyKernel, identity_residual, lyapunov_descent, log_energy_slopes
 from .equilibrium import (
-    HomotopyConfig,
     _apriori_box,
     equilibrium_homotopy,
     equilibrium_uniform,
@@ -284,7 +283,7 @@ def _c11_homotopy_solver() -> tuple[bool, str]:
     agree = float(np.max(np.abs(eq_hom.v_bar - eq_uni.v_bar)))
     res = residual(crowd, eq_hom.v_bar)
 
-    lo, hi = _apriori_box(crowd, HomotopyConfig())
+    lo, hi = _apriori_box(crowd)
     path_sums = [float(np.sum(v)) for _, v, _ in eq_hom.homotopy_path]
     in_box = all(lo - 1e-12 <= s <= hi + 1e-12 for s in path_sums)
 

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .dynamics import Trajectory, integrate_batch
 from .entropy import decompose
-from .equilibrium import EquilibriumResult, equilibrium_homotopy, equilibrium_uniform
+from .equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from .linalg import symmetric_spectrum
 from .model import (
     CrowdingLinear,
@@ -68,10 +68,10 @@ class StabilityReport:
 @dataclass(frozen=True)
 class PerturbationRow:
     eps: float
+    sigma: float
     v_bar: np.ndarray | None
     l1_distance: float | None
     ratio: float | None
-    sigma: float
     failed: bool = False
     error: str | None = None
 
@@ -183,12 +183,6 @@ def _theorem_scope(model: Model) -> bool:
     return False
 
 
-def _solve_equilibrium(model: Model) -> EquilibriumResult:
-    if isinstance(model.interaction, UniformLinear):
-        return equilibrium_uniform(model)
-    return equilibrium_homotopy(model)
-
-
 def global_stability_experiment(
     model: Model,
     n_samples: int,
@@ -215,7 +209,7 @@ def global_stability_experiment(
         while not np.any(starts[i] > 0.0):
             starts[i] = rng.uniform(0.0, 2.0 * model.big_k, size=model.n)
 
-    eq = _solve_equilibrium(model)
+    eq = equilibrium_auto(model)
     trajs = integrate_batch(model, starts, t_end, rtol=rtol, atol=atol, record_every=t_end)
     endpoints = np.array([traj.states[-1] for traj in trajs])
 

@@ -9,7 +9,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +22,12 @@ from .analysis import (
     spectral_gap,
 )
 from .dynamics import integrate
-from .entropy import Decomposition, EntropyKernel, EntropyReport, decompose, dissipation
-from .equilibrium import equilibrium_homotopy, equilibrium_uniform
+from .entropy import EntropyKernel, decompose, dissipation
+from .equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from .errors import LvmutError
 from .model import (
     Model,
     Perturbed,
-    UniformLinear,
     build_model,
     mutation_symmetric,
     uniform_linear,
@@ -120,15 +119,18 @@ def _load_scenario(path: str) -> dict:
 def _scenario_number(obj: dict, key: str, default: float | None) -> float | None:
     """obj[key] as a float; a missing key gives default, and so does null
     when default is None (record_every)."""
-    value = obj.get(key)
-    if value is None and (key not in obj or default is None):
+    if obj.get(key) is None and (key not in obj or default is None):
         return default
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"key {key!r} in scenario must be a number, got {json.dumps(value)}"
-        ) from None
+    return serialize._number(obj, key, "scenario")
+
+
+def _initial_state(v0: np.ndarray, where: str) -> np.ndarray:
+    """v0 checked where it enters: finite, and not identically zero."""
+    if not np.isfinite(v0).all():
+        raise ValueError(f"{where} must be finite, got {v0.tolist()}")
+    if not v0.any():
+        raise ValueError(f"{where} is identically zero; the flow stays at zero")
+    return v0
 
 
 def _build_job(args) -> Job:
@@ -152,21 +154,24 @@ def _build_job(args) -> Job:
         model = serialize.model_from_dict(obj["model"])
         initial = obj.get("initial")
         if isinstance(initial, dict):
-            for key in ("count", "seed"):
-                if key not in initial:
-                    raise ValueError(f"missing key {key!r} in scenario key 'initial'")
-            sampler = initial
+            sampler = {
+                key: serialize._integer(initial, key, "scenario key 'initial'")
+                for key in ("count", "seed")
+            }
         elif initial is not None:
-            v0 = np.asarray(initial, dtype=float)
+            v0 = _initial_state(serialize._array(obj, "initial", "scenario"),
+                                "key 'initial' in scenario")
         for key, default in scalars.items():
             scalars[key] = _scenario_number(obj, key, default)
         out_dir = obj.get("outputs")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise serialize._wrong_type("outputs", "scenario", "a directory path", out_dir)
 
     for key in scalars:
         if getattr(args, key, None) is not None:
             scalars[key] = getattr(args, key)
     if getattr(args, "v0", None) is not None:
-        v0 = _parse_vector(args.v0, "--v0")
+        v0 = _initial_state(_parse_vector(args.v0, "--v0"), "--v0")
     if getattr(args, "out", None) is not None:
         out_dir = args.out
     return Job(model, v0, sampler, out_dir=out_dir, preset_name=preset_name, **scalars)
@@ -179,16 +184,6 @@ def _require_v0(job: Job) -> np.ndarray:
             "apply to 'stability'"
         )
     return job.v0
-
-
-def _solve(model: Model, method: str):
-    if method == "perron":
-        return equilibrium_uniform(model)
-    if method == "homotopy":
-        return equilibrium_homotopy(model)
-    if isinstance(model.interaction, UniformLinear):
-        return equilibrium_uniform(model)
-    return equilibrium_homotopy(model)
 
 
 def _parse_kernel(text: str) -> EntropyKernel:
@@ -208,17 +203,7 @@ def _parse_kernel(text: str) -> EntropyKernel:
 def _cmd_validate(args) -> int:
     job = _build_job(args)
     report = validate(job.model)
-    obj = {
-        "h1_positivity": report.h1_positivity,
-        "h1_symmetry": report.h1_symmetry,
-        "h1_irreducible": report.h1_irreducible,
-        "h1_monotone": report.h1_monotone,
-        "h2_coercive": report.h2_coercive,
-        "h3_half": report.h3_half,
-        "h4_third": report.h4_third,
-        "details": report.details,
-    }
-    _emit(job.out_dir, "report.json", serialize.dumps_json(obj))
+    _emit(job.out_dir, "report.json", serialize.dumps_json(report))
     core = (
         report.h1_positivity and report.h1_symmetry and report.h1_irreducible
         and report.h1_monotone and report.h2_coercive and report.h3_half
@@ -239,7 +224,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     job = _build_job(args)
-    result = _solve(job.model, args.method)
+    solve = {"perron": equilibrium_uniform, "homotopy": equilibrium_homotopy,
+             "auto": equilibrium_auto}[args.method]
+    result = solve(job.model)
     _emit(job.out_dir, "equilibrium.json",
           serialize.dumps_json(serialize.equilibrium_to_dict(result)))
     return 0
@@ -247,10 +234,9 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     job = _build_job(args)
-    eq = _solve(job.model, "auto")
+    eq = equilibrium_auto(job.model)
     report = spectral_gap(job.model, eq.v_bar)
-    _emit(job.out_dir, "spectrum.json",
-          serialize.dumps_json(serialize.spectrum_to_dict(report)))
+    _emit(job.out_dir, "spectrum.json", serialize.dumps_json(report))
     return 0
 
 
@@ -258,25 +244,21 @@ def _cmd_entropy(args) -> int:
     job = _build_job(args)
     kernel = _parse_kernel(args.kernel)
     v0 = _require_v0(job)
-    eq = _solve(job.model, "auto")
+    eq = equilibrium_auto(job.model)
     traj = integrate(
         job.model, v0, job.t_end, rtol=job.rtol, atol=job.atol,
         record_every=job.record_every,
     )
     rep = dissipation(job.model, traj.states, eq.v_bar, kernel)
     dec = decompose(traj.states, eq.v_bar)
-    # the CSV writer takes one report and one decomposition per sample
-    reports = map(EntropyReport, rep.h_value, rep.d_value, rep.gamma_term, rep.analytic_dt)
-    decomps = map(Decomposition, dec.lambda_coef, dec.h, dec.e_h, dec.beta, dec.f_value)
-    _emit(job.out_dir, "entropy.csv",
-          serialize.entropy_csv(traj.times, reports, decomps))
+    _emit(job.out_dir, "entropy.csv", serialize.entropy_csv(traj.times, rep, dec))
     return 0
 
 
 def _cmd_rates(args) -> int:
     job = _build_job(args)
     v0 = _require_v0(job)
-    eq = _solve(job.model, "auto")
+    eq = equilibrium_auto(job.model)
     predicted = None
     if mutation_symmetric(job.model):
         predicted = spectral_gap(job.model, eq.v_bar).c1
@@ -287,8 +269,7 @@ def _cmd_rates(args) -> int:
     report = convergence_rate(
         traj, eq.v_bar, tail_fraction=args.tail, predicted_c1=predicted
     )
-    _emit(job.out_dir, "report.json",
-          serialize.dumps_json(serialize.rate_to_dict(report)))
+    _emit(job.out_dir, "report.json", serialize.dumps_json(report))
     return 0
 
 
@@ -297,8 +278,8 @@ def _cmd_stability(args) -> int:
     n_samples = args.samples
     seed = args.seed
     if job.sampler is not None:
-        n_samples = int(job.sampler["count"])
-        seed = int(job.sampler["seed"])
+        n_samples = job.sampler["count"]
+        seed = job.sampler["seed"]
         if n_samples < 1:
             raise ValueError("key 'count' in scenario key 'initial' must be at least 1")
     elif n_samples < 1:
@@ -307,17 +288,15 @@ def _cmd_stability(args) -> int:
         job.model, n_samples=n_samples, seed=seed, t_end=job.t_end,
         tol=args.tol, force=args.force,
     )
-    obj = serialize.stability_to_dict(report)
+    obj = report
     if args.force and not report.in_scope:
-        obj["warning"] = _FORCE_BANNER
+        obj = {**asdict(report), "warning": _FORCE_BANNER}
         sys.stderr.write(_FORCE_BANNER + "\n")
     _emit(job.out_dir, "report.json", serialize.dumps_json(obj))
     if job.out_dir is not None:
-        rows = [
-            [i, *report.endpoints[i]] for i in range(report.endpoints.shape[0])
-        ]
         header = ["sample"] + [f"v_{j + 1}" for j in range(job.model.n)]
-        _emit(job.out_dir, "report.csv", serialize.table_csv(header, rows))
+        columns = [np.arange(n_samples), report.endpoints]
+        _emit(job.out_dir, "report.csv", serialize.float_csv(header, columns))
     return 0
 
 
@@ -342,8 +321,7 @@ def _cmd_sweep(args) -> int:
         base = model
     eps_grid = _parse_vector(args.eps, "--eps")
     table = perturbation_sweep(base, amp, w, eps_grid)
-    _emit(job.out_dir, "report.json",
-          serialize.dumps_json(serialize.sweep_to_dict(table)))
+    _emit(job.out_dir, "report.json", serialize.dumps_json(table))
     if job.out_dir is not None:
         _emit(job.out_dir, "report.csv", serialize.sweep_csv(table))
     return 0
@@ -360,18 +338,7 @@ def _cmd_verify(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if getattr(args, "out", None):
-        obj = {
-            "results": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "all_passed": all(r.passed for r in results),
-        }
+        obj = {"results": results, "all_passed": all(r.passed for r in results)}
         _emit(args.out, "report.json", serialize.dumps_json(obj))
     return 0 if all(r.passed for r in results) else 1
 

@@ -4,7 +4,7 @@ Two routes: exact scaling of the dominant eigenvector when every genotype
 feels the same pressure (uniform linear family), and a continuation from
 that anchor for heterogeneous pressures, solving each stage by damped
 Newton and accepting it only when the fixed-point map of the stage moves
-the iterate by at most inner_tol. Stationarity means
+the iterate by at most _INNER_TOL. Stationarity means
 (R+M) v = diag(Psi(v)) v / K.
 
 The continuation map T(v) = (R+M)^{-1}[Psi_s(v) v / K] itself is radially
@@ -49,14 +49,14 @@ class Method(Enum):
     Homotopy = "homotopy"
 
 
+_INNER_TOL = 1e-12   # certificate bound on ||T(v) - v||_inf for a stage
+_MAX_INNER = 10_000  # Newton steps per stage
+_DAMPING = 0.5       # backtracking factor of a damped Newton step
+
+
 @dataclass(frozen=True)
 class HomotopyConfig:
     s_steps: int = 21
-    inner_tol: float = 1e-12
-    max_inner: int = 10_000
-    damping: float = 0.5
-    box_lo: float | None = None
-    box_hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,13 @@ def equilibrium_uniform(model: Model) -> EquilibriumResult:
     )
 
 
+def equilibrium_auto(model: Model) -> EquilibriumResult:
+    """Eigenvector scaling for uniform pressures, continuation for every other family."""
+    if isinstance(model.interaction, UniformLinear):
+        return equilibrium_uniform(model)
+    return equilibrium_homotopy(model)
+
+
 def _pressure_bounds(model: Model) -> tuple[float, float, float]:
     """(cmin, kmax, off): global linear sandwich for every Psi_i of the family."""
     inter = model.interaction
@@ -133,7 +140,7 @@ def _pressure_bounds(model: Model) -> tuple[float, float, float]:
     raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
 
 
-def _apriori_box(model: Model, config: HomotopyConfig) -> tuple[float, float]:
+def _apriori_box(model: Model) -> tuple[float, float]:
     """Bounds on the total population of any continuation fixed point.
 
     Sandwiching the shared quadratic form of R+M between its extreme
@@ -141,8 +148,6 @@ def _apriori_box(model: Model, config: HomotopyConfig) -> tuple[float, float]:
     computable total-population bounds; a wide fallback box is used (and
     flagged) when the perturbation offset swallows the lower bound.
     """
-    if config.box_lo is not None and config.box_hi is not None:
-        return float(config.box_lo), float(config.box_hi)
     a = growth_mutation_matrix(model)
     eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
     lmin = float(eigenvalues[0])
@@ -203,14 +208,13 @@ def _stage_solve(
     a: np.ndarray,
     s: float,
     v: np.ndarray,
-    config: HomotopyConfig,
     box_lo: float,
     box_hi: float,
 ) -> np.ndarray:
     """Drive the stage-s stationarity residual to zero by damped Newton.
 
     Acceptance is certified with the stage fixed-point map: the stage is
-    done only when ||T(v) - v||_inf <= inner_tol.
+    done only when ||T(v) - v||_inf <= _INNER_TOL.
     """
     big_k = model.big_k
     pressure = _pressure_values(model)
@@ -219,10 +223,10 @@ def _stage_solve(
         psi = pressure(x)
         return s * psi + (1.0 - s) * psi[0]
 
-    for _ in range(config.max_inner):
+    for _ in range(_MAX_INNER):
         psi_s = stage_pressure(v)
         tv = np.linalg.solve(a, psi_s * v / big_k)
-        if float(np.max(np.abs(tv - v))) <= config.inner_tol:
+        if float(np.max(np.abs(tv - v))) <= _INNER_TOL:
             return v
         g = a @ v - psi_s * v / big_k
         g_norm = float(np.max(np.abs(g)))
@@ -240,7 +244,7 @@ def _stage_solve(
                     v = cand
                     accepted = True
                     break
-            t *= config.damping
+            t *= _DAMPING
         if not accepted:
             probe = v + 1e-8 * step
             if not (np.min(probe) > 0.0 and _in_box(probe, box_lo, box_hi)):
@@ -256,7 +260,7 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
     genuine Psi along s in [0, 1]; each stage is solved by damped Newton on
     G_s(v) = (R+M)v - Psi^s(v) v / K warm-started from the previous stage,
     accepted only when the stage map T(v) = (R+M)^{-1}[Psi^s(v) v / K]
-    moves v by at most inner_tol, and the final stage is polished by Newton
+    moves v by at most _INNER_TOL, and the final stage is polished by Newton
     on the full stationarity equation.
     """
     config = config or HomotopyConfig()
@@ -271,7 +275,7 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
 
     a = growth_mutation_matrix(model)
     require_nonsingular(a)
-    box_lo, box_hi = _apriori_box(model, config)
+    box_lo, box_hi = _apriori_box(model)
     big_k = model.big_k
 
     per = perron_eigenpair(a)
@@ -284,7 +288,7 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
 
     s_values = np.linspace(0.0, 1.0, config.s_steps)
     for s in s_values[1:]:
-        v = _stage_solve(model, a, float(s), v, config, box_lo, box_hi)
+        v = _stage_solve(model, a, float(s), v, box_lo, box_hi)
         path.append((float(s), v.copy(), residual(model, v)))
 
     v = _newton_polish(model, a, v)

@@ -17,14 +17,14 @@ from .errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 
 _SYM_ATOL = 1e-12
 _PIVOT_REL = 1e-14
+_PERRON_TOL = 1e-13
+_PERRON_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
 class PerronResult:
-    nu_p: float
     lambda_p: float
     v_p: np.ndarray
-    mu_bar: float
     iterations: int
     residual: float
 
@@ -71,21 +71,16 @@ def _dominant_eigenvector(mat: np.ndarray) -> np.ndarray:
     return x if x.sum() > 0.0 else -x
 
 
-def perron_eigenpair(
-    mat: np.ndarray,
-    shift_to_nonneg: bool = False,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-) -> PerronResult:
+def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     """Dominant eigenpair of a Metzler-type matrix.
 
     The LAPACK eigenvector starts a shifted power iteration, which stops once
-    the eigenvalue and the residual are both below tol; iterations counts its
-    steps (1 when the start is already an eigenvector to that accuracy).
-    The shift mu_bar is the largest off-diagonal row sum by default (the
-    natural choice when mat is a growth-plus-mutation matrix), or the minimal
-    diagonal shift making every entry nonnegative when shift_to_nonneg is set.
-    lambda_p = nu_p - mu_bar is invariant under the choice.
+    the change of the eigenvalue and the residual are both below _PERRON_TOL;
+    iterations counts its steps (1 when the start is already an eigenvector
+    to that accuracy). The shift mu_bar is the largest off-diagonal row sum
+    (the natural choice when mat is a growth-plus-mutation matrix), raised to
+    the minimal shift making every entry nonnegative if it falls short; the
+    iteration finds nu_p of mat + mu_bar I, and lambda_p = nu_p - mu_bar.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
@@ -97,19 +92,15 @@ def perron_eigenpair(
     if not is_irreducible(mat):
         raise NotIrreducible("positive off-diagonal pattern is not strongly connected")
 
-    if shift_to_nonneg:
-        mu_bar = max(0.0, -float(np.min(np.diag(mat))))
-    else:
-        mu_bar = float(np.max(offdiag.sum(axis=1)))
-        # fall back to the minimal nonnegativity shift if the canonical one is short
-        mu_bar = max(mu_bar, -float(np.min(np.diag(mat))), 0.0)
+    mu_bar = float(np.max(offdiag.sum(axis=1)))
+    mu_bar = max(mu_bar, -float(np.min(np.diag(mat))), 0.0)
     shifted = mat + mu_bar * np.eye(n)
 
     x = _dominant_eigenvector(mat)
     z = shifted @ x
     nu = float(x @ z)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _PERRON_MAX_ITER + 1):
         norm = float(np.linalg.norm(z))
         if norm == 0.0 or not np.isfinite(norm):
             raise NoConvergence("power iteration collapsed")
@@ -117,26 +108,20 @@ def perron_eigenpair(
         z = shifted @ x
         nu_new = float(x @ z)
         residual = float(np.max(np.abs(z - nu_new * x)))
-        done = abs(nu_new - nu) < tol and residual < tol
+        done = abs(nu_new - nu) < _PERRON_TOL and residual < _PERRON_TOL
         nu = nu_new
         if done:
             break
     else:
-        raise NoConvergence(f"power iteration did not converge in {max_iter} iterations")
+        raise NoConvergence(
+            f"power iteration did not converge in {_PERRON_MAX_ITER} iterations"
+        )
 
     if np.min(x) <= 0.0:
         raise NoConvergence("dominant eigenvector is not strictly positive")
-    nu_p = nu
-    lambda_p = nu_p - mu_bar
+    lambda_p = nu - mu_bar
     residual = float(np.max(np.abs(mat @ x - lambda_p * x)))
-    return PerronResult(
-        nu_p=nu_p,
-        lambda_p=lambda_p,
-        v_p=x,
-        mu_bar=mu_bar,
-        iterations=iterations,
-        residual=residual,
-    )
+    return PerronResult(lambda_p=lambda_p, v_p=x, iterations=iterations, residual=residual)
 
 
 def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:

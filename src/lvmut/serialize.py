@@ -1,17 +1,21 @@
 """JSON and CSV round-trips for models, trajectories, and reports.
 
 Floating-point values are written with 17 significant digits so every
-artifact parses back to the exact same doubles.
+artifact parses back to the exact same doubles. A result record (a
+dataclass) is written as the JSON object of its fields in declaration
+order, so each record's definition is its report's schema.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .analysis import PerturbationTable, RateReport, SpectralGapReport, StabilityReport
+from .analysis import PerturbationTable
 from .dynamics import Trajectory
+from .entropy import Decomposition, EntropyReport
 from .equilibrium import EquilibriumResult
 from .model import (
     CrowdingLinear,
@@ -64,6 +68,9 @@ def _render(obj, depth: int, indent: int) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(pad + it for it in items) + "\n" + close_pad + "}"
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return _render(fields, depth, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -103,30 +110,58 @@ def model_to_dict(model: Model) -> dict:
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"missing key {key!r} in {where}")
     return obj[key]
 
 
+def _wrong_type(key: str, where: str, kind: str, value) -> ValueError:
+    return ValueError(f"key {key!r} in {where} must be {kind}, got {json.dumps(value)}")
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    value = _need(obj, key, where)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise _wrong_type(key, where, "a number", value) from None
+
+
+def _integer(obj: dict, key: str, where: str) -> int:
+    number = _number(obj, key, where)
+    if not number.is_integer():
+        raise _wrong_type(key, where, "an integer", obj[key])
+    return int(number)
+
+
+def _array(obj: dict, key: str, where: str) -> np.ndarray:
+    value = _need(obj, key, where)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise _wrong_type(key, where, "numbers", value) from None
+
+
 def model_from_dict(obj: dict) -> Model:
-    if not isinstance(obj, dict):
-        raise ValueError("model must be a JSON object")
-    n = _need(obj, "n", "model")
-    r = _need(obj, "r", "model")
-    big_k = _need(obj, "K", "model")
-    mu = _need(obj, "mu", "model")
+    """The model a JSON object describes; a ValueError names a missing or mistyped key."""
+    n = _integer(obj, "n", "model")
+    r = _array(obj, "r", "model")
+    big_k = _number(obj, "K", "model")
+    mu = _array(obj, "mu", "model")
     inter_obj = _need(obj, "interaction", "model")
     kind = _need(inter_obj, "kind", "interaction")
     if kind == "uniform":
-        inter = uniform_linear(_need(inter_obj, "a", "interaction"))
+        inter = uniform_linear(_array(inter_obj, "a", "interaction"))
     elif kind == "crowding":
-        inter = crowding_linear(_need(inter_obj, "alpha", "interaction"))
+        inter = crowding_linear(_array(inter_obj, "alpha", "interaction"))
     elif kind == "perturbed":
         inter = perturbed(
-            uniform_linear(_need(inter_obj, "a", "interaction")),
-            _need(inter_obj, "eps", "interaction"),
-            _need(inter_obj, "amp", "interaction"),
-            _need(inter_obj, "w", "interaction"),
+            uniform_linear(_array(inter_obj, "a", "interaction")),
+            _number(inter_obj, "eps", "interaction"),
+            _array(inter_obj, "amp", "interaction"),
+            _array(inter_obj, "w", "interaction"),
         )
     else:
         raise ValueError(f"unknown value {kind!r} for key 'kind' in interaction")
@@ -154,33 +189,31 @@ def table_csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def float_csv(header: list[str], columns) -> str:
+    """The header, then one row per entry of the columns, every cell "%.17g".
+
+    These are the bytes table_csv writes for float cells, one row template
+    at a time. A column is a (T,) array or a (T, k) block of k columns.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([",".join(header)] + [row % tuple(cells) for cells in table.tolist()]) + "\n"
+
+
 def trajectory_csv(trajectory: Trajectory) -> str:
-    """`t,v_1,...,v_n,total`: the bytes table_csv writes, one row template at a time."""
-    states = np.ascontiguousarray(trajectory.states)
-    n = states.shape[1]
-    header = ",".join(["t"] + [f"v_{i + 1}" for i in range(n)] + ["total"])
-    row = ",".join(["%.17g"] * (n + 2))
-    table = np.column_stack([trajectory.times, states, states.sum(axis=1)])
-    return "\n".join([header] + [row % tuple(cells) for cells in table.tolist()]) + "\n"
+    """`t,v_1,...,v_n,total`, one row per recorded time."""
+    states = trajectory.states
+    header = ["t"] + [f"v_{i + 1}" for i in range(states.shape[1])] + ["total"]
+    return float_csv(header, [trajectory.times, states, states.sum(axis=1)])
 
 
-def entropy_csv(times, reports, decomps) -> str:
+def entropy_csv(times, report: EntropyReport, decomposition: Decomposition) -> str:
+    """One row per time, from the (T,)-valued report and decomposition of a (T, n) stack."""
     header = ["t", "H", "D", "gamma_term", "analytic_dt", "F", "E_h", "lambda", "beta"]
-    rows = [
-        [
-            t,
-            rep.h_value,
-            rep.d_value,
-            rep.gamma_term,
-            rep.analytic_dt,
-            dec.f_value,
-            dec.e_h,
-            dec.lambda_coef,
-            dec.beta,
-        ]
-        for t, rep, dec in zip(times, reports, decomps)
-    ]
-    return table_csv(header, rows)
+    return float_csv(header, [
+        times, report.h_value, report.d_value, report.gamma_term, report.analytic_dt,
+        decomposition.f_value, decomposition.e_h, decomposition.lambda_coef, decomposition.beta,
+    ])
 
 
 def sweep_csv(table: PerturbationTable) -> str:
@@ -212,56 +245,3 @@ def equilibrium_to_dict(result: EquilibriumResult) -> dict:
             {"s": s, "v": v, "residual": res} for s, v, res in result.homotopy_path
         ]
     return out
-
-
-def spectrum_to_dict(report: SpectralGapReport) -> dict:
-    return {
-        "c1": report.c1,
-        "eigenvalues": report.eigenvalues,
-        "kernel_vector": report.kernel_vector,
-        "d_matrix": report.d_matrix,
-        "m_tilde": report.m_tilde,
-    }
-
-
-def rate_to_dict(report: RateReport) -> dict:
-    return {
-        "fitted_rate_eh": report.fitted_rate_eh,
-        "fitted_rate_sup": report.fitted_rate_sup,
-        "r_squared": report.r_squared,
-        "predicted_c1": report.predicted_c1,
-        "window": list(report.window),
-        "n_points": report.n_points,
-    }
-
-
-def stability_to_dict(report: StabilityReport) -> dict:
-    return {
-        "converged": report.converged,
-        "max_pairwise_gap": report.max_pairwise_gap,
-        "max_equilibrium_gap": report.max_equilibrium_gap,
-        "attractor": report.attractor,
-        "endpoints": report.endpoints,
-        "n_samples": report.n_samples,
-        "t_end": report.t_end,
-        "tol": report.tol,
-        "seed": report.seed,
-        "in_scope": report.in_scope,
-    }
-
-
-def sweep_to_dict(table: PerturbationTable) -> dict:
-    return {
-        "rows": [
-            {
-                "eps": row.eps,
-                "sigma": row.sigma,
-                "v_bar": row.v_bar,
-                "l1_distance": row.l1_distance,
-                "ratio": row.ratio,
-                "failed": row.failed,
-                "error": row.error,
-            }
-            for row in table.rows
-        ]
-    }

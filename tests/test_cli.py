@@ -270,6 +270,51 @@ def test_non_finite_interaction_in_scenario_is_usage_error(capsys, tmp_path):
     assert "a must be finite" in payload["message"]
 
 
+def _pert2_interaction(**entries):
+    inter = json.loads(dumps_json(model_to_dict(get_preset("pert2").model)))["interaction"]
+    return {"interaction": {**inter, **entries}}
+
+
+@pytest.mark.parametrize(
+    "command, model, keys, named",
+    [
+        ("simulate", {"n": [2]}, {}, "'n'"),
+        ("simulate", {"K": [10.0]}, {}, "'K'"),
+        ("simulate", {"interaction": 5}, {}, "interaction"),
+        ("simulate", _pert2_interaction(eps=[1]), {}, "'eps'"),
+        ("simulate", None, {"outputs": 5}, "'outputs'"),
+        ("stability", None, {"initial": {"count": [1], "seed": 0}}, "'count'"),
+    ],
+    ids=["n", "K", "interaction", "eps", "outputs", "count"],
+)
+def test_scenario_values_of_the_wrong_type_are_usage_errors(
+    capsys, tmp_path, command, model, keys, named
+):
+    path = _scenario(tmp_path, model, **keys)
+    code, out, err = _run(capsys, command, "--scenario", path)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert named in payload["message"]
+
+
+@pytest.mark.parametrize("state", [[float("nan"), 1.0], [0.0, 0.0]])
+@pytest.mark.parametrize("source", ["scenario", "flag"])
+def test_bad_initial_state_is_a_usage_error_naming_its_source(capsys, tmp_path, source, state):
+    if source == "scenario":
+        argv = ["--scenario", _scenario(tmp_path, initial=state, t_end=1.0)]
+        named = "key 'initial' in scenario"
+    else:
+        argv = ["--preset", "sym2", "--t-end", "1", "--v0", ",".join(map(str, state))]
+        named = "--v0"
+    code, out, err = _run(capsys, "simulate", *argv)
+    assert (code, out) == (2, "")
+    # one JSON object: no NonFiniteState (exit 3), no UserWarning line
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(named)
+
+
 @pytest.mark.parametrize(
     "command, model, initial",
     [

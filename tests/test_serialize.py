@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from lvmut.acceptance import CriterionResult
+from lvmut.analysis import PerturbationRow, PerturbationTable
 from lvmut.dynamics import Trajectory, integrate
-from lvmut.entropy import EntropyKernel, decompose, dissipation
+from lvmut.entropy import Decomposition, EntropyKernel, EntropyReport, decompose, dissipation
 from lvmut.equilibrium import equilibrium_homotopy, equilibrium_uniform
 from lvmut.presets import get_preset
 from lvmut.serialize import (
@@ -104,12 +106,52 @@ def test_entropy_csv_header():
     v_bar = np.array([5.0, 5.0])
     kernel = EntropyKernel.quadratic()
     traj = integrate(model, np.array([8.0, 2.0]), 1.0, record_every=0.5)
-    reports = [dissipation(model, v, v_bar, kernel) for v in traj.states]
-    decomps = [decompose(v, v_bar) for v in traj.states]
-    text = entropy_csv(traj.times, reports, decomps)
+    report = dissipation(model, traj.states, v_bar, kernel)
+    text = entropy_csv(traj.times, report, decompose(traj.states, v_bar))
     lines = text.strip().split("\n")
     assert lines[0] == "t,H,D,gamma_term,analytic_dt,F,E_h,lambda,beta"
     assert len(lines) == 1 + traj.times.size
+
+
+def test_entropy_csv_equals_table_csv_per_cell():
+    # F is inf where beta = 0; the float rows must write what table_csv writes
+    rng = np.random.default_rng(9)
+    cols = rng.standard_normal((6, 6))
+    cols[4, 1] = np.inf
+    cols[4, 2] = np.nan
+    cols[1, 3] = -0.0
+    cols[2, 5] = 5e-324
+    t, h, d, gamma, f, e_h = cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
+    lam, beta = cols[5] * 3.0, cols[1] / 7.0
+    report = EntropyReport(h_value=h, d_value=d, gamma_term=gamma, analytic_dt=-d + gamma)
+    dec = Decomposition(lambda_coef=lam, h=np.zeros((6, 2)), e_h=e_h, beta=beta, f_value=f)
+    header = ["t", "H", "D", "gamma_term", "analytic_dt", "F", "E_h", "lambda", "beta"]
+    rows = [
+        [t[i], h[i], d[i], gamma[i], -d[i] + gamma[i], f[i], e_h[i], lam[i], beta[i]]
+        for i in range(6)
+    ]
+    assert entropy_csv(t, report, dec) == table_csv(header, rows)
+
+
+def test_dumps_json_writes_records_as_their_fields():
+    results = [CriterionResult(1, "first", True, "ok"), CriterionResult(2, "second", False, "x")]
+    assert dumps_json(results) == dumps_json([
+        {"number": 1, "name": "first", "passed": True, "detail": "ok"},
+        {"number": 2, "name": "second", "passed": False, "detail": "x"},
+    ])
+    # records nest, and arrays, None and defaults inside them take the usual path
+    table = PerturbationTable(rows=[
+        PerturbationRow(eps=0.5, sigma=0.25, v_bar=np.array([1.5, 2.0]), l1_distance=0.1,
+                        ratio=None),
+        PerturbationRow(eps=1.0, sigma=0.5, v_bar=None, l1_distance=None, ratio=None,
+                        failed=True, error="E: no"),
+    ])
+    assert dumps_json(table) == dumps_json({"rows": [
+        {"eps": 0.5, "sigma": 0.25, "v_bar": [1.5, 2.0], "l1_distance": 0.1, "ratio": None,
+         "failed": False, "error": None},
+        {"eps": 1.0, "sigma": 0.5, "v_bar": None, "l1_distance": None, "ratio": None,
+         "failed": True, "error": "E: no"},
+    ]})
 
 
 def test_equilibrium_dict_fields():
