@@ -35,11 +35,6 @@ from .model import (
 )
 from .presets import catalog, get_preset
 
-_TASKS = (
-    "validate", "simulate", "equilibrium", "spectrum", "entropy",
-    "rates", "stability", "sweep",
-)
-
 _FORCE_BANNER = (
     "WARNING: model is outside the supported convergence statements; "
     "results are exploratory"
@@ -66,7 +61,6 @@ class Job:
     atol: float
     record_every: float | None
     out_dir: str | None
-    preset_name: str | None
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -106,13 +100,6 @@ def _load_scenario(path: str) -> dict:
         raise ValueError("scenario must be a JSON object")
     if "model" not in obj:
         raise ValueError("missing key 'model' in scenario")
-    tasks = obj.get("tasks")
-    if tasks is not None:
-        if not isinstance(tasks, list) or not tasks:
-            raise ValueError("key 'tasks' in scenario must be a nonempty list")
-        for task in tasks:
-            if task not in _TASKS:
-                raise ValueError(f"unknown task {task!r} in scenario key 'tasks'")
     return obj
 
 
@@ -125,9 +112,11 @@ def _scenario_number(obj: dict, key: str, default: float | None) -> float | None
 
 
 def _initial_state(v0: np.ndarray, where: str) -> np.ndarray:
-    """v0 checked where it enters: finite, and not identically zero."""
+    """v0 checked where it enters: finite, nonnegative, and not identically zero."""
     if not np.isfinite(v0).all():
         raise ValueError(f"{where} must be finite, got {v0.tolist()}")
+    if (v0 < 0.0).any():
+        raise ValueError(f"{where} must be nonnegative, got {v0.tolist()}")
     if not v0.any():
         raise ValueError(f"{where} is identically zero; the flow stays at zero")
     return v0
@@ -174,7 +163,7 @@ def _build_job(args) -> Job:
         v0 = _initial_state(_parse_vector(args.v0, "--v0"), "--v0")
     if getattr(args, "out", None) is not None:
         out_dir = args.out
-    return Job(model, v0, sampler, out_dir=out_dir, preset_name=preset_name, **scalars)
+    return Job(model, v0, sampler, out_dir=out_dir, **scalars)
 
 
 def _require_v0(job: Job) -> np.ndarray:

@@ -72,9 +72,6 @@ class Trajectory:
     rejected_steps: int
     tol_used: tuple[float, float]  # (rtol, atol)
 
-    def totals(self) -> np.ndarray:
-        return self.states.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class EnvelopePair:

@@ -35,23 +35,22 @@ _STATIONARY_TOL = 1e-8
 class EntropyKernel:
     """Polynomial kernel s -> sum_k coeffs[k] s^k, evaluated by Horner."""
 
-    kind: str
     coeffs: np.ndarray
 
     @classmethod
     def linear(cls) -> "EntropyKernel":
-        return cls(kind="linear", coeffs=np.array([0.0, 1.0]))
+        return cls(coeffs=np.array([0.0, 1.0]))
 
     @classmethod
     def quadratic(cls) -> "EntropyKernel":
-        return cls(kind="quadratic", coeffs=np.array([0.0, 0.0, 1.0]))
+        return cls(coeffs=np.array([0.0, 0.0, 1.0]))
 
     @classmethod
     def polynomial(cls, coeffs) -> "EntropyKernel":
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise KernelMismatch("polynomial kernels need a nonempty coefficient vector")
-        return cls(kind="polynomial", coeffs=coeffs.copy())
+        return cls(coeffs=coeffs.copy())
 
     def value(self, s):
         out = np.zeros_like(np.asarray(s, dtype=float))

@@ -69,9 +69,14 @@ class EquilibriumResult:
     homotopy_path: list = field(default_factory=list)  # (s, v, residual) checkpoints
 
 
+def _sup(x: np.ndarray) -> float:
+    """||x||_inf, nan when x holds a nan; np.maximum.reduce skips np.max's wrapper."""
+    return float(np.maximum.reduce(np.abs(x), axis=None))
+
+
 def residual(model: Model, v) -> float:
     """Max-norm of the vector field at v."""
-    return float(np.max(np.abs(rhs(model, np.asarray(v, dtype=float)))))
+    return _sup(rhs(model, np.asarray(v, dtype=float)))
 
 
 def _scale_to_pressure(model: Model, direction: np.ndarray, target: float) -> np.ndarray:
@@ -184,8 +189,8 @@ def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
     # a non-finite x makes the growth inf or nan
-    growth = float(np.max(np.abs(jac).sum(axis=1))) * float(np.max(np.abs(x)))
-    bound = 2.0 * math.sqrt(len(b)) / _PIVOT_REL * float(np.max(np.abs(b)))
+    growth = _sup(np.abs(jac).sum(axis=1)) * _sup(x)
+    bound = 2.0 * math.sqrt(len(b)) / _PIVOT_REL * _sup(b)
     if not (math.isfinite(growth) and growth <= bound):
         raise SingularMatrix(
             f"Newton step growth ||J|| ||x|| = {growth:g} exceeds {bound:g}; "
@@ -226,10 +231,10 @@ def _stage_solve(
     for _ in range(_MAX_INNER):
         psi_s = stage_pressure(v)
         tv = np.linalg.solve(a, psi_s * v / big_k)
-        if float(np.max(np.abs(tv - v))) <= _INNER_TOL:
+        if _sup(tv - v) <= _INNER_TOL:
             return v
         g = a @ v - psi_s * v / big_k
-        g_norm = float(np.max(np.abs(g)))
+        g_norm = _sup(g)
         grad = interaction_gradient(model, v)
         grad_s = s * grad + (1.0 - s) * np.broadcast_to(grad[0], grad.shape)
         step = _newton_step(a, big_k, v, psi_s, grad_s, g)
@@ -239,7 +244,7 @@ def _stage_solve(
             cand = v + t * step
             if np.min(cand) > 0.0 and _in_box(cand, box_lo, box_hi):
                 cand_psi = stage_pressure(cand)
-                cand_norm = float(np.max(np.abs(a @ cand - cand_psi * cand / big_k)))
+                cand_norm = _sup(a @ cand - cand_psi * cand / big_k)
                 if cand_norm < g_norm:
                     v = cand
                     accepted = True
@@ -309,11 +314,11 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
 def _newton_polish(model: Model, a: np.ndarray, v: np.ndarray, max_iter: int = 50) -> np.ndarray:
     big_k = model.big_k
     pressure = _pressure_values(model)
-    scale = max(1.0, float(np.max(np.abs(v))))
+    scale = max(1.0, _sup(v))
     for _ in range(max_iter):
         psi = pressure(v)
         g = a @ v - psi * v / big_k
-        if float(np.max(np.abs(g))) <= 1e-15 * scale:
+        if _sup(g) <= 1e-15 * scale:
             break
         step = _newton_step(a, big_k, v, psi, interaction_gradient(model, v), g)
         t = 1.0
@@ -324,6 +329,6 @@ def _newton_polish(model: Model, a: np.ndarray, v: np.ndarray, max_iter: int = 5
             t *= 0.5
             cand = v + t * step
         v = cand
-        if float(np.max(np.abs(t * step))) <= 1e-15 * scale:
+        if _sup(t * step) <= 1e-15 * scale:
             break
     return v

@@ -3,9 +3,9 @@
 numpy's LAPACK routines do the arithmetic; the wrappers keep the checks and
 error contracts the rest of the package relies on. Symmetric spectra come
 from eigh in descending order. The dominant eigenpair of a Metzler matrix
-starts from the eigh or eig eigenvector and is certified by shifted power
-iteration. Linear solves reject numerically singular matrices by their
-smallest singular value before the LU solve.
+is the eigh or eig eigenvector after one shifted nonnegative step, checked
+by its residual relative to ||A||. Linear solves reject numerically singular
+matrices by their smallest singular value before the LU solve.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 _SYM_ATOL = 1e-12
 _PIVOT_REL = 1e-14
 _PERRON_TOL = 1e-13
-_PERRON_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,12 @@ def _dominant_eigenvector(mat: np.ndarray) -> np.ndarray:
 def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     """Dominant eigenpair of a Metzler-type matrix.
 
-    The LAPACK eigenvector starts a shifted power iteration, which stops once
-    the change of the eigenvalue and the residual are both below _PERRON_TOL;
-    iterations counts its steps (1 when the start is already an eigenvector
-    to that accuracy). The shift mu_bar is the largest off-diagonal row sum
-    (the natural choice when mat is a growth-plus-mutation matrix), raised to
-    the minimal shift making every entry nonnegative if it falls short; the
-    iteration finds nu_p of mat + mu_bar I, and lambda_p = nu_p - mu_bar.
+    One step of the nonnegative shifted map mat + mu_bar I takes the LAPACK
+    eigenvector to x, accepted when ||mat x - lambda_p x||_inf <= _PERRON_TOL
+    max(1, ||mat||_inf), a backward-error bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 7); iterations is always 1. The
+    shift mu_bar is the largest off-diagonal row sum, raised to the minimal
+    shift making every entry nonnegative if it falls short.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
@@ -96,32 +94,17 @@ def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     mu_bar = max(mu_bar, -float(np.min(np.diag(mat))), 0.0)
     shifted = mat + mu_bar * np.eye(n)
 
-    x = _dominant_eigenvector(mat)
-    z = shifted @ x
-    nu = float(x @ z)
-    iterations = 0
-    for iterations in range(1, _PERRON_MAX_ITER + 1):
-        norm = float(np.linalg.norm(z))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise NoConvergence("power iteration collapsed")
-        x = z / norm
-        z = shifted @ x
-        nu_new = float(x @ z)
-        residual = float(np.max(np.abs(z - nu_new * x)))
-        done = abs(nu_new - nu) < _PERRON_TOL and residual < _PERRON_TOL
-        nu = nu_new
-        if done:
-            break
-    else:
-        raise NoConvergence(
-            f"power iteration did not converge in {_PERRON_MAX_ITER} iterations"
-        )
-
+    z = shifted @ _dominant_eigenvector(mat)
+    with np.errstate(invalid="ignore"):  # z = 0 (n = 1, mat <= 0): nan fails the bound
+        x = z / float(np.linalg.norm(z))
+    lambda_p = float(x @ (shifted @ x)) - mu_bar
+    residual = float(np.max(np.abs(mat @ x - lambda_p * x)))
+    bound = _PERRON_TOL * max(1.0, float(np.max(np.abs(mat).sum(axis=1))))
+    if not residual <= bound:
+        raise NoConvergence(f"Perron residual {residual:g} exceeds {bound:g}")
     if np.min(x) <= 0.0:
         raise NoConvergence("dominant eigenvector is not strictly positive")
-    lambda_p = nu - mu_bar
-    residual = float(np.max(np.abs(mat @ x - lambda_p * x)))
-    return PerronResult(lambda_p=lambda_p, v_p=x, iterations=iterations, residual=residual)
+    return PerronResult(lambda_p=lambda_p, v_p=x, iterations=1, residual=residual)
 
 
 def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:

@@ -62,8 +62,6 @@ class Model:
 
 @dataclass(frozen=True)
 class CoercivityParams:
-    c_low: np.ndarray    # per-genotype lower linear coefficients
-    k_exponents: np.ndarray
     r_ball: float
     kappa: np.ndarray    # per-genotype Lipschitz bounds on the unit l1 ball
 
@@ -337,36 +335,31 @@ def is_fitness_weighted(model: Model) -> bool:
 
 
 def coercivity_params(model: Model) -> CoercivityParams | None:
-    """Linear coercivity data for the closed interaction family, or None.
+    """Coercivity radius and Lipschitz bounds kappa, or None when coercivity fails.
 
     For the linear kinds Psi_i(v) >= c_i * sum_j v_j holds globally with
-    c_i the smallest per-row coefficient; the tanh perturbation costs a
+    c_i > 0 the smallest per-row coefficient; the tanh perturbation costs a
     bounded offset, absorbed by doubling the ball radius.
     """
     inter = model.interaction
     n = model.n
     if isinstance(inter, UniformLinear):
-        c = np.full(n, float(np.min(inter.a)))
         kappa = np.full(n, float(np.max(inter.a)))
         r_ball = 1.0
     elif isinstance(inter, CrowdingLinear):
         coeff = inter.alpha * model.r[None, :]
-        c = coeff.min(axis=1)
         kappa = coeff.max(axis=1)
-        if np.any(c <= 0.0):
+        if np.any(coeff.min(axis=1) <= 0.0):
             return None
         r_ball = 1.0
     elif isinstance(inter, Perturbed):
         a_min = float(np.min(inter.base.a))
         off = inter.eps * np.abs(inter.amp)
-        c = np.full(n, a_min / 2.0)
         kappa = np.max(inter.base.a) + off * np.max(np.abs(inter.w), axis=1, initial=0.0)
         r_ball = max(1.0, float(np.max(2.0 * off / a_min, initial=0.0)))
     else:
         return None
     return CoercivityParams(
-        c_low=c,
-        k_exponents=np.ones(n),
         r_ball=float(r_ball),
         kappa=np.asarray(kappa, dtype=float),
     )

@@ -1,4 +1,4 @@
-"""Named ready-to-run models used by the CLI, the test suite, and the scripts."""
+"""Named ready-to-run models used by the CLI and the test suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -78,10 +78,6 @@ def dumps_json(obj, indent: int = 2) -> str:
     return _render(obj, 0, indent) + "\n"
 
 
-def loads_json(text: str):
-    return json.loads(text)
-
-
 # -- model ------------------------------------------------------------------
 
 def model_to_dict(model: Model) -> dict:

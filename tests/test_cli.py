@@ -1,7 +1,10 @@
 """End-to-end command line coverage, run in process through main()."""
 import inspect
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +189,30 @@ def test_sweep_needs_amplitudes_for_uniform_models(capsys):
     assert len(json.loads(out)["rows"]) == 2
 
 
+def test_equilibrium_in_finer_time_units(capsys, tmp_path):
+    # sym2 with every rate 1000 times larger: the same equilibrium (5, 5)
+    model = {"n": 2, "r": [1000.0, 1000.0], "K": 10.0, "mu": [[0.0, 100.0], [100.0, 0.0]],
+             "interaction": {"kind": "uniform", "a": [1000.0, 1000.0]}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"model": model}))
+    code, out, err = _run(capsys, "equilibrium", "--scenario", str(path))
+    assert (code, err) == (0, "")
+    assert np.allclose(json.loads(out)["v_bar"], 5.0, rtol=1e-12, atol=0.0)
+
+
+def _readme_command_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("lvmut ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_run(capsys, line):
+    code, _, err = _run(capsys, *shlex.split(line)[1:])
+    assert (code, err) == (0, "")
+
+
 def test_scenario_file_drives_simulation(capsys, tmp_path):
     model = get_preset("sym2").model
     scenario = {
@@ -193,7 +220,6 @@ def test_scenario_file_drives_simulation(capsys, tmp_path):
         "initial": [8.0, 2.0],
         "t_end": 2.0,
         "record_every": 0.5,
-        "tasks": ["simulate"],
     }
     path = tmp_path / "scenario.json"
     path.write_text(dumps_json(scenario))
@@ -231,14 +257,6 @@ def test_scenario_errors(capsys, tmp_path):
     code, _, err = _run(capsys, "simulate", "--scenario", str(missing))
     assert code == 2
     assert "model" in json.loads(err)["message"]
-    unknown_task = tmp_path / "task.json"
-    unknown_task.write_text(
-        dumps_json({"model": model_to_dict(get_preset("sym2").model),
-                    "tasks": ["summon"]})
-    )
-    code, _, err = _run(capsys, "simulate", "--scenario", str(unknown_task))
-    assert code == 2
-    assert "summon" in json.loads(err)["message"]
 
 
 def _scenario(tmp_path, model=None, **keys):
@@ -298,14 +316,14 @@ def test_scenario_values_of_the_wrong_type_are_usage_errors(
     assert named in payload["message"]
 
 
-@pytest.mark.parametrize("state", [[float("nan"), 1.0], [0.0, 0.0]])
+@pytest.mark.parametrize("state", [[float("nan"), 1.0], [0.0, 0.0], [-1.0, 2.0]])
 @pytest.mark.parametrize("source", ["scenario", "flag"])
 def test_bad_initial_state_is_a_usage_error_naming_its_source(capsys, tmp_path, source, state):
     if source == "scenario":
         argv = ["--scenario", _scenario(tmp_path, initial=state, t_end=1.0)]
         named = "key 'initial' in scenario"
     else:
-        argv = ["--preset", "sym2", "--t-end", "1", "--v0", ",".join(map(str, state))]
+        argv = ["--preset", "sym2", "--t-end", "1", "--v0=" + ",".join(map(str, state))]
         named = "--v0"
     code, out, err = _run(capsys, "simulate", *argv)
     assert (code, out) == (2, "")

@@ -14,7 +14,7 @@ from lvmut.linalg import (
     solve_linear,
     symmetric_spectrum,
 )
-from lvmut.model import point_mutation_matrix
+from lvmut.model import build_model, growth_mutation_matrix, point_mutation_matrix, uniform_linear
 
 
 def test_perron_2x2_closed_form():
@@ -184,10 +184,33 @@ def test_perron_nonsymmetric_metzler_matches_numpy():
 def test_perron_starts_from_the_lapack_eigenvector():
     a = point_mutation_matrix(6, 0.01) + np.diag(np.linspace(0.5, 2.0, 64))
     res = perron_eigenpair(a)
-    # power iteration only certifies the start: thousands of steps from a flat start
-    assert 1 <= res.iterations <= 2
+    # one shifted step from the LAPACK vector; from a flat start it would take thousands
+    assert res.iterations == 1
     assert res.residual < 1e-12
     assert abs(res.lambda_p - np.linalg.eigvalsh(a)[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4])
+@pytest.mark.parametrize("loci", [1, 3, 5])
+def test_perron_certificate_scales_with_the_matrix(loci, scale):
+    # R+M of a point-mutation hypercube in finer time units: an absolute
+    # residual bound of 1e-13 is below rounding once ||A|| reaches about 1e3
+    n = 2 ** loci
+    r = np.ones(n)
+    model = build_model(n, r, 10.0, point_mutation_matrix(loci, 0.02), uniform_linear(r))
+    a = scale * growth_mutation_matrix(model)
+    res = perron_eigenpair(a)
+    lam = max(np.linalg.eigvals(a).real)
+    assert res.iterations == 1
+    assert abs(res.lambda_p - lam) <= 1e-12 * abs(lam)
+    assert np.all(res.v_p > 0)
+    assert res.residual <= 1e-13 * np.max(np.abs(a).sum(axis=1))
+
+
+def test_perron_rejects_a_collapsed_step():
+    # the shifted map of a nonpositive 1x1 matrix is zero
+    with pytest.raises(NoConvergence):
+        perron_eigenpair(np.array([[-0.5]]))
 
 
 def test_symmetric_spectrum_at_n128_matches_numpy():

@@ -1,4 +1,6 @@
 """Round-trips and exact text formats for the JSON and CSV emitters."""
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from lvmut.serialize import (
     dumps_json,
     entropy_csv,
     equilibrium_to_dict,
-    loads_json,
     model_from_dict,
     model_to_dict,
     sweep_csv,
@@ -32,7 +33,7 @@ def _assert_same_model(a, b):
 def test_model_round_trip_all_kinds():
     for name in ("sym2", "crowd3", "pert2"):
         model = get_preset(name).model
-        clone = model_from_dict(loads_json(dumps_json(model_to_dict(model))))
+        clone = model_from_dict(json.loads(dumps_json(model_to_dict(model))))
         _assert_same_model(model, clone)
         v = np.linspace(1.0, 2.0, model.n)
         from lvmut.model import interaction_values
@@ -66,7 +67,7 @@ def test_model_from_dict_reports_missing_keys():
 def test_float_round_trip_is_exact():
     vals = [0.1, 1.0 / 3.0, 1e-300, 12345.6789e37, 5.0]
     text = dumps_json({"x": vals})
-    assert loads_json(text)["x"] == vals
+    assert json.loads(text)["x"] == vals
 
 
 def test_trajectory_csv_shape():
