@@ -116,8 +116,7 @@ def _c03_mass_law() -> tuple[bool, str]:
 def _c04_global_stability() -> tuple[bool, str]:
     preset = get_preset("mut4")
     report = global_stability_experiment(
-        preset.model, n_samples=20, seed=404, t_end=200.0, tol=1e-6,
-        rtol=1e-10, atol=1e-12,
+        preset.model, n_samples=20, seed=404, t_end=200.0, tol=1e-6
     )
     return report.converged, (
         f"max pairwise gap {report.max_pairwise_gap:.3e}, "
@@ -334,8 +333,7 @@ def _c12_perturbation_bound() -> tuple[bool, str]:
             perturbed(uniform_linear(sym.model.r), eps, amp, w),
         )
         rep = global_stability_experiment(
-            model, n_samples=5, seed=1200 + int(eps * 1e6), t_end=120.0,
-            tol=1e-5, rtol=1e-10, atol=1e-12,
+            model, n_samples=5, seed=1200 + int(eps * 1e6), t_end=120.0, tol=1e-5
         )
         stable = stable and rep.converged
         worst_gap = max(worst_gap, rep.max_equilibrium_gap)

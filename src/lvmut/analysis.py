@@ -18,10 +18,9 @@ from .entropy import decompose
 from .equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from .linalg import symmetric_spectrum
 from .model import (
-    CrowdingLinear,
     Model,
-    Perturbed,
     UniformLinear,
+    _linear_coefficients,
     build_model,
     mutation_symmetric,
     perturbed,
@@ -171,16 +170,10 @@ def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _theorem_scope(model: Model) -> bool:
-    """Basin-of-attraction statements cover uniform and perturbed pressures."""
-    inter = model.interaction
-    if isinstance(inter, UniformLinear):
-        return True
-    if isinstance(inter, Perturbed):
-        return validate(model).h1_monotone
-    if isinstance(inter, CrowdingLinear):
-        rows = inter.alpha * model.r[None, :]
-        return bool(np.allclose(rows, rows[0], rtol=1e-12, atol=0.0))
-    return False
+    """Basin-of-attraction statements need monotone pressures equal for every
+    genotype: all rows of the linear coefficients C equal."""
+    coeff = _linear_coefficients(model)
+    return validate(model).h1_monotone and bool(np.allclose(coeff, coeff[0], rtol=1e-12, atol=0.0))
 
 
 def global_stability_experiment(
@@ -190,8 +183,6 @@ def global_stability_experiment(
     t_end: float,
     tol: float,
     force: bool = False,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> StabilityReport:
     """Integrate a batch of random starts and compare endpoints pairwise
     and against the solver equilibrium."""
@@ -210,7 +201,7 @@ def global_stability_experiment(
             starts[i] = rng.uniform(0.0, 2.0 * model.big_k, size=model.n)
 
     eq = equilibrium_auto(model)
-    trajs = integrate_batch(model, starts, t_end, rtol=rtol, atol=atol, record_every=t_end)
+    trajs = integrate_batch(model, starts, t_end, rtol=1e-10, atol=1e-12, record_every=t_end)
     endpoints = np.array([traj.states[-1] for traj in trajs])
 
     # the largest pairwise gap of each component is its range: rounding is

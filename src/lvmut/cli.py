@@ -9,7 +9,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+import warnings
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +22,11 @@ from .analysis import (
     perturbation_sweep,
     spectral_gap,
 )
-from .dynamics import integrate
+from .dynamics import Trajectory, integrate
 from .entropy import EntropyKernel, decompose, dissipation
 from .equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from .errors import LvmutError
-from .model import (
-    Model,
-    Perturbed,
-    build_model,
-    mutation_symmetric,
-    uniform_linear,
-    validate,
-)
+from .model import Model, Perturbed, mutation_symmetric, validate
 from .presets import catalog, get_preset
 
 _FORCE_BANNER = (
@@ -175,6 +169,12 @@ def _require_v0(job: Job) -> np.ndarray:
     return job.v0
 
 
+def _trajectory(job: Job, v0: np.ndarray) -> Trajectory:
+    return integrate(
+        job.model, v0, job.t_end, rtol=job.rtol, atol=job.atol, record_every=job.record_every
+    )
+
+
 def _parse_kernel(text: str) -> EntropyKernel:
     if text == "linear":
         return EntropyKernel.linear()
@@ -203,10 +203,7 @@ def _cmd_validate(args) -> int:
 def _cmd_simulate(args) -> int:
     job = _build_job(args)
     v0 = _require_v0(job)
-    traj = integrate(
-        job.model, v0, job.t_end, rtol=job.rtol, atol=job.atol,
-        record_every=job.record_every,
-    )
+    traj = _trajectory(job, v0)
     _emit(job.out_dir, "trajectory.csv", serialize.trajectory_csv(traj))
     return 0
 
@@ -234,10 +231,7 @@ def _cmd_entropy(args) -> int:
     kernel = _parse_kernel(args.kernel)
     v0 = _require_v0(job)
     eq = equilibrium_auto(job.model)
-    traj = integrate(
-        job.model, v0, job.t_end, rtol=job.rtol, atol=job.atol,
-        record_every=job.record_every,
-    )
+    traj = _trajectory(job, v0)
     rep = dissipation(job.model, traj.states, eq.v_bar, kernel)
     dec = decompose(traj.states, eq.v_bar)
     _emit(job.out_dir, "entropy.csv", serialize.entropy_csv(traj.times, rep, dec))
@@ -251,10 +245,7 @@ def _cmd_rates(args) -> int:
     predicted = None
     if mutation_symmetric(job.model):
         predicted = spectral_gap(job.model, eq.v_bar).c1
-    traj = integrate(
-        job.model, v0, job.t_end, rtol=job.rtol, atol=job.atol,
-        record_every=job.record_every,
-    )
+    traj = _trajectory(job, v0)
     report = convergence_rate(
         traj, eq.v_bar, tail_fraction=args.tail, predicted_c1=predicted
     )
@@ -295,10 +286,7 @@ def _cmd_sweep(args) -> int:
     if isinstance(model.interaction, Perturbed):
         amp = model.interaction.amp
         w = model.interaction.w
-        base = build_model(
-            model.n, model.r, model.big_k, model.mu,
-            uniform_linear(model.interaction.base.a),
-        )
+        base = replace(model, interaction=model.interaction.base)
     else:
         if args.amp is None or args.w is None:
             raise ValueError(
@@ -450,13 +438,19 @@ def main(argv=None) -> int:
             return 0
         return _fail(2, "UsageError", "invalid command line; see --help")
     try:
-        # overflow in a bad input surfaces as an error below, not as a warning line
-        with np.errstate(all="ignore"):
-            return args.fn(args)
+        # overflow in a bad input surfaces as an error below, not as a warning line;
+        # a library warning becomes one WARNING line per distinct message, written
+        # only when the command returns, so an error exit leaves one JSON object
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = args.fn(args)
     except LvmutError as exc:
         return _fail(exc.exit_code, type(exc).__name__, str(exc))
     except (ValueError, KeyError, OSError) as exc:
         return _fail(2, type(exc).__name__, str(exc))
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write(f"WARNING: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ _STATIONARY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EntropyKernel:
-    """Polynomial kernel s -> sum_k coeffs[k] s^k, evaluated by Horner."""
+    """Polynomial kernel s -> sum_k coeffs[k] s^k, evaluated by Horner (np.polyval)."""
 
     coeffs: np.ndarray
 
@@ -53,17 +53,10 @@ class EntropyKernel:
         return cls(coeffs=coeffs.copy())
 
     def value(self, s):
-        out = np.zeros_like(np.asarray(s, dtype=float))
-        for c in self.coeffs[::-1]:
-            out = out * s + c
-        return out
+        return np.polyval(self.coeffs[::-1], s)
 
     def deriv(self, s):
-        out = np.zeros_like(np.asarray(s, dtype=float))
-        n = self.coeffs.size
-        for k in range(n - 1, 0, -1):
-            out = out * s + k * self.coeffs[k]
-        return out
+        return np.polyval(np.polyder(self.coeffs[::-1]), s)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ from .errors import (
 )
 from .linalg import _PIVOT_REL, perron_eigenpair, require_nonsingular
 from .model import (
-    CrowdingLinear,
     Model,
     Perturbed,
     UniformLinear,
+    _linear_coefficients,
     _pressure_values,
     growth_mutation_matrix,
     interaction_gradient,
@@ -131,33 +131,26 @@ def equilibrium_auto(model: Model) -> EquilibriumResult:
     return equilibrium_homotopy(model)
 
 
-def _pressure_bounds(model: Model) -> tuple[float, float, float]:
-    """(cmin, kmax, off): global linear sandwich for every Psi_i of the family."""
-    inter = model.interaction
-    if isinstance(inter, UniformLinear):
-        return float(np.min(inter.a)), float(np.max(inter.a)), 0.0
-    if isinstance(inter, CrowdingLinear):
-        coeff = inter.alpha * model.r[None, :]
-        return float(np.min(coeff)), float(np.max(coeff)), 0.0
-    if isinstance(inter, Perturbed):
-        off = float(inter.eps * np.max(np.abs(inter.amp), initial=0.0))
-        return float(np.min(inter.base.a)), float(np.max(inter.base.a)), off
-    raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
-
-
 def _apriori_box(model: Model) -> tuple[float, float]:
     """Bounds on the total population of any continuation fixed point.
 
     Sandwiching the shared quadratic form of R+M between its extreme
-    eigenvalues and the pressures between their global linear bounds gives
+    eigenvalues and the pressures between the extreme entries of their
+    linear coefficients C, widened by the perturbation offset, gives
     computable total-population bounds; a wide fallback box is used (and
-    flagged) when the perturbation offset swallows the lower bound.
+    flagged by a warning) when R+M's symmetric part is not positive
+    definite, C has a zero entry, or the offset swallows the lower bound.
     """
     a = growth_mutation_matrix(model)
     eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
     lmin = float(eigenvalues[0])
     lmax = float(eigenvalues[-1])
-    cmin, kmax, off = _pressure_bounds(model)
+    coeff = _linear_coefficients(model)
+    cmin, kmax = float(np.min(coeff)), float(np.max(coeff))
+    inter = model.interaction
+    off = 0.0
+    if isinstance(inter, Perturbed):
+        off = float(inter.eps * np.max(np.abs(inter.amp), initial=0.0))
     big_k = model.big_k
     if lmin <= 0.0 or cmin <= 0.0 or big_k * lmin <= off:
         warnings.warn("no computable population bounds; using the wide fallback box")
@@ -258,7 +251,7 @@ def _stage_solve(
     raise InnerNoConvergence(s)
 
 
-def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> EquilibriumResult:
+def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     """Continuation from the shared-pressure anchor to the full pressure map.
 
     The pressure map is slid from Psi_1 (applied to every genotype) to the
@@ -268,7 +261,6 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
     moves v by at most _INNER_TOL, and the final stage is polished by Newton
     on the full stationarity equation.
     """
-    config = config or HomotopyConfig()
     report = validate(model)
     if mutation_symmetric(model):
         if not report.h3_half:
@@ -291,7 +283,7 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
         raise LeftAprioriBox(0.0)
     path = [(0.0, v.copy(), residual(model, v))]
 
-    s_values = np.linspace(0.0, 1.0, config.s_steps)
+    s_values = np.linspace(0.0, 1.0, HomotopyConfig.s_steps)
     for s in s_values[1:]:
         v = _stage_solve(model, a, float(s), v, box_lo, box_hi)
         path.append((float(s), v.copy(), residual(model, v)))
@@ -311,11 +303,11 @@ def equilibrium_homotopy(model: Model, config: HomotopyConfig | None = None) -> 
     )
 
 
-def _newton_polish(model: Model, a: np.ndarray, v: np.ndarray, max_iter: int = 50) -> np.ndarray:
+def _newton_polish(model: Model, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     big_k = model.big_k
     pressure = _pressure_values(model)
     scale = max(1.0, _sup(v))
-    for _ in range(max_iter):
+    for _ in range(50):
         psi = pressure(v)
         g = a @ v - psi * v / big_k
         if _sup(g) <= 1e-15 * scale:

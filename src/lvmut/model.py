@@ -272,20 +272,24 @@ def interaction_values(model: Model, v: np.ndarray) -> np.ndarray:
     return _pressure_values(model)(np.asarray(v, dtype=float))
 
 
-def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
-    """Jacobian of Psi at v, row i = grad of Psi_i."""
-    v = np.asarray(v, dtype=float)
+def _linear_coefficients(model: Model) -> np.ndarray:
+    """C, the constant Jacobian of Psi's linear part: alpha_ij r_j for crowding,
+    else a_j in every row (uniform, or a perturbed kind's uniform base)."""
     inter = model.interaction
-    if isinstance(inter, UniformLinear):
-        return np.tile(inter.a, (model.n, 1))
     if isinstance(inter, CrowdingLinear):
         return inter.alpha * model.r[None, :]
-    if isinstance(inter, Perturbed):
-        th = np.tanh(inter.w @ v)
-        return np.tile(inter.base.a, (model.n, 1)) + (
-            inter.eps * (inter.amp * (1.0 - th * th))[:, None] * inter.w
-        )
-    raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
+    a = inter.base.a if isinstance(inter, Perturbed) else inter.a
+    return np.tile(a, (model.n, 1))
+
+
+def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
+    """Jacobian of Psi at v, row i = grad of Psi_i: C plus the tanh term's slope."""
+    coeff = _linear_coefficients(model)
+    inter = model.interaction
+    if not isinstance(inter, Perturbed):
+        return coeff
+    th = np.tanh(inter.w @ np.asarray(v, dtype=float))
+    return coeff + inter.eps * (inter.amp * (1.0 - th * th))[:, None] * inter.w
 
 
 def _vector_field(model: Model):
@@ -320,10 +324,10 @@ def growth_mutation_matrix(model: Model) -> np.ndarray:
     return np.diag(model.r) + m
 
 
-def mutation_symmetric(model: Model, tol: float = 1e-12) -> bool:
+def mutation_symmetric(model: Model) -> bool:
     mu = model.mu
     scale = max(1.0, float(np.max(np.abs(mu), initial=0.0)))
-    return float(np.max(np.abs(mu - mu.T), initial=0.0)) <= tol * scale
+    return float(np.max(np.abs(mu - mu.T), initial=0.0)) <= 1e-12 * scale
 
 
 def is_fitness_weighted(model: Model) -> bool:
@@ -337,32 +341,22 @@ def is_fitness_weighted(model: Model) -> bool:
 def coercivity_params(model: Model) -> CoercivityParams | None:
     """Coercivity radius and Lipschitz bounds kappa, or None when coercivity fails.
 
-    For the linear kinds Psi_i(v) >= c_i * sum_j v_j holds globally with
-    c_i > 0 the smallest per-row coefficient; the tanh perturbation costs a
-    bounded offset, absorbed by doubling the ball radius.
+    The linear part obeys Psi_i(v) >= min C * sum_j v_j globally, which needs
+    min C > 0; the tanh perturbation costs a bounded offset, absorbed by
+    doubling the ball radius.
     """
-    inter = model.interaction
-    n = model.n
-    if isinstance(inter, UniformLinear):
-        kappa = np.full(n, float(np.max(inter.a)))
-        r_ball = 1.0
-    elif isinstance(inter, CrowdingLinear):
-        coeff = inter.alpha * model.r[None, :]
-        kappa = coeff.max(axis=1)
-        if np.any(coeff.min(axis=1) <= 0.0):
-            return None
-        r_ball = 1.0
-    elif isinstance(inter, Perturbed):
-        a_min = float(np.min(inter.base.a))
-        off = inter.eps * np.abs(inter.amp)
-        kappa = np.max(inter.base.a) + off * np.max(np.abs(inter.w), axis=1, initial=0.0)
-        r_ball = max(1.0, float(np.max(2.0 * off / a_min, initial=0.0)))
-    else:
+    coeff = _linear_coefficients(model)
+    c_min = float(np.min(coeff))
+    if c_min <= 0.0:
         return None
-    return CoercivityParams(
-        r_ball=float(r_ball),
-        kappa=np.asarray(kappa, dtype=float),
-    )
+    kappa = coeff.max(axis=1)
+    r_ball = 1.0
+    inter = model.interaction
+    if isinstance(inter, Perturbed):
+        off = inter.eps * np.abs(inter.amp)
+        kappa = kappa + off * np.max(np.abs(inter.w), axis=1, initial=0.0)
+        r_ball = max(1.0, float(np.max(2.0 * off / c_min, initial=0.0)))
+    return CoercivityParams(r_ball=r_ball, kappa=kappa)
 
 
 def validate(model: Model) -> HypothesisReport:
@@ -382,9 +376,8 @@ def validate(model: Model) -> HypothesisReport:
     )
 
     inter = model.interaction
-    if isinstance(inter, (UniformLinear, CrowdingLinear)):
-        grad = interaction_gradient(model, np.zeros(model.n))
-        h1_mono = bool(np.all(grad >= 0.0))
+    if not isinstance(inter, Perturbed):
+        h1_mono = bool(np.all(_linear_coefficients(model) >= 0.0))
         details["h1_monotone"] = "linear coefficients nonnegative" if h1_mono else (
             "negative linear coefficient"
         )

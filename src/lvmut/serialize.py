@@ -38,9 +38,9 @@ def _fmt(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
-def _render(obj, depth: int, indent: int) -> str:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+def _render(obj, depth: int) -> str:
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -56,7 +56,7 @@ def _render(obj, depth: int, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_render(it, depth + 1, indent) for it in obj]
+        items = [_render(it, depth + 1) for it in obj]
         if all("\n" not in it and len(it) < 24 for it in items) and len(items) <= 12:
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close_pad + "]"
@@ -64,18 +64,18 @@ def _render(obj, depth: int, indent: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{json.dumps(str(k))}: {_render(v, depth + 1, indent)}"
+            f"{json.dumps(str(k))}: {_render(v, depth + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(pad + it for it in items) + "\n" + close_pad + "}"
     if dataclasses.is_dataclass(obj):
         fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        return _render(fields, depth, indent)
+        return _render(fields, depth)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    return _render(obj, 0, indent) + "\n"
+def dumps_json(obj) -> str:
+    return _render(obj, 0) + "\n"
 
 
 # -- model ------------------------------------------------------------------

@@ -353,6 +353,23 @@ def test_overflowing_inputs_fail_without_numpy_warnings(
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+_WIDE_BOX = {"interaction": {"kind": "crowding", "alpha": [[1.0, 0.0], [0.5, 1.0]]}}
+
+
+def test_library_warning_is_one_warning_line(capsys, tmp_path):
+    code, out, err = _run(capsys, "equilibrium", "--scenario", _scenario(tmp_path, _WIDE_BOX))
+    assert code == 0
+    assert json.loads(out)["method"] == "homotopy"
+    assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
+
+
+def test_warning_is_dropped_on_an_error_exit(capsys, tmp_path):
+    path = _scenario(tmp_path, _WIDE_BOX)
+    code, out, err = _run(capsys, "rates", "--scenario", path, "--tail", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "tail_fraction must lie in (0, 1]"
+
+
 # the exit code each error class had when the command line kept them in tuples
 _EXIT_CODES = {
     "LvmutError": 3,

@@ -40,6 +40,27 @@ def test_kernel_values_match_explicit_powers():
     assert float(quad.value(1.5)) == pytest.approx(2.25)
 
 
+def _horner(coeffs, s):
+    out = np.zeros_like(s)
+    for c in coeffs[::-1]:
+        out = out * s + c
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_matches_horner_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(scale=3.0, size=(50, 4))
+    s[0] = [0.0, -0.0, np.inf, np.nan]
+    for size in range(1, 7):
+        coeffs = rng.normal(size=size)
+        kernel = EntropyKernel.polynomial(coeffs)
+        slopes = np.arange(1, size) * coeffs[1:]
+        with np.errstate(invalid="ignore"):
+            assert kernel.value(s).tobytes() == _horner(coeffs, s).tobytes()
+            assert kernel.deriv(s).tobytes() == _horner(slopes, s).tobytes()
+
+
 def test_kernel_rejects_bad_coefficients():
     with pytest.raises(KernelMismatch):
         EntropyKernel.polynomial([])

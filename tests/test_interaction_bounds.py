@@ -6,13 +6,17 @@ values below are exact, so any change to how they are derived shows.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvmut.analysis import _theorem_scope
 from lvmut.equilibrium import _apriori_box
 from lvmut.model import (
+    _linear_coefficients,
     build_model,
     coercivity_params,
     crowding_linear,
+    interaction_gradient,
     perturbed,
     point_mutation_matrix,
     uniform_linear,
@@ -113,3 +117,15 @@ def test_monotone_verdict_and_theorem_scope(name):
     assert report.details["h1_monotone"] == detail
     assert report.h1_monotone is (name != "non_monotone")
     assert _theorem_scope(model) is in_scope
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["sym2", "fit2asym", "mut4", "crowd3", "zero_alpha", "rung8"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_linear_gradient_is_the_constant_coefficients(name, seed):
+    model = _model(name)
+    v = np.random.default_rng(seed).uniform(0.0, 2.0 * model.big_k, size=model.n)
+    grad = interaction_gradient(model, v)
+    assert grad.tobytes() == _linear_coefficients(model).tobytes()
