@@ -63,6 +63,48 @@ def test_preset_trajectories_are_bit_identical(name):
     assert (digest, traj.accepted_steps, traj.rejected_steps) == _GOLDEN[name]
 
 
+def test_continuous_extension_ends_on_y5_and_starts_on_k1():
+    # row s of _P sums to _B5[s], so sigma = 1 reproduces y5; the first
+    # column is e_1, so the slope at sigma = 0 is the first stage
+    assert np.max(np.abs(dynamics._P.sum(axis=1) - dynamics._B5)) <= 1e-15
+    assert np.array_equal(dynamics._P[:, 0], np.eye(7)[0])
+
+
+def test_continuous_extension_matches_scipy():
+    pytest.importorskip("scipy")
+    from scipy.integrate import RK45
+
+    assert np.max(np.abs(dynamics._P - RK45.P)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_recording_grid_does_not_move_the_steps(name):
+    preset = get_preset(name)
+    runs = [integrate(preset.model, preset.v0, preset.t_end, record_every=every)
+            for every in (None, preset.t_end / 50, preset.t_end)]
+    for run in runs[1:]:
+        assert run.accepted_steps == runs[0].accepted_steps
+        assert run.rejected_steps == runs[0].rejected_steps
+        assert np.array_equal(run.states[-1], runs[0].states[-1])
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_default_run_steps_fewer_than_half_its_samples(name):
+    # the tolerance, not the 500-sample grid, sets the step count
+    preset = get_preset(name)
+    traj = integrate(preset.model, preset.v0, preset.t_end)
+    assert traj.accepted_steps + traj.rejected_steps < (len(traj.times) - 1) / 2
+
+
+def test_dense_samples_match_the_closed_form():
+    preset = get_preset("sym2")
+    traj = integrate(preset.model, preset.v0, preset.t_end, rtol=1e-10, atol=1e-12)
+    assert traj.accepted_steps < len(traj.times) - 1  # most samples are interpolated
+    closed = closed_form_uniform_linear(preset.model, preset.v0, traj.times[1:])
+    assert np.array_equal(closed.times, traj.times)
+    assert np.max(np.abs(traj.states - closed.states)) <= 1e-8
+
+
 def test_scalar_logistic_closed_form():
     model = _scalar_model()
     traj = integrate(model, np.array([0.1]), 10.0, rtol=1e-10, atol=1e-12)
@@ -300,8 +342,10 @@ def test_envelopes_require_fitness_weighting():
 
 
 def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None):
-    """A plain one-state Dormand-Prince loop: the same stages, controller and
-    recording grid as `integrate`, one state at a time, FSAL in its own array."""
+    """A plain one-state Dormand-Prince loop: the same stages, controller,
+    snap to t_end and continuous extension as `integrate`, one state at a
+    time, FSAL in its own array. The grid times inside a step share one
+    product, as in `integrate`: a product of other shape may round apart."""
     f = field or (lambda v: rhs(model, v))
     n = model.n
     grid = dynamics._record_grid(t_end, record_every).tolist()
@@ -312,13 +356,11 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None)
     d0 = float(np.sqrt(np.mean((v / scale0) ** 2)))
     d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
     h_ctrl = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
-    h_ctrl = min(h_ctrl, t_end / 10.0, record_every)
+    h_ctrl = min(h_ctrl, t_end / 10.0)
     t, accepted, rejected, err_prev, idx = 0.0, 0, 0, 1.0, 0
     ks = np.empty((7, n))
-    while idx < len(grid):
-        target = grid[idx]
-        h = min(h_ctrl, target - t)
-        clamped = h < h_ctrl
+    while t < t_end:
+        h = min(h_ctrl, t_end - t)
         ks[0] = k1
         for s in range(1, 7):
             ks[s] = f(v + h * (dynamics._A[s] @ ks[:s]))
@@ -340,15 +382,26 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None)
             continue
         if y5_min <= 0.0:
             y5 = np.clip(y5, 0.0, None)
-        v = y5
-        t = target if clamped else t + h
-        k1 = f(v) if y5_min < 0.0 else ks[6].copy()
         accepted += 1
-        if t >= target - 1e-12 * max(t_end, 1.0):
-            t = target
-            times.append(t)
-            states.append(v)
+        t_new = t + h
+        if t_end - t_new < 1e-14 * t_end:
+            t_new = t_end
+        inside = []
+        while idx < len(grid) and grid[idx] < t_new:
+            inside.append(grid[idx])
             idx += 1
+        if inside:
+            sigma = (np.array(inside) - t) / h
+            s2 = sigma * sigma
+            powers = np.stack([sigma, s2, s2 * sigma, s2 * sigma * sigma], axis=1)
+            times.extend(inside)
+            states.extend(np.clip(v + h * (powers @ dynamics._P.T @ ks), 0.0, None))
+        if idx < len(grid) and grid[idx] == t_new:
+            times.append(t_new)
+            states.append(y5)
+            idx += 1
+        v, t = y5, t_new
+        k1 = f(v) if y5_min < 0.0 else ks[6].copy()
         factor = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
         h_ctrl = h * min(5.0, max(0.2, factor))
         err_prev = max(err, 1e-4)
