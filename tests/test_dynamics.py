@@ -35,14 +35,14 @@ from lvmut.serialize import trajectory_csv
 
 # sha256 of trajectory.csv and the accepted/rejected step counts of each
 # preset run from its own v0 to its t_end at the default tolerances.
-# Recorded from the integrator before its step loop was streamlined; any
-# change to the arithmetic of a step shows up here.
+# Recorded when samples began to come from the continuous extension; any
+# change to the arithmetic of a step or of a sample shows up here.
 _GOLDEN = {
-    "sym2": ("b3cf027df2c5a1e903d3c5844e371a0c8ba436846af0a64ab4f91cb847a6ee18", 501, 0),
-    "fit2asym": ("cc38745f5ce445258a3887d3fb26e3335ca4478eac49671852081261ef939194", 501, 0),
-    "mut4": ("3d991411a9ebd57658f50c0b78c3fb1a81e0d1d6aed686cb6978c0ec455714f4", 586, 0),
-    "pert2": ("234f0156880c9333f03695c79f5531efc82550404153090aa5548f2e8ad7cdf5", 501, 0),
-    "crowd3": ("5b022475d9ae05af07fa6e55c94c0a98eb69913e4c406113e6016823563fed15", 595, 0),
+    "sym2": ("f1c1f54cf08082d2484cb057b3ae0e2eb2a6b97e8f63993b396c22c32fca191a", 65, 0),
+    "fit2asym": ("51c1d8c7a8a1c3e68f183470bfc24bcf178b8435ff5eb269655c1940554fccf0", 94, 1),
+    "mut4": ("0bca901252d9f8d38debe33d2f7424d855725573a44114a838d2a0f436f318d8", 94, 1),
+    "pert2": ("89f38ea7c3dd76a60f687ca3465a13f4faf9f761614d051e9200740d016109ca", 65, 0),
+    "crowd3": ("86b6bcc5782772b81a20ceda65bdb468dd1d2894b6e994c86d8a0502faca5ab5", 111, 1),
 }
 
 

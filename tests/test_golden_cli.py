@@ -69,18 +69,20 @@ def _digest(argv: list[str], out_dir) -> str:
     return sha.hexdigest()
 
 
-# recorded before the report dataclasses became the JSON schema
+# recorded before the report dataclasses became the JSON schema; the
+# simulate, entropy and rates entries and verify.sym2 re-recorded when
+# trajectory samples began to come from the continuous extension
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.mut4": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.pert2": "81633c7601f7714ee64cd711248f1ad0de66bc6684890ae8b6bf7060b7b93651",
     "validate.crowd3": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
-    "simulate.sym2": "44caa8f3f0fe4aa72bd1efdaad917142601c87790a1ff986d30823ee4f37678e",
-    "simulate.fit2asym": "e543d926a272f9a7abbc37198ae729443707d3683367229f57ad0ee5e0b9868f",
-    "simulate.mut4": "9c23ab6d12bb479d310fecc44aa4843eb1c32d9c078827cfae5fb967fcf855ac",
-    "simulate.pert2": "69bc9e6d6fc69588406808761743696741183f8afb40e9b4e74a866c6d8259f2",
-    "simulate.crowd3": "0ca393663a8826499f3ee0ecc06ec2ee1075dde860bfd0a09ecc44581698389d",
+    "simulate.sym2": "9eb0f06fb080ece89f9668f08104de707c4e1f0f1d98e552823e2972b9e586e4",
+    "simulate.fit2asym": "4dfb5795329c19e345bf1b3c6a8666a0a58aa5f5d90b2c5c1368b0f0dac37a32",
+    "simulate.mut4": "62e6c836d9576eed392523ab8f44179c2eb6642e7a0b051154efc29ef85f8aaa",
+    "simulate.pert2": "7a514bfe2df1d0a9dece168a5f4cffb185d20dd8e25c6219b12dac2d3f290848",
+    "simulate.crowd3": "a7cf78db5f59209feb78f50b60b7d0630b4ee7639a47ea5d19f1ec736e54f193",
     "equilibrium.sym2": "97c1fdf8927ec9912facd679d97d8ec0cc9b7d927747fca6c7fd5c149fb0a55e",
     "equilibrium.fit2asym": "ef5b7c5519e2fec3f6c367f85d2013c2a00b6b950b8fb5dc5852edfd500e7106",
     "equilibrium.mut4": "0b18cbea2642cda10bda4c83c2546679bbeeb1f5cf061cf5426151af5e431d5e",
@@ -91,16 +93,16 @@ _GOLDEN = {
     "spectrum.mut4": "46d5828a8baec3380c1f36c4012b0d2c50808bcf695c621ac66338f9349ccff8",
     "spectrum.pert2": "29049d5eca290d015f412f5c888972004bd2484782314de9634d02959ccb3b86",
     "spectrum.crowd3": "bc92b4cd2810352e25e4dd1d0eb91a2540610c42ece8a70f601e7dfd64ed5938",
-    "entropy.sym2": "29243c8fc958db88f765ffdb8946811d90fee5d6f08fdea5ac800329fdc8e158",
-    "entropy.fit2asym": "c2d4b80ba870294ad2a027bcde417677eab7ed2f03fb8083cc9f38f114f9c24e",
-    "entropy.mut4": "77f2b5f7240830fbf17fe340b297085f0320bb7997e1f4df12bf76d41323f784",
-    "entropy.pert2": "e887d2f8c57f2b7ced301a1cb01c5aba071bc0334e5de62bf2c0c22039f44d93",
-    "entropy.crowd3": "30d9030080c3f677e4089723c21f5a3d8fcae903a6541f1e03581e3528e25062",
-    "rates.sym2": "5ed0484949abb9c026d80e8f1f17340af40f89bf463e2737342cdd2291beceff",
-    "rates.fit2asym": "3e0e8f04d6fce02d5465b967f08432824a4c0bd594476cf378e2951c2380f99d",
-    "rates.mut4": "1dfd1abb7498846e02329c8cda05930a4dc5ae6e4f40ee042cd83bdc819e0f5d",
-    "rates.pert2": "d6cd3bf7f08b5cb352157003dbea3db5629c88f07ead0ff35aa11aade79a3504",
-    "rates.crowd3": "af52f97f096e1cb016882fdf39b9e610e0948ec78e786bae794382b3ebf37adb",
+    "entropy.sym2": "eea5b5c51bd8fc80b9d725c95855b2c4d0e1eb1bf25d5295413edd2ef9006ae8",
+    "entropy.fit2asym": "42799faab5eef34040b5834dda39b255b65f675aab73b69942841459a62609d1",
+    "entropy.mut4": "140ff1931287ecb52e7c56baf8b55fe177f041c9be804037d8ea3660c2837e27",
+    "entropy.pert2": "7d980356222b34c3367ccf791e32b31d70d14cdf789d3883b878991b83e96c4d",
+    "entropy.crowd3": "f3b58634dc1c9ce0bc61f8d292d2ba54fb0acb9df53870d22c17112af4cad208",
+    "rates.sym2": "5001218c4e1a85ad11937b100cb379e82172ccfc7ee33b320bd07d72acc32ec8",
+    "rates.fit2asym": "3833ec88aea09984727f46625286ea0fd2d33972eeeffbbef1614cf89b2a666d",
+    "rates.mut4": "0df3e3a02d921132988e9fe113060db0199518b248b5e8c235a343d7ae95552d",
+    "rates.pert2": "4ee3ff5267f2aa3c2836418540a204f49f652c38823c5d16bad30d300b2ed0e4",
+    "rates.crowd3": "1e58fcdc0ad1ab7c5d53a09959c0e15ca0aacce934eecc43cf8adc008da4f970",
     "stability.sym2": "5f3d365f1e9999137372aa66cf18fa52c86a91fdb4eaea87c2a238cbad45c593",
     "stability.fit2asym": "9a775ae4ab798410360a24768dfcb7749d1ad08ea4b8672ee02d96f8a072a890",
     "stability.mut4": "a5d58ab0fff850d09d1b38fa99dd8eed134403de44032d548ab503e16cd44f1d",
@@ -113,7 +115,7 @@ _GOLDEN = {
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
     "stability-force.crowd3": "2ec5ac971c00dfeed32b4c44920cb6b5ea89d2b32dbcd7a9274d76f2dc918938",
-    "verify.sym2": "def2902e9591a8d06fe5fb353e39c4fc1c94847145c51422869074fbc753afee",
+    "verify.sym2": "d4d4f31cb3a132797cefe67da3df7a01b6c69e5b60bddc99c13327c0481e160f",
 }
 
 
