@@ -303,13 +303,13 @@ def integrate_batch(
                 if hi > lo:
                     inner = hi - 1 if grid[hi - 1] == t_b else hi
                     if inner > lo:
-                        # grid times inside the step, all in one product
-                        sigma = np.array(grid[lo:inner])
-                        sigma -= t[b]
-                        sigma /= h
-                        powers = np.cumprod(np.repeat(sigma[:, None], 4, axis=1), axis=1)
-                        np.clip(v[j] + h * (powers @ _P.T @ ks[j]), 0.0, None,
-                                out=paths[b][lo + 1:inner + 1])
+                        # the grid times inside the step, in one product
+                        sigma = (times[lo + 1:inner + 1] - t[b]) / h
+                        powers = np.repeat(sigma[:, None], 4, axis=1).cumprod(axis=1)
+                        dense = powers @ _P.T @ ks[j]
+                        dense *= h
+                        dense += v[j]
+                        np.maximum(dense, 0.0, out=paths[b][lo + 1:inner + 1])
                     if inner < hi:
                         paths[b][hi] = y5[j]
                     grid_idx[b] = hi
