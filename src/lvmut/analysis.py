@@ -29,6 +29,9 @@ from .model import (
 )
 
 _EH_FLOOR = 1e-28
+# a fitted sample's orthogonal energy stands this many error scales above
+# the integration error, so that error moves log E(h) by at most ~2%
+_NOISE_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -124,23 +127,29 @@ def convergence_rate(
     tail_fraction: float = 0.5,
     predicted_c1: float | None = None,
 ) -> RateReport:
-    """Log-linear decay fit of the orthogonal energy over the trailing window."""
+    """Log-linear decay fit of the orthogonal energy over the trailing window.
+
+    Only samples whose energy E(h) stands above the trajectory's error floor
+    are fitted, and the window is the trailing `tail_fraction` of the
+    resolved span: from the first sample to the last one above the floor.
+    """
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError("tail_fraction must lie in (0, 1]")
     v_bar = np.asarray(v_bar, dtype=float)
     times = trajectory.times
-    span = times[-1] - times[0]
-    cutoff = times[-1] - tail_fraction * span
+    states = trajectory.states
+    e_h = decompose(states, v_bar).e_h
+    above = e_h > _energy_floor(trajectory, v_bar)
+    resolved = np.flatnonzero(above)
+    t_last = times[resolved[-1]] if resolved.size else times[0]
+    cutoff = t_last - tail_fraction * (t_last - times[0])
 
-    in_tail = times >= cutoff
-    tail = trajectory.states[in_tail]
-    e_h = decompose(tail, v_bar).e_h
-    usable = e_h > _EH_FLOOR
-    ts = times[in_tail][usable]
+    usable = above & (times >= cutoff)
+    ts = times[usable]
     if ts.size < 20:
         raise InsufficientTail(f"only {ts.size} usable tail samples")
 
-    sups = np.max(np.abs(tail[usable] - v_bar), axis=1)
+    sups = np.max(np.abs(states[usable] - v_bar), axis=1)
     slope_eh, r_squared = _least_squares_line(ts, np.log(e_h[usable]))
     good = sups > 0.0
     if int(np.sum(good)) >= 2:
@@ -155,6 +164,19 @@ def convergence_rate(
         window=(float(ts[0]), float(ts[-1])),
         n_points=int(ts.size),
     )
+
+
+def _energy_floor(trajectory: Trajectory, v_bar: np.ndarray) -> float:
+    """E(h) below which a sample is integration error rather than decay.
+
+    Near vbar each component is accurate to about rtol |vbar_i| + atol, and
+    h is a projection of the state, so its error is at most the norm of
+    those scales. A closed-form trajectory (tol_used (0, 0)) keeps only the
+    rounding floor.
+    """
+    rtol, atol = trajectory.tol_used
+    error_sq = float(np.sum((rtol * np.abs(v_bar) + atol) ** 2))
+    return max(_EH_FLOOR, _NOISE_MARGIN**2 * error_sq)
 
 
 def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

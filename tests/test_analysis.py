@@ -1,4 +1,6 @@
 """Spectral gap, rate fitting, basin experiments, perturbation sweeps."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from lvmut.analysis import (
     spectral_gap,
 )
 from lvmut.dynamics import Trajectory, integrate
-from lvmut.equilibrium import equilibrium_uniform
+from lvmut.entropy import decompose
+from lvmut.equilibrium import equilibrium_auto, equilibrium_uniform
 from lvmut.errors import (
     AsymmetricMutation,
     InsufficientTail,
@@ -107,6 +110,39 @@ def test_convergence_rate_guards():
         convergence_rate(moving, _SYM2_VBAR, tail_fraction=0.0)
     with pytest.raises(ValueError):
         convergence_rate(moving, _SYM2_VBAR, tail_fraction=1.5)
+
+
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4", "pert2"])
+def test_default_tolerance_rates_follow_the_spectral_gap(name):
+    # at the CLI's default tolerances the fit ends where E(h) meets the
+    # integration error, so both rates follow c1 on the symmetric presets
+    preset = get_preset(name)
+    v_bar = equilibrium_auto(preset.model).v_bar
+    c1 = spectral_gap(preset.model, v_bar).c1
+    traj = integrate(preset.model, preset.v0, preset.t_end)
+    rep = convergence_rate(traj, v_bar, predicted_c1=c1)
+    assert rep.fitted_rate_eh == pytest.approx(-2.0 * c1, rel=1e-3)
+    assert rep.fitted_rate_sup == pytest.approx(-c1, rel=1e-3)
+    assert rep.r_squared >= 0.999
+
+
+def test_rate_floor_follows_the_tolerance():
+    preset = get_preset("fit2asym")
+    v_bar = equilibrium_auto(preset.model).v_bar
+    ends = []
+    for rtol, atol in ((1e-6, 1e-8), (1e-10, 1e-12)):
+        traj = integrate(preset.model, preset.v0, preset.t_end, rtol=rtol, atol=atol)
+        rep = convergence_rate(traj, v_bar)
+        floor = 1e4 * float(np.sum((rtol * v_bar + atol) ** 2))
+        e_h = decompose(traj.states, v_bar).e_h
+        last = int(np.searchsorted(traj.times, rep.window[1]))
+        assert e_h[last] > floor
+        assert np.all(e_h[last + 1:] <= floor)
+        ends.append(rep.window[1])
+    assert ends[0] < ends[1]
+    # a closed-form trajectory (no tolerance) keeps only the rounding floor
+    exact = replace(traj, tol_used=(0.0, 0.0))
+    assert convergence_rate(exact, v_bar).window[1] > ends[1]
 
 
 def test_global_stability_single_sample():

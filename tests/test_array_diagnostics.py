@@ -3,7 +3,8 @@
 The `_ref_*` functions below are the per-sample implementations of
 `dissipation`, `decompose`, `identity_residual`, `lyapunov_descent`,
 `log_energy_slopes` and `convergence_rate` as they stood before those
-diagnostics took the whole state array in one pass. The array code sums in
+diagnostics took the whole state array in one pass; `convergence_rate`'s
+also takes the fit's later error floor and resolved span. The array code sums in
 another order, so values are compared within tolerances fixed beforehand:
 1e-12 relative for H, F and E_h, and 1e-12 times the sum of the absolute
 values of their terms for D and the Gamma term, which are formed by
@@ -125,14 +126,20 @@ def _least_squares_line(x, y):
 
 
 def _ref_convergence_rate(trajectory, v_bar, tail_fraction=0.5):
+    # the error floor: 100 tolerance scales of the state, squared
+    rtol, atol = trajectory.tol_used
+    floor = 1e4 * sum((rtol * abs(x) + atol) ** 2 for x in v_bar)
+    floor = max(floor, 1e-28)
     times = trajectory.times
-    cutoff = times[-1] - tail_fraction * (times[-1] - times[0])
+    e_hs_all = [_ref_decompose(v, v_bar)[2] for v in trajectory.states]
+    t_last = times[0]
+    for t, e_h in zip(times, e_hs_all):
+        if e_h > floor:
+            t_last = t
+    cutoff = t_last - tail_fraction * (t_last - times[0])
     ts, e_hs, sups = [], [], []
-    for t, v in zip(times, trajectory.states):
-        if t < cutoff:
-            continue
-        e_h = _ref_decompose(v, v_bar)[2]
-        if e_h <= 1e-28:
+    for t, v, e_h in zip(times, trajectory.states, e_hs_all):
+        if t < cutoff or e_h <= floor:
             continue
         ts.append(t)
         e_hs.append(e_h)
@@ -169,7 +176,7 @@ def _case(name):
     return model, v_bar, integrate(model, v0, t_end)
 
 
-# fit2asym decays below the 1e-28 energy floor of the rate fit inside its tail
+# fit2asym decays below the rate fit's error floor long before t_end
 CASES = ("mut4", "pert2", "crowd3", "hypercube16", "fit2asym")
 KERNELS = {
     "linear": EntropyKernel.linear(),
