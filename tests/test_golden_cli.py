@@ -99,10 +99,10 @@ _GOLDEN = {
     "entropy.pert2": "7d980356222b34c3367ccf791e32b31d70d14cdf789d3883b878991b83e96c4d",
     "entropy.crowd3": "f3b58634dc1c9ce0bc61f8d292d2ba54fb0acb9df53870d22c17112af4cad208",
     "rates.sym2": "5001218c4e1a85ad11937b100cb379e82172ccfc7ee33b320bd07d72acc32ec8",
-    "rates.fit2asym": "3833ec88aea09984727f46625286ea0fd2d33972eeeffbbef1614cf89b2a666d",
-    "rates.mut4": "0df3e3a02d921132988e9fe113060db0199518b248b5e8c235a343d7ae95552d",
+    "rates.fit2asym": "1d27887d068e359817c8ba893f0124ae753b3f75903c17dd7c6d3d17c1ab4bd8",
+    "rates.mut4": "0c984e5fbe551cd037042ea0c17c6caa9247405b24ca26f12250b3ac1872100a",
     "rates.pert2": "4ee3ff5267f2aa3c2836418540a204f49f652c38823c5d16bad30d300b2ed0e4",
-    "rates.crowd3": "1e58fcdc0ad1ab7c5d53a09959c0e15ca0aacce934eecc43cf8adc008da4f970",
+    "rates.crowd3": "f58693180570e931e19827461a96a41096903e43dd92d7b17b4d3c2440ac27bf",
     "stability.sym2": "5f3d365f1e9999137372aa66cf18fa52c86a91fdb4eaea87c2a238cbad45c593",
     "stability.fit2asym": "9a775ae4ab798410360a24768dfcb7749d1ad08ea4b8672ee02d96f8a072a890",
     "stability.mut4": "a5d58ab0fff850d09d1b38fa99dd8eed134403de44032d548ab503e16cd44f1d",
