@@ -29,8 +29,8 @@ from .model import (
 )
 
 _EH_FLOOR = 1e-28
-# a fitted sample's orthogonal energy stands this many error scales above
-# the integration error, so that error moves log E(h) by at most ~2%
+# a fitted sample's |h| stands this many error scales above the integration
+# error, so an error of one scale moves log E(h) by at most about 0.02
 _NOISE_MARGIN = 100.0
 
 
