@@ -38,7 +38,6 @@ from .model import (
     _pressure_values,
     growth_mutation_matrix,
     interaction_gradient,
-    mutation_symmetric,
     rhs,
     validate,
 )
@@ -79,29 +78,17 @@ def residual(model: Model, v) -> float:
     return _sup(rhs(model, np.asarray(v, dtype=float)))
 
 
-def _scale_to_pressure(model: Model, direction: np.ndarray, target: float) -> np.ndarray:
-    """Find m > 0 with Psi_1(m * direction) = target for increasing Psi_1."""
-    inter = model.interaction
-    if isinstance(inter, UniformLinear):
-        return (target / float(inter.a @ direction)) * direction
-    pressure = _pressure_values(model)
-
-    def shared(m: float) -> float:
-        return float(pressure(m * direction)[0])
-
-    hi = 1.0
-    for _ in range(200):
-        if shared(hi) >= target:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if shared(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * direction
+def _anchor(model: Model, a: np.ndarray):
+    """The Perron pair of a = R+M and the m v_p where Psi_1's linear part
+    C[0] @ v (C = _linear_coefficients) equals K lambda_p: exact for the linear
+    kinds. A slope C[0] @ v_p <= 0 means no scale reaches K lambda_p."""
+    per = perron_eigenpair(a)
+    if per.lambda_p <= 0.0:
+        raise NonPositivePerron(f"dominant growth exponent {per.lambda_p:g} is not positive")
+    slope = float(_linear_coefficients(model)[0] @ per.v_p)
+    if not slope > 0.0:
+        raise LeftAprioriBox(0.0)
+    return per, (model.big_k * per.lambda_p / slope) * per.v_p
 
 
 def equilibrium_uniform(model: Model) -> EquilibriumResult:
@@ -109,14 +96,10 @@ def equilibrium_uniform(model: Model) -> EquilibriumResult:
     inter = model.interaction
     if not isinstance(inter, UniformLinear):
         raise WrongInteractionKind("eigenvector scaling applies to uniform interactions")
-    per = perron_eigenpair(growth_mutation_matrix(model))
-    if per.lambda_p <= 0.0:
-        raise NonPositivePerron(f"dominant growth exponent {per.lambda_p:g} is not positive")
-    alpha_bar = model.big_k * per.lambda_p
-    v_bar = _scale_to_pressure(model, per.v_p, alpha_bar)
+    per, v_bar = _anchor(model, growth_mutation_matrix(model))
     return EquilibriumResult(
         v_bar=v_bar,
-        alpha_bar=alpha_bar,
+        alpha_bar=model.big_k * per.lambda_p,
         lambda_p=per.lambda_p,
         residual=residual(model, v_bar),
         method=Method.PerronScaling,
@@ -162,7 +145,7 @@ def _apriori_box(model: Model) -> tuple[float, float]:
 
 def _in_box(v: np.ndarray, lo: float, hi: float) -> bool:
     total = float(v.sum())
-    return bool(np.min(v) >= 0.0 and lo <= total <= hi)
+    return bool(np.min(v) > 0.0 and lo <= total <= hi)
 
 
 def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,7 +218,7 @@ def _stage_solve(
         accepted = False
         for _ in range(60):
             cand = v + t * step
-            if np.min(cand) > 0.0 and _in_box(cand, box_lo, box_hi):
+            if _in_box(cand, box_lo, box_hi):
                 cand_psi = stage_pressure(cand)
                 cand_norm = _sup(a @ cand - cand_psi * cand / big_k)
                 if cand_norm < g_norm:
@@ -244,8 +227,7 @@ def _stage_solve(
                     break
             t *= _DAMPING
         if not accepted:
-            probe = v + 1e-8 * step
-            if not (np.min(probe) > 0.0 and _in_box(probe, box_lo, box_hi)):
+            if not _in_box(v + 1e-8 * step, box_lo, box_hi):
                 raise LeftAprioriBox(s)
             raise InnerNoConvergence(s)
     raise InnerNoConvergence(s)
@@ -255,14 +237,16 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     """Continuation from the shared-pressure anchor to the full pressure map.
 
     The pressure map is slid from Psi_1 (applied to every genotype) to the
-    genuine Psi along s in [0, 1]; each stage is solved by damped Newton on
-    G_s(v) = (R+M)v - Psi^s(v) v / K warm-started from the previous stage,
-    accepted only when the stage map T(v) = (R+M)^{-1}[Psi^s(v) v / K]
-    moves v by at most _INNER_TOL, and the final stage is polished by Newton
-    on the full stationarity equation.
+    genuine Psi along s in [0, 1]. The start is _anchor's point on the Perron
+    ray, exact for the linear part of Psi_1. Each stage, s = 0 included, is
+    solved by damped Newton on G_s(v) = (R+M)v - Psi^s(v) v / K warm-started
+    from the previous stage, and accepted only when the stage map
+    T(v) = (R+M)^{-1}[Psi^s(v) v / K] moves v by at most _INNER_TOL; so a
+    perturbed kind's tanh offset is absorbed by the s = 0 stage. The final
+    stage is polished by Newton on the full stationarity equation.
     """
     report = validate(model)
-    if mutation_symmetric(model):
+    if report.h1_symmetry:
         if not report.h3_half:
             raise Hypothesis3Violated("mutation outflow must stay within r/2")
     elif not report.h4_third:
@@ -273,18 +257,11 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     a = growth_mutation_matrix(model)
     require_nonsingular(a)
     box_lo, box_hi = _apriori_box(model)
-    big_k = model.big_k
-
-    per = perron_eigenpair(a)
-    if per.lambda_p <= 0.0:
-        raise NonPositivePerron(f"dominant growth exponent {per.lambda_p:g} is not positive")
-    v = _scale_to_pressure(model, per.v_p, big_k * per.lambda_p)
+    per, v = _anchor(model, a)
     if not _in_box(v, box_lo, box_hi):
         raise LeftAprioriBox(0.0)
-    path = [(0.0, v.copy(), residual(model, v))]
-
-    s_values = np.linspace(0.0, 1.0, HomotopyConfig.s_steps)
-    for s in s_values[1:]:
+    path = []
+    for s in np.linspace(0.0, 1.0, HomotopyConfig.s_steps):
         v = _stage_solve(model, a, float(s), v, box_lo, box_hi)
         path.append((float(s), v.copy(), residual(model, v)))
 

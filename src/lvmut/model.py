@@ -251,7 +251,7 @@ def _pressure(model: Model):
 def _pressure_values(model: Model):
     """v -> Psi(v) for float arrays v, shaped like v, with the pressure bound once.
 
-    A solver that evaluates the pressures many times (bisection, Newton)
+    A solver that evaluates the pressures many times (Newton)
     binds them here once instead of calling interaction_values each time.
     """
     psi = _pressure(model)
