@@ -139,12 +139,14 @@ def test_eigenvector_scaling_rejects_state_dependent_pressures():
 # -- Newton steps ---------------------------------------------------------------
 
 # sha256 of the bytes of v_bar and of the path residuals, recorded when every
-# Newton step still ran solve_linear's SVD test
+# Newton step still ran solve_linear's SVD test; crowd3 and pert2 re-recorded
+# when the anchor became the exact linear-part scaling and stage 0 a Newton
+# stage (crowd3's v_bar moved 1.0e-15 relative, pert2's path[0] residual 2e-12)
 _HOMOTOPY_GOLDEN = {
-    "crowd3": ("4ad42fbe29702237cecf8b4144eefeda1b4e8ee1b1b317427e48df949b90bf90",
-               "2af393361c381c7c19c9def1163b27d9fb866f2c2959e52619471dcca4c5382a"),
+    "crowd3": ("e8ecae9caf08db802ac5502cd98a2c26494f4e22e0c2c3c01fc3a03bfcbe30ec",
+               "7cfefec3475160274a797709c26322a6d686e7469a9d2f8a393688e2eb203a5e"),
     "pert2": ("003e88ea593141a60165a802e14b8cc6088fb3560eef9b63afb9aab9d280ac86",
-              "3ad61f2df6e11fa7bd916ff51df92aa692d5d59d91ca5db1e7676876c14062d8"),
+              "ab8d78e313f90a26f1c0aa7cff4a255b51dc70753bdb777c07fb1bad9e951ea1"),
     "crowd16": ("de244b22ef256b6cc9cc35dc417b87d3c21db5d1817f9eddd0bbbf1decaf0eaf",
                 "c0a7d45203374184498ab178f306b34314923806e671ef1312e963254b97d2e3"),
 }
