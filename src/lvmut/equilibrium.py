@@ -87,7 +87,7 @@ def _anchor(model: Model, a: np.ndarray):
         raise NonPositivePerron(f"dominant growth exponent {per.lambda_p:g} is not positive")
     slope = float(_linear_coefficients(model)[0] @ per.v_p)
     if not slope > 0.0:
-        raise LeftAprioriBox(0.0)
+        raise LeftAprioriBox(0.0, f"shared pressure flat along the Perron ray (slope {slope:g})")
     return per, (model.big_k * per.lambda_p / slope) * per.v_p
 
 

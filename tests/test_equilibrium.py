@@ -13,9 +13,24 @@ from lvmut.equilibrium import (
     equilibrium_uniform,
     residual,
 )
-from lvmut.errors import Hypothesis3Violated, SingularMatrix, WrongInteractionKind
-from lvmut.linalg import require_nonsingular
-from lvmut.model import build_model, crowding_linear, point_mutation_matrix, uniform_linear
+from lvmut.errors import (
+    Hypothesis3Violated,
+    LeftAprioriBox,
+    SingularMatrix,
+    WrongInteractionKind,
+)
+from lvmut.linalg import perron_eigenpair, require_nonsingular
+from lvmut.model import (
+    CrowdingLinear,
+    _linear_coefficients,
+    build_model,
+    crowding_linear,
+    growth_mutation_matrix,
+    interaction_values,
+    perturbed,
+    point_mutation_matrix,
+    uniform_linear,
+)
 from lvmut.presets import get_preset, preset_names
 
 
@@ -165,6 +180,48 @@ def test_homotopy_is_bit_identical(name):
     residuals = np.array([res for _, _, res in eq.homotopy_path])
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (eq.v_bar, residuals))
     assert digests == _HOMOTOPY_GOLDEN[name]
+
+
+# -- the anchor -------------------------------------------------------------------
+
+def _pert2_at(eps: float):
+    model = get_preset("pert2").model
+    inter = model.interaction
+    return build_model(model.n, model.r, model.big_k, model.mu,
+                       perturbed(inter.base, eps, inter.amp, inter.w))
+
+
+# crowd3, the n = 16 self-crowding rung, and pert2 at criterion 12's eps values
+_STAGE0_MODELS = {
+    "crowd3": lambda: get_preset("crowd3").model,
+    "crowd16": _self_crowding_hypercube16,
+    **{f"pert2-eps{eps:g}": (lambda eps=eps: _pert2_at(eps))
+       for eps in (1e-4, 4e-4, 1.6e-3, 6.4e-3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE0_MODELS))
+def test_stage0_is_the_shared_pressure_equilibrium_on_the_perron_ray(name):
+    model = _STAGE0_MODELS[name]()
+    per = perron_eigenpair(growth_mutation_matrix(model))
+    s, v, _ = equilibrium_homotopy(model).homotopy_path[0]
+    assert s == 0.0
+    np.testing.assert_allclose(v / np.sum(v), per.v_p / np.sum(per.v_p), rtol=1e-12)
+    target = model.big_k * per.lambda_p
+    assert interaction_values(model, v)[0] == pytest.approx(target, rel=1e-12)
+    if isinstance(model.interaction, CrowdingLinear):
+        slope = _linear_coefficients(model)[0] @ per.v_p
+        assert np.array_equal(v, (target / slope) * per.v_p)
+
+
+@pytest.mark.filterwarnings("ignore:no computable population bounds")
+def test_flat_shared_pressure_has_no_anchor():
+    # alpha's first row is zero, so Psi_1 is 0 along the whole Perron ray
+    sym = get_preset("sym2").model
+    model = build_model(2, sym.r, sym.big_k, sym.mu, crowding_linear([[0.0, 0.0], [0.5, 1.0]]))
+    with pytest.raises(LeftAprioriBox, match="flat") as info:
+        equilibrium_homotopy(model)
+    assert info.value.s == 0.0
 
 
 def test_guarded_solve_rejects_an_exactly_singular_matrix():
