@@ -24,7 +24,6 @@ from .model import (
     build_model,
     mutation_symmetric,
     perturbed,
-    uniform_linear,
     validate,
 )
 
@@ -210,6 +209,8 @@ def global_stability_experiment(
     and against the solver equilibrium."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     in_scope = _theorem_scope(model)
     if not in_scope and not force:
         raise OutOfTheoremScope(
@@ -254,10 +255,15 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
     if not isinstance(base_model.interaction, UniformLinear):
         raise OutOfTheoremScope("the sweep perturbs a uniform linear base")
     amp = np.asarray(amp, dtype=float)
-    w = np.asarray(w, dtype=float)
     eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0.0 for e in eps_grid) or sorted(eps_grid) != eps_grid:
-        raise ValueError("eps_grid must be positive and ascending")
+    if not all(math.isfinite(e) and e > 0.0 for e in eps_grid) or sorted(eps_grid) != eps_grid:
+        raise ValueError(f"eps_grid must be finite, positive and ascending, got {eps_grid}")
+    # a bad amp or w fails the call here, before any row is solved
+    pert_models = [
+        build_model(base_model.n, base_model.r, base_model.big_k, base_model.mu,
+                    perturbed(base_model.interaction, eps, amp, w))
+        for eps in eps_grid
+    ]
 
     base_eq = equilibrium_uniform(base_model)
     v0 = base_eq.v_bar
@@ -267,16 +273,9 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
             eps=0.0, v_bar=v0.copy(), l1_distance=0.0, ratio=None, sigma=0.0
         )
     ]
-    for eps in eps_grid:
+    for eps, pert_model in zip(eps_grid, pert_models):
         sigma = eps * amp_sup
         try:
-            pert_model = build_model(
-                base_model.n,
-                base_model.r,
-                base_model.big_k,
-                base_model.mu,
-                perturbed(uniform_linear(base_model.interaction.a), eps, amp, w),
-            )
             rep = validate(pert_model)
             if not rep.h1_monotone:
                 raise OutOfTheoremScope("perturbation too large for monotone pressures")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lvmut import analysis
 from lvmut.analysis import (
     convergence_rate,
     global_stability_experiment,
@@ -15,7 +16,9 @@ from lvmut.entropy import decompose
 from lvmut.equilibrium import equilibrium_auto, equilibrium_uniform
 from lvmut.errors import (
     AsymmetricMutation,
+    DimensionMismatch,
     InsufficientTail,
+    NonPositiveRate,
     NonPositiveReference,
     OutOfTheoremScope,
 )
@@ -164,6 +167,13 @@ def test_global_stability_needs_a_sample(n_samples):
         global_stability_experiment(model, n_samples=n_samples, seed=0, t_end=10.0, tol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_global_stability_needs_a_finite_nonnegative_tol(tol):
+    model = get_preset("sym2").model
+    with pytest.raises(ValueError, match="tol"):
+        global_stability_experiment(model, n_samples=2, seed=0, t_end=10.0, tol=tol)
+
+
 def test_global_stability_scope_gate():
     model = get_preset("crowd3").model
     with pytest.raises(OutOfTheoremScope):
@@ -233,6 +243,27 @@ def test_perturbation_sweep_input_checks():
         perturbation_sweep(base, amp, w, [0.0, 1e-3])
     with pytest.raises(OutOfTheoremScope):
         perturbation_sweep(get_preset("crowd3").model, amp, w, [1e-4])
+
+
+@pytest.mark.parametrize(
+    "amp, w, eps_grid, error, named",
+    [
+        ([1.0, 2.0], [[1.0, 2.0]], [1e-4], DimensionMismatch, "w must be square"),
+        ([1.0, 2.0, 3.0], np.eye(3), [1e-4], DimensionMismatch, "wrong length"),
+        ([np.inf, 1.0], np.eye(2), [1e-4], NonPositiveRate, "amp must be finite"),
+        ([1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], [1e-4], NonPositiveRate, "w must be finite"),
+        ([1.0, 1.0], np.eye(2), [1e-4, np.nan], ValueError, "eps_grid"),
+        ([1.0, 1.0], np.eye(2), [1e-4, np.inf], ValueError, "eps_grid"),
+    ],
+)
+def test_perturbation_sweep_rejects_bad_input_before_solving(
+    monkeypatch, amp, w, eps_grid, error, named
+):
+    calls = []
+    monkeypatch.setattr(analysis, "equilibrium_homotopy", lambda model: calls.append(model))
+    with pytest.raises(error, match=named):
+        perturbation_sweep(get_preset("sym2").model, amp, w, eps_grid)
+    assert calls == []
 
 
 def test_perturbation_sweep_isolates_failed_rows():

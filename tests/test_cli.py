@@ -189,6 +189,22 @@ def test_sweep_needs_amplitudes_for_uniform_models(capsys):
     assert len(json.loads(out)["rows"]) == 2
 
 
+
+@pytest.mark.parametrize(
+    "amp, w, error, named",
+    [
+        ("1,2", "1,2", "DimensionMismatch", "w must be square"),
+        ("nan,1", "0.2,-0.1;0.15,0.25", "NonPositiveRate", "amp must be finite"),
+        ("1,-0.7", "0.2,inf;0.15,0.25", "NonPositiveRate", "w must be finite"),
+    ],
+)
+def test_sweep_rejects_a_malformed_perturbation(capsys, amp, w, error, named):
+    code, out, err = _run(capsys, "sweep", "--preset", "sym2", "--amp", amp, "--w", w)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert named in payload["message"]
+
 def test_equilibrium_in_finer_time_units(capsys, tmp_path):
     # sym2 with every rate 1000 times larger: the same equilibrium (5, 5)
     model = {"n": 2, "r": [1000.0, 1000.0], "K": 10.0, "mu": [[0.0, 100.0], [100.0, 0.0]],
@@ -363,6 +379,15 @@ def test_library_warning_is_one_warning_line(capsys, tmp_path):
     assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
 
 
+
+def test_flat_shared_pressure_is_a_solver_error(capsys, tmp_path):
+    flat = {"interaction": {"kind": "crowding", "alpha": [[0.0, 0.0], [0.5, 1.0]]}}
+    code, out, err = _run(capsys, "equilibrium", "--scenario", _scenario(tmp_path, flat))
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "LeftAprioriBox"
+    assert "flat along the Perron ray" in payload["message"]
+
 def test_warning_is_dropped_on_an_error_exit(capsys, tmp_path):
     path = _scenario(tmp_path, _WIDE_BOX)
     code, out, err = _run(capsys, "rates", "--scenario", path, "--tail", "2")
@@ -419,6 +444,10 @@ def test_negative_v0_flag_rejected(capsys):
          "rtol and atol"),
         (["stability", "--preset", "sym2", "--samples", "0"], "--samples"),
         (["sweep", "--preset", "sym2", "--amp", "1,1", "--w", "1,0;0"], "--w"),
+        (["sweep", "--preset", "pert2", "--eps", "1e-4,nan"], "eps_grid"),
+        (["sweep", "--preset", "pert2", "--eps", "1e-4,inf"], "eps_grid"),
+        (["stability", "--preset", "sym2", "--samples", "2", "--tol", "nan"], "tol"),
+        (["stability", "--preset", "sym2", "--samples", "2", "--tol", "-1"], "tol"),
         (["entropy", "--preset", "sym2", "--kernel", "poly:"], "--kernel"),
         (["simulate", "--preset", "sym2", "--t-end", "10", "--record-every", "1e-9"],
          "record_every"),
