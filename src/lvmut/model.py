@@ -201,7 +201,7 @@ def build_model(n: int, r, big_k: float, mu, interaction: Interaction) -> Model:
         base = uniform_linear(interaction.base.a)
         interaction = perturbed(base, interaction.eps, interaction.amp, interaction.w)
         if base.a.shape != (n,) or interaction.amp.shape != (n,):
-            raise DimensionMismatch("perturbation arrays have wrong length")
+            raise DimensionMismatch(f"perturbation a and amp must have length {n}")
     else:
         raise WrongInteractionKind(f"unknown interaction {type(interaction).__name__}")
 

@@ -249,7 +249,7 @@ def test_perturbation_sweep_input_checks():
     "amp, w, eps_grid, error, named",
     [
         ([1.0, 2.0], [[1.0, 2.0]], [1e-4], DimensionMismatch, "w must be square"),
-        ([1.0, 2.0, 3.0], np.eye(3), [1e-4], DimensionMismatch, "wrong length"),
+        ([1.0, 2.0, 3.0], np.eye(3), [1e-4], DimensionMismatch, "amp must have length 2"),
         ([np.inf, 1.0], np.eye(2), [1e-4], NonPositiveRate, "amp must be finite"),
         ([1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], [1e-4], NonPositiveRate, "w must be finite"),
         ([1.0, 1.0], np.eye(2), [1e-4, np.nan], ValueError, "eps_grid"),

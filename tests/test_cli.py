@@ -444,13 +444,13 @@ def test_negative_v0_flag_rejected(capsys):
          "rtol and atol"),
         (["stability", "--preset", "sym2", "--samples", "0"], "--samples"),
         (["sweep", "--preset", "sym2", "--amp", "1,1", "--w", "1,0;0"], "--w"),
+        (["entropy", "--preset", "sym2", "--kernel", "poly:"], "--kernel"),
+        (["simulate", "--preset", "sym2", "--t-end", "10", "--record-every", "1e-9"],
+         "record_every"),
         (["sweep", "--preset", "pert2", "--eps", "1e-4,nan"], "eps_grid"),
         (["sweep", "--preset", "pert2", "--eps", "1e-4,inf"], "eps_grid"),
         (["stability", "--preset", "sym2", "--samples", "2", "--tol", "nan"], "tol"),
         (["stability", "--preset", "sym2", "--samples", "2", "--tol", "-1"], "tol"),
-        (["entropy", "--preset", "sym2", "--kernel", "poly:"], "--kernel"),
-        (["simulate", "--preset", "sym2", "--t-end", "10", "--record-every", "1e-9"],
-         "record_every"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
