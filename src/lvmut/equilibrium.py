@@ -29,7 +29,7 @@ from .errors import (
     SingularMatrix,
     WrongInteractionKind,
 )
-from .linalg import _PIVOT_REL, perron_eigenpair, require_nonsingular
+from .linalg import _PIVOT_REL, PerronResult, perron_eigenpair, require_nonsingular
 from .model import (
     Model,
     Perturbed,
@@ -78,7 +78,7 @@ def residual(model: Model, v) -> float:
     return _sup(rhs(model, np.asarray(v, dtype=float)))
 
 
-def _anchor(model: Model, a: np.ndarray):
+def _anchor(model: Model, a: np.ndarray) -> tuple[PerronResult, np.ndarray]:
     """The Perron pair of a = R+M and the m v_p where Psi_1's linear part
     C[0] @ v (C = _linear_coefficients) equals K lambda_p: exact for the linear
     kinds. A slope C[0] @ v_p <= 0 means no scale reaches K lambda_p."""
