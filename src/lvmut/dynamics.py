@@ -112,9 +112,10 @@ def _record_grid(t_end: float, record_every: float) -> np.ndarray:
     return grid
 
 
-def _finite_rows(ks: np.ndarray, y5: np.ndarray) -> list[bool] | None:
+def _finite_rows(ks: np.ndarray, y5: np.ndarray) -> list[bool] | bool | None:
     """None when every entry of the stages ks (B, 7, n) and the states y5 (B, n)
     is finite, else one flag per row: are that row's entries all finite.
+    One row's ks (7, n) and y5 (n,) get one flag, a bool.
 
     One sum of each array settles the common case, since a finite total
     proves every entry finite. A total that is not finite (a non-finite
@@ -123,7 +124,32 @@ def _finite_rows(ks: np.ndarray, y5: np.ndarray) -> list[bool] | None:
     """
     if math.isfinite(np.add.reduce(ks, axis=None) + np.add.reduce(y5, axis=None)):
         return None
-    return (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y5).all(axis=1)).tolist()
+    return (np.isfinite(ks).all(axis=(-2, -1)) & np.isfinite(y5).all(axis=-1)).tolist()
+
+
+def _zero_scale_sq_sum(q: np.ndarray, err_est: np.ndarray, scale: np.ndarray) -> float:
+    """The sum of q * q over one row of q = err_est / scale, with each 0 / 0
+    entry counted as 0.
+
+    With atol = 0 a component that is exactly 0 at both ends of a step has
+    scale 0; when its error estimate is 0 too, it meets any tolerance. A
+    nonzero estimate over scale 0 stays infinite and rejects the step.
+    """
+    q = np.where((err_est == 0.0) & (scale == 0.0), 0.0, q)
+    return float(np.add.reduce(q * q))
+
+
+def _start_step(v0: np.ndarray, k1: np.ndarray, rtol: float, atol: float,
+                t_end: float) -> float:
+    """A modest start-up step from the state v0 and its field k1; the
+    controller adapts within a few steps. A zero scale (atol = 0 on a zero
+    component) makes the norms NaN, which selects the fixed fallback."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale0 = atol + rtol * np.abs(v0)
+        d0 = float(np.sqrt(np.mean((v0 / scale0) ** 2)))
+        d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
+    h = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
+    return min(h, t_end / 10.0)
 
 
 def integrate(
@@ -137,7 +163,8 @@ def integrate(
     """Integrate the model flow from v0 over [0, t_end].
 
     The one-start call of `integrate_batch`, with the same checks and work
-    bounds.
+    bounds. One row runs as an (n,) state with scalar step control, on the
+    same arithmetic as a row of a stack.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (model.n,):
@@ -160,7 +187,14 @@ def integrate_batch(
     controller memory, grid position and counters, so each trajectory
     equals its one-start run bit for bit. An accepted step records the grid
     times inside it from the continuous extension, and its own y5 at a grid
-    time it ends on. A row leaves the batch when it reaches t_end.
+    time it ends on. A row leaves the batch when it reaches t_end. Once one
+    row runs (from the start, or when the others have finished), its state
+    is an (n,) vector and its step size a Python float: the same products
+    as on a stack of one, at a fraction of the call cost.
+
+    The error scale of a component is atol + rtol * max(|v|, |y5|). With
+    atol = 0, a component that stays exactly 0 through a step, with a zero
+    error estimate, counts as error 0 rather than 0 / 0.
 
     The work is bounded: a recording grid of more than _MAX_SAMPLES points
     is a ValueError, and a row that needs more than _MAX_STEPS attempted
@@ -206,21 +240,15 @@ def integrate_batch(
     for path, v0 in zip(paths, starts):
         path[0] = v0
 
-    # ks[b, s] holds stage s of row b; ks[b, 0] is f at the row's state
-    v = starts.copy()
-    ks = np.empty((n_rows, 7, n))
-    ks[:, 0] = f(v)
-    if not np.isfinite(ks[:, 0]).all():
+    # v holds the running rows' states, (B, n), or (n,) for one row; ks holds
+    # their stages, (B, 7, n) or (7, n), and stage 0 is f at the state
+    v = starts.copy() if n_rows > 1 else starts[0].copy()
+    ks = np.empty(v.shape[:-1] + (7, n))
+    ks[..., 0, :] = f(v)
+    if not np.isfinite(ks[..., 0, :]).all():
         raise NonFiniteState("vector field is non-finite at the initial state")
-
-    # modest startup step; the controller adapts within a few steps
-    h_ctrl = []
-    for v_b, k1 in zip(v, ks[:, 0]):
-        scale0 = atol + rtol * np.abs(v_b)
-        d0 = float(np.sqrt(np.mean((v_b / scale0) ** 2)))
-        d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
-        h = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
-        h_ctrl.append(min(h, t_end / 10.0))
+    h_ctrl = [_start_step(v_b, k_b[0], rtol, atol, t_end)
+              for v_b, k_b in zip(starts, ks.reshape(n_rows, 7, n))]
 
     h_floor = 1e-14 * t_end
     t = [0.0] * n_rows
@@ -230,98 +258,135 @@ def integrate_batch(
     rejected = [0] * n_rows
     rows = list(range(n_rows))  # the rows still running, in buffer order
 
-    def plan():
-        # One field call per stage on the running rows. Stage s evaluates f
-        # at v + h * (_A[s] @ ks[:, :s]) into ks[:, s]; the step's y5 and
-        # error estimate weigh all of ks by _B5 and _E. A lone row takes the
-        # one-state field and ndarray.dot on its own (7, n) stages: the same
-        # products as on a stack of one, at a fraction of the call cost.
-        if len(rows) == 1:
-            k = ks[0]
-            stages = [(_A[s].dot, k[:s], k[s]) for s in range(1, 7)]
-            return lambda x: f(x[0]), stages, _B5.dot, _E.dot, k
-        stages = [(_A[s].__matmul__, ks[:, :s], ks[:, s]) for s in range(1, 7)]
-        return f, stages, _B5.__matmul__, _E.__matmul__, ks
+    def step_size(b: int) -> float:
+        if accepted[b] + rejected[b] >= _MAX_STEPS:
+            raise StepBudgetExceeded(
+                f"no end after {_MAX_STEPS} attempted steps; "
+                f"stopped at t={t[b]:g} of {t_end:g}"
+            )
+        h = min(h_ctrl[b], t_end - t[b])
+        if not h >= h_floor:
+            raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
+        return h
 
-    field, stages, weigh5, weigh_err, k_all = plan()
+    def settle(b, h, j, v, y5, ks, finite, y5_min, sq_sum) -> bool:
+        # Accept or reject row b's attempt of size h; True when accepted.
+        # v[j], ks[j] and y5[j] are its state, stages and result: j is its
+        # place in a stack, or the full slice for one row's own arrays. An
+        # accepted y5[j] below 0 is clipped in place, and the grid samples
+        # inside the step are written.
+        if not finite:
+            shrink = 0.25
+        elif y5_min < -atol:
+            shrink = 0.5
+        else:
+            err = math.sqrt(sq_sum / n)
+            shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** (-0.2))
+        if shrink is not None:
+            rejected[b] += 1
+            h_ctrl[b] = h * shrink
+            return False
+
+        if y5_min <= 0.0:
+            # also turns -0.0 into 0.0
+            np.clip(y5[j], 0.0, None, out=y5[j])
+        accepted[b] += 1
+        t_b = t[b] + h
+        if t_end - t_b < h_floor:
+            # the one snap: no step below h_floor is left to take
+            t_b = t_end
+        lo = grid_idx[b]
+        hi = bisect_right(grid, t_b, lo)
+        if hi > lo:
+            inner = hi - 1 if grid[hi - 1] == t_b else hi
+            if inner > lo:
+                # the grid times inside the step, in one product
+                sigma = (times[lo + 1:inner + 1] - t[b]) / h
+                powers = np.repeat(sigma[:, None], 4, axis=1).cumprod(axis=1)
+                dense = powers @ _P.T @ ks[j]
+                dense *= h
+                dense += v[j]
+                np.maximum(dense, 0.0, out=paths[b][lo + 1:inner + 1])
+            if inner < hi:
+                paths[b][hi] = y5[j]
+            grid_idx[b] = hi
+        t[b] = t_b
+        factor = (
+            _SAFETY * err ** (-_PI_ALPHA) * err_prev[b] ** _PI_BETA
+            if err > 0 else _MAX_FACTOR
+        )
+        h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        err_prev[b] = max(err, 1e-4)
+        return True
+
+    def plan(ks):
+        # One field call per stage on the running rows. Stage s evaluates f
+        # at v + h * (_A[s] @ ks[..., :s, :]) into stage s; the step's y5 and
+        # error estimate weigh all the stages by _B5 and _E. One row's (7, n)
+        # stages take ndarray.dot: the same products as on a stack of one,
+        # at a fraction of the call cost.
+        if ks.ndim == 2:
+            return [(_A[s].dot, ks[:s], ks[s]) for s in range(1, 7)], _B5.dot, _E.dot
+        stages = [(_A[s].__matmul__, ks[:, :s], ks[:, s]) for s in range(1, 7)]
+        return stages, _B5.__matmul__, _E.__matmul__
+
+    stages, weigh5, weigh_err = plan(ks)
+    whole = slice(None)
+    min_reduce = np.minimum.reduce
+    add_reduce = np.add.reduce
     # a non-finite stage rejects its step; numpy's warnings about the
     # stages computed from it say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         while rows:
-            hs = []
-            for b in rows:
-                if accepted[b] + rejected[b] >= _MAX_STEPS:
-                    raise StepBudgetExceeded(
-                        f"no end after {_MAX_STEPS} attempted steps; "
-                        f"stopped at t={t[b]:g} of {t_end:g}"
-                    )
-                h = min(h_ctrl[b], t_end - t[b])
-                if not h >= h_floor:
-                    raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
-                hs.append(h)
-            # a Python float multiplies faster than a broadcast column
-            h_col = hs[0] if len(hs) == 1 else np.array(hs)[:, None]
+            lone = v.ndim == 1
+            if lone:
+                b = rows[0]
+                h = step_size(b)
+            else:
+                hs = [step_size(b) for b in rows]
+                h = np.array(hs)[:, None]
 
             for weigh_s, ks_s, ks_out in stages:
-                ks_out[...] = field(v + h_col * weigh_s(ks_s))
-            y5 = v + h_col * weigh5(k_all)
+                ks_out[...] = f(v + h * weigh_s(ks_s))
+            y5 = v + h * weigh5(ks)
             finite = _finite_rows(ks, y5)
-            y5_min = np.minimum.reduce(y5, axis=1).tolist()
-            q = h_col * weigh_err(k_all) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
-            sq_sums = np.add.reduce(q * q, axis=1).tolist()
+            err_est = h * weigh_err(ks)
+            # v >= 0, so |v| is v (up to a start's -0.0, whose sign the sum
+            # with atol drops)
+            scale = atol + rtol * np.maximum(v, np.abs(y5))
+            q = err_est / scale
 
+            if lone:
+                y5_min = float(min_reduce(y5))
+                sq_sum = float(add_reduce(q * q))
+                finite = finite is None or finite
+                if finite and sq_sum != sq_sum:
+                    sq_sum = _zero_scale_sq_sum(q, err_est, scale)
+                if not settle(b, h, whole, v, y5, ks, finite, y5_min, sq_sum):
+                    continue  # v and its first stage stay
+                if grid_idx[b] == n_grid:
+                    break
+                # FSAL: the last stage is f at the new state, unless clipped
+                ks[0] = f(y5) if y5_min < 0.0 else ks[6]
+                v = y5
+                continue
+
+            y5_min = min_reduce(y5, axis=1).tolist()
+            sq_sums = add_reduce(q * q, axis=1).tolist()
             stay = []      # rejected: keep the state and its first stage
             refresh = []   # accepted, but clipped: f changed at the state
             finished = []
             for j, b in enumerate(rows):
-                h = hs[j]
-                if finite is not None and not finite[j]:
-                    shrink = 0.25
-                elif y5_min[j] < -atol:
-                    shrink = 0.5
-                else:
-                    err = math.sqrt(sq_sums[j] / n)
-                    shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** (-0.2))
-                if shrink is not None:
-                    rejected[b] += 1
-                    h_ctrl[b] = h * shrink
+                finite_j = finite is None or finite[j]
+                sq_sum = sq_sums[j]
+                if finite_j and sq_sum != sq_sum:
+                    sq_sum = _zero_scale_sq_sum(q[j], err_est[j], scale[j])
+                if not settle(b, hs[j], j, v, y5, ks, finite_j, y5_min[j], sq_sum):
                     stay.append(j)
-                    continue
-
-                if y5_min[j] <= 0.0:
-                    # also turns -0.0 into 0.0
-                    np.clip(y5[j], 0.0, None, out=y5[j])
-                    if y5_min[j] < 0.0:
-                        refresh.append(j)
-                accepted[b] += 1
-                t_b = t[b] + h
-                if t_end - t_b < h_floor:
-                    # the one snap: no step below h_floor is left to take
-                    t_b = t_end
-                lo = grid_idx[b]
-                hi = bisect_right(grid, t_b, lo)
-                if hi > lo:
-                    inner = hi - 1 if grid[hi - 1] == t_b else hi
-                    if inner > lo:
-                        # the grid times inside the step, in one product
-                        sigma = (times[lo + 1:inner + 1] - t[b]) / h
-                        powers = np.repeat(sigma[:, None], 4, axis=1).cumprod(axis=1)
-                        dense = powers @ _P.T @ ks[j]
-                        dense *= h
-                        dense += v[j]
-                        np.maximum(dense, 0.0, out=paths[b][lo + 1:inner + 1])
-                    if inner < hi:
-                        paths[b][hi] = y5[j]
-                    grid_idx[b] = hi
-                    if hi == n_grid:
-                        finished.append(j)
-                t[b] = t_b
-                factor = (
-                    _SAFETY * err ** (-_PI_ALPHA) * err_prev[b] ** _PI_BETA
-                    if err > 0 else _MAX_FACTOR
-                )
-                h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                err_prev[b] = max(err, 1e-4)
+                elif grid_idx[b] == n_grid:
+                    finished.append(j)
+                elif y5_min[j] < 0.0:
+                    refresh.append(j)
 
             # FSAL: an accepted row's last stage is f at its new state
             if stay:
@@ -336,9 +401,11 @@ def integrate_batch(
             if finished:
                 keep = [j for j in range(len(rows)) if j not in finished]
                 rows = [rows[j] for j in keep]
+                if len(keep) == 1:
+                    keep = keep[0]
                 v = v[keep]
                 ks = ks[keep]
-                field, stages, weigh5, weigh_err, k_all = plan()
+                stages, weigh5, weigh_err = plan(ks)
 
     return [
         Trajectory(

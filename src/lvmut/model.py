@@ -297,6 +297,9 @@ def _vector_field(model: Model):
 
     The interaction kind and the outflow rates are bound once, so a caller
     that evaluates the field many times (the integrator) pays for them once.
+    One state (n,) takes its kind's own closure, which calls the ndarray.dot
+    products that _pressure and _matvec would dispatch to, in the same
+    expression and operand order; a stack takes the dispatched form.
     """
     r = model.r
     big_k = model.big_k
@@ -304,8 +307,38 @@ def _vector_field(model: Model):
     out_rates = mu.sum(axis=1)
     psi = _pressure(model)
 
-    def field(v: np.ndarray) -> np.ndarray:
+    def stacked(v: np.ndarray) -> np.ndarray:
         return v * (r - psi(v) / big_k) + _matvec(mu, v) - out_rates * v
+
+    mu_dot = mu.dot
+    inter = model.interaction
+    if isinstance(inter, UniformLinear):
+        a_dot = inter.a.dot
+
+        def field(v: np.ndarray) -> np.ndarray:
+            if v.ndim != 1:
+                return stacked(v)
+            return v * (r - a_dot(v) / big_k) + mu_dot(v) - out_rates * v
+
+    elif isinstance(inter, CrowdingLinear):
+        alpha_dot = inter.alpha.dot
+
+        def field(v: np.ndarray) -> np.ndarray:
+            if v.ndim != 1:
+                return stacked(v)
+            return v * (r - alpha_dot(r * v) / big_k) + mu_dot(v) - out_rates * v
+
+    else:
+        a_dot = inter.base.a.dot
+        w_dot = inter.w.dot
+        eps_amp = inter.eps * inter.amp
+        tanh = np.tanh
+
+        def field(v: np.ndarray) -> np.ndarray:
+            if v.ndim != 1:
+                return stacked(v)
+            psi_v = a_dot(v) + eps_amp * tanh(w_dot(v))
+            return v * (r - psi_v / big_k) + mu_dot(v) - out_rates * v
 
     return field
 

@@ -369,6 +369,21 @@ def test_overflowing_inputs_fail_without_numpy_warnings(
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_simulate_with_atol_zero_keeps_a_zero_genotype_at_zero(capsys, tmp_path):
+    # the genotype that starts at 0 has error scale 0 throughout; it used to
+    # turn every error into NaN and end in StepSizeUnderflow (exit 3)
+    model = {"n": 2, "r": [1.0, 2.0], "K": 10.0, "mu": [[0.0, 0.0], [0.0, 0.0]],
+             "interaction": {"kind": "uniform", "a": [1.0, 1.0]}}
+    path = _scenario(tmp_path, model, initial=[1.0, 0.0], t_end=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "simulate", "--scenario", path, "--atol", "0")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert float(rows[-1][0]) == 5.0
+    assert all(row[2] == "0" for row in rows)
+
+
 _WIDE_BOX = {"interaction": {"kind": "crowding", "alpha": [[1.0, 0.0], [0.5, 1.0]]}}
 
 

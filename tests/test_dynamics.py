@@ -462,6 +462,54 @@ def test_non_finite_attempt_does_not_poison_the_retry(monkeypatch):
                                                 1e-10, preset.t_end / 500.0, reference_field))
 
 
+def _counting_field(monkeypatch, model):
+    """Count the integrator's field evaluations: the model's field, wrapped
+    as `_field_failing_at` wraps it, with no evaluation failing."""
+    field, calls = _field_failing_at(model, 0)
+    monkeypatch.setattr(dynamics, "_vector_field", lambda model: field)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_one_row_takes_six_field_calls_per_attempt(monkeypatch, name):
+    # one call at the start, then six stages per attempt: FSAL reuses the
+    # last stage of an accepted step, and a rejected one keeps f(v)
+    preset = get_preset(name)
+    calls = _counting_field(monkeypatch, preset.model)
+    traj = integrate(preset.model, preset.v0, preset.t_end)
+    assert len(calls) == 1 + 6 * (traj.accepted_steps + traj.rejected_steps)
+    assert all(x.shape == (preset.model.n,) for x in calls[1:])
+
+
+def test_batch_takes_six_field_calls_per_lockstep_attempt(monkeypatch):
+    # the rows attempt their steps together until each finishes, so the
+    # attempts in lockstep are the most any row makes; none is clipped here
+    model, starts = _c04_starts()
+    calls = _counting_field(monkeypatch, model)
+    batch = integrate_batch(model, starts, 200.0, rtol=1e-10, atol=1e-12, record_every=200.0)
+    lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
+    assert len(calls) == 1 + 6 * lockstep
+    assert calls[0].shape == starts.shape
+
+
+def test_atol_zero_keeps_a_zero_genotype_at_zero():
+    # with atol = 0 the genotype that starts at 0 has error scale 0 all the
+    # way; its error estimate is 0 as well, so it meets the tolerance
+    model = build_model(2, [1, 2], 10, np.zeros((2, 2)), uniform_linear([1, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(model, [1, 0], 5, atol=0)
+        batch = integrate_batch(model, [[1, 0], [0.5, 0], [1, 1]], 5, atol=0)
+    assert traj.times[-1] == 5.0
+    assert np.all(traj.states[:, 1] == 0.0)
+    assert traj.rejected_steps == 0
+    assert traj.tol_used == (1e-8, 0.0)
+    assert np.all(batch[1].states[:, 1] == 0.0)
+    assert np.all(batch[2].states[1:] > 0.0)
+    _assert_same_run(batch[0], (traj.times, traj.states, traj.accepted_steps,
+                                traj.rejected_steps))
+
+
 def _hypercube16():
     rng = np.random.default_rng(16)
     r = rng.uniform(0.8, 1.2, size=16)
@@ -495,9 +543,17 @@ def test_batch_rows_equal_their_single_runs(name):
 
 
 def test_batch_rows_equal_the_reference_loop():
+    # every interaction kind binds its own one-state field: a stack's rows,
+    # which start on the stacked field, must match the plain loop on it
     model, starts = _hypercube16()
     for v0, traj in zip(starts[:2], integrate_batch(model, starts[:2], 5.0, record_every=0.5)):
         _assert_same_run(traj, _reference_integrate(model, v0, 5.0, 1e-8, 1e-10, 0.5))
+    for name in ("crowd3", "pert2"):
+        model, starts, kwargs = _batch_case(name)
+        t_end = kwargs["t_end"]
+        for v0, traj in zip(starts, integrate_batch(model, starts, t_end)):
+            _assert_same_run(traj, _reference_integrate(model, v0, t_end, 1e-8, 1e-10,
+                                                        t_end / 500.0))
 
 
 def test_batch_rows_with_rejections_equal_their_single_runs():
@@ -592,13 +648,21 @@ def test_batch_non_finite_stage_rejects_its_row_quietly(monkeypatch):
 def test_clipped_state_refreshes_its_first_stage(monkeypatch):
     # a field that falls faster below zero: an accepted step that lands in
     # (-atol, 0) is clipped, and f at the clipped state replaces the FSAL stage
+    calls = []
+
     def field(model):
-        return lambda x: np.where(x < 0.0, -2.0, -1.0)
+        def g(x):
+            calls.append(x.shape)
+            return np.where(x < 0.0, -2.0, -1.0)
+        return g
 
     monkeypatch.setattr(dynamics, "_vector_field", field)
     model = get_preset("sym2").model
     starts = np.array([[1.0, 1.5], [0.7, 2.0]])
     batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=0.5)
+    # each refresh is one call beyond the six per lockstep attempt
+    lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
+    assert len(calls) > 1 + 6 * lockstep
     for v0, traj in zip(starts, batch):
         _assert_same_run(traj, _reference_integrate(model, v0, 4.0, 0.0, 0.5, 0.5, field(model)))
     assert np.all(batch[0].states[-1] == 0.0)
