@@ -156,14 +156,18 @@ def test_eigenvector_scaling_rejects_state_dependent_pressures():
 # sha256 of the bytes of v_bar and of the path residuals, recorded when every
 # Newton step still ran solve_linear's SVD test; crowd3 and pert2 re-recorded
 # when the anchor became the exact linear-part scaling and stage 0 a Newton
-# stage (crowd3's v_bar moved 1.0e-15 relative, pert2's path[0] residual 2e-12)
+# stage (crowd3's v_bar moved 1.0e-15 relative, pert2's path[0] residual 2e-12);
+# crowd16 re-recorded when every stage stopped on the relative Newton
+# correction and the s = 1 stage replaced the polish (v_bar moved 8.5e-15
+# relative, the final residual 5.7e-16 -> 1.9e-15, stages 0.6-0.95 by at
+# most 2.8e-12 relative)
 _HOMOTOPY_GOLDEN = {
     "crowd3": ("e8ecae9caf08db802ac5502cd98a2c26494f4e22e0c2c3c01fc3a03bfcbe30ec",
                "7cfefec3475160274a797709c26322a6d686e7469a9d2f8a393688e2eb203a5e"),
     "pert2": ("003e88ea593141a60165a802e14b8cc6088fb3560eef9b63afb9aab9d280ac86",
               "ab8d78e313f90a26f1c0aa7cff4a255b51dc70753bdb777c07fb1bad9e951ea1"),
-    "crowd16": ("de244b22ef256b6cc9cc35dc417b87d3c21db5d1817f9eddd0bbbf1decaf0eaf",
-                "c0a7d45203374184498ab178f306b34314923806e671ef1312e963254b97d2e3"),
+    "crowd16": ("76e3cb72c271ab77d558e9590d8aeb27c3f44c0aa574029b9ce2f9c5b5c9ac5c",
+                "3f605d8925f33ea2a62337a6a8dd5c064022f13f17ec6effd145338db4df86ad"),
 }
 
 

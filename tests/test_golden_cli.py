@@ -74,7 +74,11 @@ def _digest(argv: list[str], out_dir) -> str:
 # trajectory samples began to come from the continuous extension; the
 # equilibrium (crowd3, pert2), spectrum, entropy, rates and stability-force
 # entries of crowd3 and sweep.mut4 re-recorded when the homotopy's anchor
-# became the exact linear-part scaling (rounding-level moves)
+# became the exact linear-part scaling (rounding-level moves); sweep.fit2asym
+# and sweep.mut4 re-recorded when homotopy stages began to stop on the
+# relative Newton correction (fit2asym's eps = 1e-4 row v_bar by 1.2e-14,
+# within the 1e-13 stop, its l1 distance 9.3e-9 relative; the other rows by
+# an ulp or two)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
@@ -112,8 +116,8 @@ _GOLDEN = {
     "stability.pert2": "5ec8dd469ec7c5f9908a4506ab4edcc8e36a82c22cbe1ad14bdb390fe305aaa5",
     "stability.crowd3": "26d614a6f573fc8e76babd27796f558a10ee149b2e55d39521e38f9525b1d5f8",
     "sweep.sym2": "55f14b6e177ef54e849563710305880b96d60a605fbf007ff84a1dd58782f38e",
-    "sweep.fit2asym": "63571131dbff2388402165529ca42a297bffcbeef9231f521786233562228a90",
-    "sweep.mut4": "14c5e0751561e2ab78a41912d7df25fdbacb401fceb4d4a33ec5f3ff82f419c7",
+    "sweep.fit2asym": "84744e2f64888eb7f0fdf5df6b266fbca1868370e5bb93107ce0e556a4c4c24a",
+    "sweep.mut4": "9bc5fa8af3f894073f393681507c4439b8fdf8e952688fdc9e4d939f5b9c3406",
     "sweep.pert2": "55f14b6e177ef54e849563710305880b96d60a605fbf007ff84a1dd58782f38e",
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
