@@ -9,7 +9,9 @@ Every continuation stage, the last one included, is solved by one damped
 Newton loop on G_s(v) = (R+M) v - Psi^s(v) v / K. A stage is accepted when
 the Newton correction at v is at most _NEWTON_TOL max(1, ||v||_inf), a stop
 relative to the size of v, so it holds for any carrying capacity K. The
-accepted point is v itself, not v plus that last (rounding-level) correction.
+accepted point is v itself, not v plus that last correction, so a stage
+that its start already solves (every stage of a uniform kind) returns the
+start bit for bit.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ class Method(Enum):
 
 
 _NEWTON_TOL = 1e-13  # bound on the Newton correction, relative to max(1, ||v||_inf)
-_MAX_INNER = 10_000  # Newton steps per stage
+_MAX_INNER = 100     # Newton steps per stage (the ladder rungs take at most 26)
 _DAMPING = 0.5       # backtracking factor of a damped Newton step
 
 

@@ -75,7 +75,7 @@ class Hypothesis3Violated(LvmutError):
 class InnerNoConvergence(LvmutError):
     def __init__(self, s: float, message: str = ""):
         self.s = s
-        super().__init__(message or f"fixed-point iteration stalled at s={s!r}")
+        super().__init__(message or f"Newton iteration stalled at s={s!r}")
 
 
 class LeftAprioriBox(LvmutError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lvmut import equilibrium
 from lvmut.equilibrium import (
     HomotopyConfig,
     Method,
@@ -15,6 +16,7 @@ from lvmut.equilibrium import (
 )
 from lvmut.errors import (
     Hypothesis3Violated,
+    InnerNoConvergence,
     LeftAprioriBox,
     SingularMatrix,
     WrongInteractionKind,
@@ -80,12 +82,29 @@ def test_every_preset_equilibrium_is_positive():
         assert eq.residual <= 1e-10
 
 
-def test_homotopy_agrees_with_eigenvector_scaling():
+def _spy_on_solves(monkeypatch) -> list:
+    """Record the matrix of every np.linalg.solve call."""
+    matrices = []
+    solve = np.linalg.solve
+
+    def spy(mat, b):
+        matrices.append(np.array(mat))
+        return solve(mat, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return matrices
+
+
+def test_homotopy_agrees_with_eigenvector_scaling(monkeypatch):
+    # every stage of a uniform kind stops at its start, one solve each
+    solves = _spy_on_solves(monkeypatch)
     for name in ("sym2", "fit2asym", "mut4"):
         model = get_preset(name).model
         direct = equilibrium_uniform(model)
+        solves.clear()
         cont = equilibrium_homotopy(model)
-        assert np.max(np.abs(direct.v_bar - cont.v_bar)) < 1e-8
+        assert cont.v_bar.tobytes() == direct.v_bar.tobytes()
+        assert len(solves) == HomotopyConfig.s_steps
         assert cont.method is Method.Homotopy
         assert cont.alpha_bar is None
 
@@ -184,6 +203,41 @@ def test_homotopy_is_bit_identical(name):
     residuals = np.array([res for _, _, res in eq.homotopy_path])
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (eq.v_bar, residuals))
     assert digests == _HOMOTOPY_GOLDEN[name]
+
+
+def test_newton_solves_once_per_step_and_never_against_r_plus_m(monkeypatch):
+    model = get_preset("crowd3").model
+    a = growth_mutation_matrix(model)
+    solves = _spy_on_solves(monkeypatch)
+    jacobians = []
+    jacobian = equilibrium._jacobian
+
+    def counted(*args):
+        jacobians.append(None)
+        return jacobian(*args)
+
+    monkeypatch.setattr(equilibrium, "_jacobian", counted)
+    equilibrium_homotopy(model)
+    assert len(solves) == len(jacobians) == 81
+    assert not any(np.array_equal(mat, a) for mat in solves)
+
+
+@pytest.mark.parametrize("big_k", [1e4, 1e5, 1e6])
+def test_large_carrying_capacity_solves(big_k):
+    # an absolute stop on the stage update fell below rounding here
+    crowd3 = get_preset("crowd3").model
+    model = build_model(crowd3.n, crowd3.r, big_k, crowd3.mu, crowd3.interaction)
+    eq = equilibrium_homotopy(model)
+    assert np.all(eq.v_bar > 0.0)
+    assert eq.residual <= 1e-13 * np.max(eq.v_bar)
+
+
+def test_newton_steps_per_stage_are_bounded(monkeypatch):
+    # crowd3's s = 0 stage is solved at its start; s = 0.05 needs a step
+    monkeypatch.setattr(equilibrium, "_MAX_INNER", 1)
+    with pytest.raises(InnerNoConvergence) as info:
+        equilibrium_homotopy(get_preset("crowd3").model)
+    assert info.value.s == 0.05
 
 
 # -- the anchor -------------------------------------------------------------------
