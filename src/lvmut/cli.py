@@ -446,6 +446,9 @@ def main(argv=None) -> int:
             code = args.fn(args)
     except LvmutError as exc:
         return _fail(exc.exit_code, type(exc).__name__, str(exc))
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failed dense kernel is a solver failure
+        return _fail(3, type(exc).__name__, str(exc))
     except (ValueError, KeyError, OSError) as exc:
         return _fail(2, type(exc).__name__, str(exc))
     for message in dict.fromkeys(str(w.message) for w in caught):

@@ -445,6 +445,18 @@ def test_every_error_class_keeps_its_exit_code(capsys, monkeypatch):
         assert json.loads(err)["error"] == name
 
 
+def test_failed_dense_kernel_is_a_solver_error(capsys, monkeypatch):
+    def failing(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    code, out, err = _run(capsys, "equilibrium", "--preset", "crowd3")
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "LinAlgError"
+    assert payload["message"] == "Eigenvalues did not converge"
+
+
 def test_negative_v0_flag_rejected(capsys):
     code, _, err = _run(capsys, "simulate", "--preset", "sym2", "--v0=-1,2")
     assert code == 2
