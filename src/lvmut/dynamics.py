@@ -142,12 +142,17 @@ def _zero_scale_sq_sum(q: np.ndarray, err_est: np.ndarray, scale: np.ndarray) ->
 def _start_step(v0: np.ndarray, k1: np.ndarray, rtol: float, atol: float,
                 t_end: float) -> float:
     """A modest start-up step from the state v0 and its field k1; the
-    controller adapts within a few steps. A zero scale (atol = 0 on a zero
-    component) makes the norms NaN, which selects the fixed fallback."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale0 = atol + rtol * np.abs(v0)
-        d0 = float(np.sqrt(np.mean((v0 / scale0) ** 2)))
-        d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
+    controller adapts within a few steps. A component with scale 0 (atol = 0
+    on a zero component) is left out of both norms; the fixed fallback
+    1e-6 t_end serves when no norm is positive."""
+    scale0 = atol + rtol * np.abs(v0)
+    kept = scale0 > 0.0
+    if not kept.all():
+        v0, k1, scale0 = v0[kept], k1[kept], scale0[kept]
+    if not v0.size:
+        return min(1e-6 * t_end, t_end / 10.0)
+    d0 = float(np.sqrt(np.mean((v0 / scale0) ** 2)))
+    d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
     h = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
     return min(h, t_end / 10.0)
 
