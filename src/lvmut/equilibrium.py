@@ -183,8 +183,8 @@ def _jacobian(
     G_s(v) = a v - Psi^s(v) v / K at v, given psi_s = Psi^s(v)."""
     big_k = model.big_k
     grad = interaction_gradient(model, v)
-    grad_s = s * grad + (1.0 - s) * np.broadcast_to(grad[0], grad.shape)
-    return a - np.diag(psi_s) / big_k - (v[:, None] * grad_s) / big_k
+    grad_s = s * grad + (1.0 - s) * grad[0]
+    return a - np.diag(psi_s / big_k) - (v[:, None] * grad_s) / big_k
 
 
 def _newton(
@@ -275,4 +275,3 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
         method=Method.Homotopy,
         homotopy_path=path,
     )
-
