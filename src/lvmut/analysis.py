@@ -8,14 +8,22 @@ import numpy as np
 
 from .errors import (
     AsymmetricMutation,
+    InnerNoConvergence,
     InsufficientTail,
     KernelMismatch,
+    LeftAprioriBox,
     NonPositiveReference,
     OutOfTheoremScope,
+    SingularMatrix,
 )
 from .dynamics import Trajectory, integrate_batch
 from .entropy import decompose
-from .equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
+from .equilibrium import (
+    _solve_from,
+    equilibrium_auto,
+    equilibrium_homotopy,
+    equilibrium_uniform,
+)
 from .linalg import symmetric_spectrum
 from .model import (
     Model,
@@ -248,9 +256,15 @@ def global_stability_experiment(
 def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable:
     """Equilibrium displacement under growing tanh perturbations of the pressure.
 
-    The base row (eps = 0) uses the eigenvector-scaling equilibrium; each
-    perturbed row solves by continuation and records the l1 displacement,
-    its ratio to sqrt(eps), and the uniform pressure shift sigma.
+    The base row (eps = 0) uses the eigenvector-scaling equilibrium. The
+    rows then follow the branch in eps: each perturbed row is one s = 1
+    Newton run (equilibrium._solve_from) started at the v_bar of the last
+    row that solved, so its first step is the tangent predictor to first
+    order in the eps increment. A row whose run leaves the a-priori box,
+    does not converge or meets a singular Jacobian is solved by
+    equilibrium_homotopy instead. Each row records the l1 displacement, its
+    ratio to sqrt(eps), and the uniform pressure shift sigma; a row that
+    fails records its error and leaves the next row's start unchanged.
     """
     if not isinstance(base_model.interaction, UniformLinear):
         raise OutOfTheoremScope("the sweep perturbs a uniform linear base")
@@ -273,18 +287,23 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
             eps=0.0, v_bar=v0.copy(), l1_distance=0.0, ratio=None, sigma=0.0
         )
     ]
+    v_start = v0
     for eps, pert_model in zip(eps_grid, pert_models):
         sigma = eps * amp_sup
         try:
             rep = validate(pert_model)
             if not rep.h1_monotone:
                 raise OutOfTheoremScope("perturbation too large for monotone pressures")
-            eq = equilibrium_homotopy(pert_model)
-            dist = float(np.sum(np.abs(eq.v_bar - v0)))
+            try:
+                v_bar = _solve_from(pert_model, rep, v_start)
+            except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
+                v_bar = equilibrium_homotopy(pert_model).v_bar
+            v_start = v_bar
+            dist = float(np.sum(np.abs(v_bar - v0)))
             rows.append(
                 PerturbationRow(
                     eps=eps,
-                    v_bar=eq.v_bar,
+                    v_bar=v_bar,
                     l1_distance=dist,
                     ratio=dist / math.sqrt(eps),
                     sigma=sigma,

@@ -11,7 +11,8 @@ the Newton correction at v is at most _NEWTON_TOL max(1, ||v||_inf), a stop
 relative to the size of v, so it holds for any carrying capacity K. The
 accepted point is v itself, not v plus that last correction, so a stage
 that its start already solves (every stage of a uniform kind) returns the
-start bit for bit.
+start bit for bit. A start already near the answer, such as the previous
+row of a perturbation sweep, needs only the last stage (_solve_from).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,13 +34,15 @@ from .errors import (
 )
 from .linalg import _PIVOT_REL, PerronResult, perron_eigenpair, require_nonsingular
 from .model import (
+    HypothesisReport,
     Model,
     Perturbed,
     UniformLinear,
+    _gradient,
     _linear_coefficients,
     _pressure_values,
+    _vector_field,
     growth_mutation_matrix,
-    interaction_gradient,
     rhs,
     validate,
 )
@@ -177,24 +181,42 @@ def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _jacobian(
-    model: Model, a: np.ndarray, s: float, v: np.ndarray, psi_s: np.ndarray
+    a: np.ndarray, big_k: float, s: float, v: np.ndarray, psi_s: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
     """J_s = a - diag(Psi^s)/K - (v outer grad Psi^s)/K, the Jacobian of
-    G_s(v) = a v - Psi^s(v) v / K at v, given psi_s = Psi^s(v)."""
-    big_k = model.big_k
-    grad = interaction_gradient(model, v)
+    G_s(v) = a v - Psi^s(v) v / K at v, given psi_s = Psi^s(v) and grad = Psi'(v)."""
     grad_s = s * grad + (1.0 - s) * grad[0]
     return a - np.diag(psi_s / big_k) - (v[:, None] * grad_s) / big_k
 
 
-def _newton(
-    model: Model,
-    a: np.ndarray,
-    s: float,
-    v: np.ndarray,
-    box_lo: float,
-    box_hi: float,
-) -> np.ndarray:
+class _System(NamedTuple):
+    """What every Newton stage on one model shares, built once per solve."""
+
+    a: np.ndarray                                # R + M
+    box_lo: float                                # the a-priori box on the total
+    box_hi: float
+    pressure: Callable[[np.ndarray], np.ndarray]  # v -> Psi(v)
+    gradient: Callable[[np.ndarray], np.ndarray]  # v -> Psi'(v), C bound once
+
+
+def _prepare(model: Model, report: HypothesisReport) -> _System:
+    """The checks and set-up of every continuation, given validate(model):
+    the outflow hypothesis (h3 for symmetric mutation, h4 otherwise), R+M
+    nonsingular, and the a-priori box."""
+    if report.h1_symmetry:
+        if not report.h3_half:
+            raise Hypothesis3Violated("mutation outflow must stay within r/2")
+    elif not report.h4_third:
+        raise Hypothesis3Violated(
+            "asymmetric mutation requires symmetrized outflow within r/3"
+        )
+    a = growth_mutation_matrix(model)
+    require_nonsingular(a)
+    box_lo, box_hi = _apriori_box(model)
+    return _System(a, box_lo, box_hi, _pressure_values(model), _gradient(model))
+
+
+def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarray:
     """Drive the stage-s stationarity residual G_s to zero by damped Newton.
 
     Each iteration solves J_s x = -G_s(v) once. The stage is done, and v
@@ -203,7 +225,7 @@ def _newton(
     until the candidate stays in the box and lowers ||G_s||_inf.
     """
     big_k = model.big_k
-    pressure = _pressure_values(model)
+    a, box_lo, box_hi, pressure, gradient = system
 
     def stage_pressure(x: np.ndarray) -> np.ndarray:
         psi = pressure(x)
@@ -212,7 +234,7 @@ def _newton(
     for _ in range(_MAX_INNER):
         psi_s = stage_pressure(v)
         g = a @ v - psi_s * v / big_k
-        step = _guarded_solve(_jacobian(model, a, s, v, psi_s), -g)
+        step = _guarded_solve(_jacobian(a, big_k, s, v, psi_s, gradient(v)), -g)
         if _sup(step) <= _NEWTON_TOL * max(1.0, _sup(v)):
             return v
         g_norm = _sup(g)
@@ -247,31 +269,35 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     absorbed by the s = 0 stage, and the s = 1 stage solves the full
     stationarity equation.
     """
-    report = validate(model)
-    if report.h1_symmetry:
-        if not report.h3_half:
-            raise Hypothesis3Violated("mutation outflow must stay within r/2")
-    elif not report.h4_third:
-        raise Hypothesis3Violated(
-            "asymmetric mutation requires symmetrized outflow within r/3"
-        )
-
-    a = growth_mutation_matrix(model)
-    require_nonsingular(a)
-    box_lo, box_hi = _apriori_box(model)
-    per, v = _anchor(model, a)
-    if not _in_box(v, box_lo, box_hi):
+    system = _prepare(model, validate(model))
+    per, v = _anchor(model, system.a)
+    if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(0.0)
+    vector_field = _vector_field(model)
     path = []
     for s in np.linspace(0.0, 1.0, HomotopyConfig.s_steps):
-        v = _newton(model, a, float(s), v, box_lo, box_hi)
-        path.append((float(s), v.copy(), residual(model, v)))
+        v = _newton(model, system, float(s), v)
+        path.append((float(s), v.copy(), _sup(vector_field(v))))
 
     return EquilibriumResult(
         v_bar=v,
         alpha_bar=None,
         lambda_p=per.lambda_p,
-        residual=residual(model, v),
+        residual=path[-1][2],
         method=Method.Homotopy,
         homotopy_path=path,
     )
+
+
+def _solve_from(model: Model, report: HypothesisReport, v: np.ndarray) -> np.ndarray:
+    """The stationary state by one s = 1 _newton run started at v, given
+    report = validate(model).
+
+    It runs under equilibrium_homotopy's checks and box, and is accepted by
+    the same stop as the homotopy's last stage. A start outside the box
+    raises LeftAprioriBox(1.0), like a Newton run that leaves it.
+    """
+    system = _prepare(model, report)
+    if not _in_box(v, system.box_lo, system.box_hi):
+        raise LeftAprioriBox(1.0)
+    return _newton(model, system, 1.0, v)

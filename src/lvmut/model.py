@@ -282,14 +282,24 @@ def _linear_coefficients(model: Model) -> np.ndarray:
     return np.tile(a, (model.n, 1))
 
 
-def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
-    """Jacobian of Psi at v, row i = grad of Psi_i: C plus the tanh term's slope."""
+def _gradient(model: Model):
+    """v -> interaction_gradient(model, v), with C bound once for a solver
+    that evaluates the gradient at every Newton step."""
     coeff = _linear_coefficients(model)
     inter = model.interaction
     if not isinstance(inter, Perturbed):
-        return coeff
-    th = np.tanh(inter.w @ np.asarray(v, dtype=float))
-    return coeff + inter.eps * (inter.amp * (1.0 - th * th))[:, None] * inter.w
+        return lambda v: coeff
+
+    def gradient(v: np.ndarray) -> np.ndarray:
+        th = np.tanh(inter.w @ np.asarray(v, dtype=float))
+        return coeff + inter.eps * (inter.amp * (1.0 - th * th))[:, None] * inter.w
+
+    return gradient
+
+
+def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
+    """Jacobian of Psi at v, row i = grad of Psi_i: C plus the tanh term's slope."""
+    return _gradient(model)(v)
 
 
 def _vector_field(model: Model):

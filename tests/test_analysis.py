@@ -1,10 +1,11 @@
 """Spectral gap, rate fitting, basin experiments, perturbation sweeps."""
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lvmut import analysis
+from lvmut import analysis, equilibrium
 from lvmut.analysis import (
     convergence_rate,
     global_stability_experiment,
@@ -13,16 +14,20 @@ from lvmut.analysis import (
 )
 from lvmut.dynamics import Trajectory, integrate
 from lvmut.entropy import decompose
-from lvmut.equilibrium import equilibrium_auto, equilibrium_uniform
+from lvmut.equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from lvmut.errors import (
     AsymmetricMutation,
     DimensionMismatch,
+    Hypothesis3Violated,
+    InnerNoConvergence,
     InsufficientTail,
+    LeftAprioriBox,
     NonPositiveRate,
     NonPositiveReference,
     OutOfTheoremScope,
+    SingularMatrix,
 )
-from lvmut.model import build_model, uniform_linear
+from lvmut.model import Perturbed, build_model, perturbed, uniform_linear
 from lvmut.presets import get_preset
 
 _SYM2_VBAR = np.array([5.0, 5.0])
@@ -276,3 +281,109 @@ def test_perturbation_sweep_isolates_failed_rows():
     assert rows[2].failed
     assert rows[2].v_bar is None
     assert "OutOfTheoremScope" in rows[2].error
+
+
+# -- the sweep as continuation in eps ----------------------------------------------
+
+_SWEEP_GRIDS = {
+    "cli": [1e-4, 4e-4, 1.6e-3, 6.4e-3],
+    "readme": [float(e) for e in np.geomspace(1e-6, 1e-2, 9)],
+}
+
+
+def _sweep_inputs(name):
+    """A preset's uniform base and a tanh perturbation: its own for a perturbed
+    preset, else pert2's bump on each pair of genotypes (the cli workload's)."""
+    model = get_preset(name).model
+    if isinstance(model.interaction, Perturbed):
+        inter = model.interaction
+        return replace(model, interaction=inter.base), inter.amp, inter.w
+    amp, w = _pert2_params()
+    return model, np.tile(amp, model.n // 2), np.kron(np.eye(model.n // 2), w)
+
+
+def _row_model(base, amp, w, eps):
+    return build_model(base.n, base.r, base.big_k, base.mu,
+                       perturbed(base.interaction, eps, amp, w))
+
+
+@pytest.mark.parametrize("grid", sorted(_SWEEP_GRIDS))
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4", "pert2"])
+def test_sweep_rows_match_the_homotopy(name, grid):
+    base, amp, w = _sweep_inputs(name)
+    table = perturbation_sweep(base, amp, w, _SWEEP_GRIDS[grid])
+    for row in table.rows[1:]:
+        assert not row.failed, row.error
+        ref = equilibrium_homotopy(_row_model(base, amp, w, row.eps)).v_bar
+        assert np.max(np.abs(row.v_bar - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid, solves", [("cli", 12), ("readme", 25)])
+def test_sweep_solve_counts_on_pert2(monkeypatch, grid, solves):
+    # a fresh 21-stage homotopy per row took 252 and 505
+    base, amp, w = _sweep_inputs("pert2")
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(mat, b):
+        calls.append(None)
+        return solve(mat, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    perturbation_sweep(base, amp, w, _SWEEP_GRIDS[grid])
+    assert len(calls) == solves
+
+
+def _failing_newton(monkeypatch, exc, times):
+    """Make the first `times` s = 1 _newton runs raise exc."""
+    newton = equilibrium._newton
+    raised = []
+
+    def failing(model, system, s, v):
+        if s == 1.0 and len(raised) < times:
+            raised.append(s)
+            raise exc
+        return newton(model, system, s, v)
+
+    monkeypatch.setattr(equilibrium, "_newton", failing)
+
+
+@pytest.mark.parametrize(
+    "exc", [LeftAprioriBox(1.0), InnerNoConvergence(1.0), SingularMatrix("singular")]
+)
+def test_sweep_row_falls_back_to_the_homotopy(monkeypatch, exc):
+    base, amp, w = _sweep_inputs("pert2")
+    ref = equilibrium_homotopy(_row_model(base, amp, w, 1e-4)).v_bar
+    _failing_newton(monkeypatch, exc, times=1)
+    row = perturbation_sweep(base, amp, w, [1e-4]).rows[1]
+    assert not row.failed
+    assert row.v_bar.tobytes() == ref.tobytes()
+
+
+def test_sweep_row_that_fails_in_the_fallback_keeps_the_homotopy_error(monkeypatch):
+    base, amp, w = _sweep_inputs("pert2")
+    _failing_newton(monkeypatch, InnerNoConvergence(1.0), times=math.inf)
+    with pytest.raises(InnerNoConvergence) as info:
+        equilibrium_homotopy(_row_model(base, amp, w, 1e-4))
+    row = perturbation_sweep(base, amp, w, [1e-4]).rows[1]
+    assert row.failed
+    assert row.error == f"InnerNoConvergence: {info.value}"
+
+
+def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatch):
+    base, amp, w = _sweep_inputs("pert2")
+    solve_from = analysis._solve_from
+    starts = []
+
+    def spy(model, report, v):
+        starts.append(v.copy())
+        if len(starts) == 2:
+            raise Hypothesis3Violated("row 2 fails")
+        return solve_from(model, report, v)
+
+    monkeypatch.setattr(analysis, "_solve_from", spy)
+    rows = perturbation_sweep(base, amp, w, [1e-4, 4e-4, 1.6e-3]).rows
+    assert [row.failed for row in rows] == [False, False, True, False]
+    assert starts[0].tobytes() == rows[0].v_bar.tobytes()
+    assert starts[1].tobytes() == rows[1].v_bar.tobytes()
+    assert starts[2].tobytes() == rows[1].v_bar.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lvmut import equilibrium
+from lvmut import model as model_module
 from lvmut.equilibrium import (
     HomotopyConfig,
     Method,
@@ -220,6 +221,28 @@ def test_newton_solves_once_per_step_and_never_against_r_plus_m(monkeypatch):
     equilibrium_homotopy(model)
     assert len(solves) == len(jacobians) == 81
     assert not any(np.array_equal(mat, a) for mat in solves)
+
+
+def test_linear_coefficients_are_built_a_fixed_number_of_times(monkeypatch):
+    # crowd3 takes 81 Newton solves, pert2 63 and sym2 21; C is built by
+    # validate (its coercivity check, and its monotonicity check unless the
+    # kind is perturbed), the anchor, the box and the solve's gradient, not
+    # once per step
+    counts = []
+    build = model_module._linear_coefficients
+
+    def counted(model):
+        counts.append(None)
+        return build(model)
+
+    monkeypatch.setattr(model_module, "_linear_coefficients", counted)
+    monkeypatch.setattr(equilibrium, "_linear_coefficients", counted)
+    per_homotopy = {}
+    for name in ("sym2", "pert2", "crowd3"):
+        counts.clear()
+        equilibrium_homotopy(get_preset(name).model)
+        per_homotopy[name] = len(counts)
+    assert per_homotopy == {"sym2": 5, "pert2": 4, "crowd3": 5}
 
 
 @pytest.mark.parametrize("big_k", [1e4, 1e5, 1e6])
