@@ -78,7 +78,11 @@ def _digest(argv: list[str], out_dir) -> str:
 # and sweep.mut4 re-recorded when homotopy stages began to stop on the
 # relative Newton correction (fit2asym's eps = 1e-4 row v_bar by 1.2e-14,
 # within the 1e-13 stop, its l1 distance 9.3e-9 relative; the other rows by
-# an ulp or two)
+# an ulp or two); sweep.sym2, sweep.fit2asym, sweep.mut4 and sweep.pert2
+# re-recorded when each sweep row became one Newton run from the previous
+# row (every row moves within the 1e-13 stop: v_bar by at most 5.3e-15
+# relative on sym2 and pert2, 7.2e-14 on fit2asym and 1.1e-15 on mut4; l1
+# distance by at most 6.2e-12, 9.4e-9 and 1.5e-11 relative)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
@@ -115,10 +119,10 @@ _GOLDEN = {
     "stability.mut4": "a5d58ab0fff850d09d1b38fa99dd8eed134403de44032d548ab503e16cd44f1d",
     "stability.pert2": "5ec8dd469ec7c5f9908a4506ab4edcc8e36a82c22cbe1ad14bdb390fe305aaa5",
     "stability.crowd3": "26d614a6f573fc8e76babd27796f558a10ee149b2e55d39521e38f9525b1d5f8",
-    "sweep.sym2": "55f14b6e177ef54e849563710305880b96d60a605fbf007ff84a1dd58782f38e",
-    "sweep.fit2asym": "84744e2f64888eb7f0fdf5df6b266fbca1868370e5bb93107ce0e556a4c4c24a",
-    "sweep.mut4": "9bc5fa8af3f894073f393681507c4439b8fdf8e952688fdc9e4d939f5b9c3406",
-    "sweep.pert2": "55f14b6e177ef54e849563710305880b96d60a605fbf007ff84a1dd58782f38e",
+    "sweep.sym2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
+    "sweep.fit2asym": "5adde8b34f108540ad96960e8543d92de3072be73227156f3249b0cf6a759dd2",
+    "sweep.mut4": "a1ffe59a4e1cdccbac791255ef646a8451c0c18b431d36d88b7ffbc506b2abab",
+    "sweep.pert2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
     "stability-force.crowd3": "824b42207d4c0678b178abcbfe1012eed47d098550942ec6ba19240b20655a30",
