@@ -1,7 +1,8 @@
 """Command-line front end: scenario loading, dispatch, CSV/JSON artifacts.
 
-Exit codes: 0 success, 1 validation or verification failure, 2 usage error,
-3 solver failure. Errors go to stderr as one JSON object.
+Exit codes: 0 success, 1 validation or verification failure (or an
+unexpected internal error), 2 usage error, 3 solver failure. Errors go to
+stderr as one JSON object.
 """
 from __future__ import annotations
 
@@ -451,6 +452,8 @@ def main(argv=None) -> int:
         return _fail(3, type(exc).__name__, str(exc))
     except (ValueError, KeyError, OSError) as exc:
         return _fail(2, type(exc).__name__, str(exc))
+    except Exception as exc:  # noqa: BLE001 - last resort: no traceback reaches stderr
+        return _fail(1, type(exc).__name__, str(exc))
     for message in dict.fromkeys(str(w.message) for w in caught):
         sys.stderr.write(f"WARNING: {message}\n")
     return code

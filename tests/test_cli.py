@@ -457,6 +457,16 @@ def test_failed_dense_kernel_is_a_solver_error(capsys, monkeypatch):
     assert payload["message"] == "Eigenvalues did not converge"
 
 
+def test_unexpected_error_is_one_json_object_with_exit_1(capsys, monkeypatch):
+    def failing():
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "catalog", failing)
+    code, out, err = _run(capsys, "presets")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "RuntimeError", "message": "unexpected"}
+
+
 def test_negative_v0_flag_rejected(capsys):
     code, _, err = _run(capsys, "simulate", "--preset", "sym2", "--v0=-1,2")
     assert code == 2
