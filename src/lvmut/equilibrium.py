@@ -192,11 +192,11 @@ def _jacobian(
 class _System(NamedTuple):
     """What every Newton stage on one model shares, built once per solve."""
 
-    a: np.ndarray                                # R + M
-    box_lo: float                                # the a-priori box on the total
+    a: np.ndarray  # R + M
+    box_lo: float  # the a-priori box on the total population
     box_hi: float
     pressure: Callable[[np.ndarray], np.ndarray]  # v -> Psi(v)
-    gradient: Callable[[np.ndarray], np.ndarray]  # v -> Psi'(v), C bound once
+    gradient: Callable[[np.ndarray], np.ndarray]  # v -> Psi'(v), with C bound once
 
 
 def _prepare(model: Model, report: HypothesisReport) -> _System:
