@@ -387,3 +387,35 @@ def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatc
     assert starts[0].tobytes() == rows[0].v_bar.tobytes()
     assert starts[1].tobytes() == rows[1].v_bar.tobytes()
     assert starts[2].tobytes() == rows[1].v_bar.tobytes()
+
+
+# Each row's error on a base whose R+M is singular ([[0.1, 0.1], [0.1, 0.1]])
+# or whose asymmetric mutation breaks the outflow hypothesis, recorded when
+# every row ran its own checks; eps = 10 breaks monotonicity first.
+_SETUP_FAILURES = {
+    "singular": ([[0.0, 0.1], [0.1, 0.0]], [
+        "SingularMatrix: smallest singular value 1.32986e-17 below threshold",
+        "SingularMatrix: smallest singular value 1.32986e-17 below threshold",
+        "OutOfTheoremScope: perturbation too large for monotone pressures",
+    ]),
+    "outflow": ([[0.0, 0.15], [0.1, 0.0]], [
+        "Hypothesis3Violated: asymmetric mutation requires symmetrized outflow within r/3",
+        "Hypothesis3Violated: asymmetric mutation requires symmetrized outflow within r/3",
+        "OutOfTheoremScope: perturbation too large for monotone pressures",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SETUP_FAILURES))
+def test_sweep_rows_keep_the_set_up_errors(case):
+    mu, errors = _SETUP_FAILURES[case]
+    base = build_model(2, [0.2, 0.2], 1.0, mu, uniform_linear([1.0, 2.0]))
+    amp, w = [0.5, -0.5], np.eye(2)
+    rows = perturbation_sweep(base, amp, w, [1e-4, 1e-3, 10.0]).rows
+    assert not rows[0].failed
+    assert [row.error for row in rows[1:]] == errors
+    # the set-up errors are the homotopy's own, which does not check monotonicity
+    for row in rows[1:3]:
+        with pytest.raises(Exception) as info:
+            equilibrium_homotopy(_row_model(base, np.array(amp), w, row.eps))
+        assert row.error == f"{type(info.value).__name__}: {info.value}"
