@@ -19,6 +19,7 @@ from .errors import (
 from .dynamics import Trajectory, integrate_batch
 from .entropy import decompose
 from .equilibrium import (
+    _linear_setup,
     _solve_from,
     equilibrium_auto,
     equilibrium_homotopy,
@@ -29,6 +30,7 @@ from .model import (
     Model,
     UniformLinear,
     _linear_coefficients,
+    _monotone,
     build_model,
     mutation_symmetric,
     perturbed,
@@ -260,7 +262,9 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
     rows then follow the branch in eps: each perturbed row is one s = 1
     Newton run (equilibrium._solve_from) started at the v_bar of the last
     row that solved, so its first step is the tangent predictor to first
-    order in the eps increment. A row whose run leaves the a-priori box,
+    order in the eps increment. The checks and set-up that involve only r
+    and mu (the outflow hypothesis, R+M nonsingular, its symmetric
+    spectrum) run once per sweep. A row whose run leaves the a-priori box,
     does not converge or meets a singular Jacobian is solved by
     equilibrium_homotopy instead. Each row records the l1 displacement, its
     ratio to sqrt(eps), and the uniform pressure shift sigma; a row that
@@ -287,15 +291,22 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
             eps=0.0, v_bar=v0.copy(), l1_distance=0.0, ratio=None, sigma=0.0
         )
     ]
+    # the checks and set-up that do not depend on eps, once per sweep; a
+    # failure there is every row's error, after the row's own monotonicity
+    try:
+        linear, setup_error = _linear_setup(base_model, validate(base_model)), None
+    except Exception as exc:  # noqa: BLE001 - reported by every row
+        linear, setup_error = None, exc
     v_start = v0
     for eps, pert_model in zip(eps_grid, pert_models):
         sigma = eps * amp_sup
         try:
-            rep = validate(pert_model)
-            if not rep.h1_monotone:
+            if not _monotone(pert_model)[0]:
                 raise OutOfTheoremScope("perturbation too large for monotone pressures")
+            if setup_error is not None:
+                raise setup_error
             try:
-                v_bar = _solve_from(pert_model, rep, v_start)
+                v_bar = _solve_from(pert_model, linear, v_start)
             except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
                 v_bar = equilibrium_homotopy(pert_model).v_bar
             v_start = v_bar

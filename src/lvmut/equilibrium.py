@@ -119,7 +119,13 @@ def equilibrium_auto(model: Model) -> EquilibriumResult:
     return equilibrium_homotopy(model)
 
 
-def _apriori_box(model: Model) -> tuple[float, float]:
+def _symmetric_extremes(a: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest eigenvalue of a's symmetric part."""
+    eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
+    return float(eigenvalues[0]), float(eigenvalues[-1])
+
+
+def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> tuple[float, float]:
     """Bounds on the total population of any continuation fixed point.
 
     Sandwiching the shared quadratic form of R+M between its extreme
@@ -128,11 +134,11 @@ def _apriori_box(model: Model) -> tuple[float, float]:
     computable total-population bounds; a wide fallback box is used (and
     flagged by a warning) when R+M's symmetric part is not positive
     definite, C has a zero entry, or the offset swallows the lower bound.
+    extremes, _symmetric_extremes(R+M), is computed here unless given.
     """
-    a = growth_mutation_matrix(model)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
-    lmin = float(eigenvalues[0])
-    lmax = float(eigenvalues[-1])
+    if extremes is None:
+        extremes = _symmetric_extremes(growth_mutation_matrix(model))
+    lmin, lmax = extremes
     coeff = _linear_coefficients(model)
     cmin, kmax = float(np.min(coeff)), float(np.max(coeff))
     inter = model.interaction
@@ -199,10 +205,18 @@ class _System(NamedTuple):
     gradient: Callable[[np.ndarray], np.ndarray]  # v -> Psi'(v), with C bound once
 
 
-def _prepare(model: Model, report: HypothesisReport) -> _System:
-    """The checks and set-up of every continuation, given validate(model):
-    the outflow hypothesis (h3 for symmetric mutation, h4 otherwise), R+M
-    nonsingular, and the a-priori box."""
+class _Linear(NamedTuple):
+    """The set-up that depends on r and mu alone, which every row of a
+    perturbation sweep shares."""
+
+    a: np.ndarray  # R + M, checked nonsingular
+    extremes: tuple[float, float]  # _symmetric_extremes(a), for the box
+
+
+def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
+    """The checks of every continuation that do not involve Psi, given
+    validate(model): the outflow hypothesis (h3 for symmetric mutation, h4
+    otherwise) and R+M nonsingular."""
     if report.h1_symmetry:
         if not report.h3_half:
             raise Hypothesis3Violated("mutation outflow must stay within r/2")
@@ -212,8 +226,14 @@ def _prepare(model: Model, report: HypothesisReport) -> _System:
         )
     a = growth_mutation_matrix(model)
     require_nonsingular(a)
-    box_lo, box_hi = _apriori_box(model)
-    return _System(a, box_lo, box_hi, _pressure_values(model), _gradient(model))
+    return _Linear(a, _symmetric_extremes(a))
+
+
+def _prepare(model: Model, linear: _Linear) -> _System:
+    """The set-up of every continuation, given _linear_setup(model): the
+    a-priori box, and Psi and its gradient bound once."""
+    box_lo, box_hi = _apriori_box(model, linear.extremes)
+    return _System(linear.a, box_lo, box_hi, _pressure_values(model), _gradient(model))
 
 
 def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarray:
@@ -269,7 +289,7 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     absorbed by the s = 0 stage, and the s = 1 stage solves the full
     stationarity equation.
     """
-    system = _prepare(model, validate(model))
+    system = _prepare(model, _linear_setup(model, validate(model)))
     per, v = _anchor(model, system.a)
     if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(0.0)
@@ -289,15 +309,15 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     )
 
 
-def _solve_from(model: Model, report: HypothesisReport, v: np.ndarray) -> np.ndarray:
+def _solve_from(model: Model, linear: _Linear, v: np.ndarray) -> np.ndarray:
     """The stationary state by one s = 1 _newton run started at v, given
-    report = validate(model).
+    linear = _linear_setup(model, validate(model)).
 
     It runs under equilibrium_homotopy's checks and box, and is accepted by
     the same stop as the homotopy's last stage. A start outside the box
     raises LeftAprioriBox(1.0), like a Newton run that leaves it.
     """
-    system = _prepare(model, report)
+    system = _prepare(model, linear)
     if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(1.0)
     return _newton(model, system, 1.0, v)

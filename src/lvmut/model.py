@@ -402,6 +402,27 @@ def coercivity_params(model: Model) -> CoercivityParams | None:
     return CoercivityParams(r_ball=r_ball, kappa=kappa)
 
 
+def _monotone(model: Model) -> tuple[bool, str]:
+    """validate's h1_monotone flag and its detail: the one hypothesis that
+    depends on a perturbed kind's eps, so a sweep checks it per row."""
+    inter = model.interaction
+    if not isinstance(inter, Perturbed):
+        h1_mono = bool(np.all(_linear_coefficients(model) >= 0.0))
+        return h1_mono, "linear coefficients nonnegative" if h1_mono else (
+            "negative linear coefficient"
+        )
+    bound = inter.eps * float(
+        np.max(np.abs(inter.amp) * np.max(np.abs(inter.w), axis=1), initial=0.0)
+    )
+    a_min = float(np.min(inter.base.a))
+    h1_mono = bool(a_min > bound)
+    return h1_mono, (
+        f"min a = {a_min:g} dominates perturbation slope bound {bound:g}"
+        if h1_mono
+        else f"unverified: perturbation slope bound {bound:g} reaches min a = {a_min:g}"
+    )
+
+
 def validate(model: Model) -> HypothesisReport:
     """Check the standing hypotheses; pure and idempotent."""
     details: dict[str, str] = {}
@@ -418,23 +439,7 @@ def validate(model: Model) -> HypothesisReport:
         "mutation graph strongly connected" if h1_irr else "mutation graph disconnected"
     )
 
-    inter = model.interaction
-    if not isinstance(inter, Perturbed):
-        h1_mono = bool(np.all(_linear_coefficients(model) >= 0.0))
-        details["h1_monotone"] = "linear coefficients nonnegative" if h1_mono else (
-            "negative linear coefficient"
-        )
-    else:
-        bound = inter.eps * float(
-            np.max(np.abs(inter.amp) * np.max(np.abs(inter.w), axis=1), initial=0.0)
-        )
-        a_min = float(np.min(inter.base.a))
-        h1_mono = bool(a_min > bound)
-        details["h1_monotone"] = (
-            f"min a = {a_min:g} dominates perturbation slope bound {bound:g}"
-            if h1_mono
-            else f"unverified: perturbation slope bound {bound:g} reaches min a = {a_min:g}"
-        )
+    h1_mono, details["h1_monotone"] = _monotone(model)
 
     coer = coercivity_params(model)
     h2 = coer is not None
