@@ -1,13 +1,17 @@
 """Time integration and closed-form references.
 
-The stepper is an embedded Dormand-Prince 4(5) pair with PI step-size
-control; only t_end caps the controller's step. Samples on the uniform
-recording grid come from the pair's 4th-order continuous extension, which
-reuses the seven stages of the step that covers them, so the recording
-grid never changes the steps and finite-difference diagnostics downstream
-see a clean grid. Negative excursions beyond -atol reject the step; tiny
-negatives inside (-atol, 0) are clamped to zero, and so are interpolated
-samples, matching the positivity guarantees of the flow.
+The stepper is DOP853, Dormand and Prince's explicit Runge-Kutta pair of
+order 8 with 5th- and 3rd-order error estimates, with PI step-size
+control. Besides t_end, only a stiffness cap bounds the step: |h lambda|
+stays within _STIFF_LIMIT for the Jacobian's largest |lambda|, which one
+power iteration per attempt estimates, so the continuous extension never
+amplifies a fast mode. Samples on the uniform
+recording grid come from the pair's 7th-order continuous extension, whose
+three extra stages run only on an accepted step that holds grid times, so
+the recording grid never changes the steps and finite-difference
+diagnostics downstream see a clean grid. Negative excursions beyond -atol
+reject the step; tiny negatives inside (-atol, 0) are clamped to zero, and
+so are interpolated samples, matching the positivity guarantees of the flow.
 """
 from __future__ import annotations
 
@@ -37,49 +41,111 @@ from .model import (
     mutation_symmetric,
 )
 
-# Dormand-Prince coefficients
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_E = _B5 - _B4
-# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, section
-# II.6; Shampine 1986): y(t + sigma h) = y + h sum_s k_s sum_j _P[s, j]
-# sigma^(j+1). Row s sums to _B5[s], so sigma = 1 gives the step's y5.
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, section II.10; the
+# coefficients of Hairer's dop853.f, to 17 digits). Stage s = 1..11 is f at
+# v + h _A[s] @ k[:s]; the step's result is y = v + h _B @ k[:12], and stage
+# 12 is f(y), which the next step reuses as its stage 0 (FSAL). Stages
+# 13..15 serve only the continuous extension. Row s of _A sums to _C[s].
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
 ])
+_A = [np.array(row) for row in (
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259],
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+)]
+_B = _A[12]
+# The weights of the 5th- and 3rd-order error estimates e5 = _E[0] @ k[:12]
+# and e3 = _E[1] @ k[:12]; e3 is _B less the weights of a 3rd-order result.
+_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294],
+    _B,
+])
+_E[1, [0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+# The 7th-order continuous extension (dop853.f's contd8, Hairer's form):
+# y(t + sigma h) = v + sum_i w_i(sigma) F_i, with the weights
+# w = cumprod(sigma, 1 - sigma, sigma, 1 - sigma, ...) and
+# F_0 = y - v, F_1 = h k_0 - F_0, F_2 = 2 F_0 - h (k_0 + k_12),
+# F_3..6 = h _D @ k. Each F_i is h times a weighing of the 16 stages, the
+# rows of _P, so sigma = 1 gives v + h _B @ k[:12] and sigma = 0 gives v.
+_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+])
+_P = np.zeros((7, 16))
+_P[0, :12] = _B
+_P[1] = -_P[0]
+_P[1, 0] += 1.0
+_P[2] = 2.0 * _P[0]
+_P[2, [0, 12]] -= 1.0
+_P[3:] = _D
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
+# On y' = lambda y with real lambda < 0, the continuous extension stays
+# within 1 of the exact decay for |h lambda| <= 5, where a step damps the
+# mode 17-fold. Beyond, it amplifies the mode between the ends of a step:
+# 20-fold at the stability boundary |h lambda| = 6.4 and 1000-fold at 8.6,
+# where a mode still at rounding level lets the error test pass. So every
+# step keeps |h lambda| <= _STIFF_LIMIT for the largest |lambda| of the
+# Jacobian, estimated by one power iteration per attempt (as in Sommeijer,
+# Shampine & Verwer's RKC) with a probe of relative size _PROBE.
+_STIFF_LIMIT = 5.0
+_PROBE = 2.0 ** -26
 
 # Work bounds of one integration: recorded samples (the grid is allocated
 # up front) and attempted steps. The largest runs of the test suite and of
-# the acceptance criteria record 2001 samples and attempt a few hundred
-# steps, since the step count no longer follows the grid.
+# the acceptance criteria record 2001 samples and attempt at most about 140
+# steps, since the step count follows the tolerance, not the grid.
 _MAX_SAMPLES = 1_000_000
 _MAX_STEPS = 10_000_000
 
@@ -112,31 +178,46 @@ def _record_grid(t_end: float, record_every: float) -> np.ndarray:
     return grid
 
 
-def _finite_rows(ks: np.ndarray, y5: np.ndarray) -> list[bool] | bool | None:
-    """None when every entry of the stages ks (B, 7, n) and the states y5 (B, n)
+def _finite_rows(ks: np.ndarray, y: np.ndarray) -> list[bool] | bool | None:
+    """None when every entry of the stages ks (B, 13, n) and the results y (B, n)
     is finite, else one flag per row: are that row's entries all finite.
-    One row's ks (7, n) and y5 (n,) get one flag, a bool.
+    One row's ks (13, n) and y (n,) get one flag, a bool.
 
     One sum of each array settles the common case, since a finite total
     proves every entry finite. A total that is not finite (a non-finite
     entry, or finite entries whose sum overflows) falls through to the
     entry-wise test, so the verdicts are exact.
     """
-    if math.isfinite(np.add.reduce(ks, axis=None) + np.add.reduce(y5, axis=None)):
+    if math.isfinite(np.add.reduce(ks, axis=None) + np.add.reduce(y, axis=None)):
         return None
-    return (np.isfinite(ks).all(axis=(-2, -1)) & np.isfinite(y5).all(axis=-1)).tolist()
+    return (np.isfinite(ks).all(axis=(-2, -1)) & np.isfinite(y).all(axis=-1)).tolist()
 
 
-def _zero_scale_sq_sum(q: np.ndarray, err_est: np.ndarray, scale: np.ndarray) -> float:
-    """The sum of q * q over one row of q = err_est / scale, with each 0 / 0
-    entry counted as 0.
+def _zero_scale_sq_sums(q: np.ndarray, err_est: np.ndarray, scale: np.ndarray) -> list[float]:
+    """The sums of q * q over each row of one step's q = err_est / scale, the
+    two error estimates (2, n) over the scale (n,), with each 0 / 0 entry
+    counted as 0.
 
     With atol = 0 a component that is exactly 0 at both ends of a step has
     scale 0; when its error estimate is 0 too, it meets any tolerance. A
     nonzero estimate over scale 0 stays infinite and rejects the step.
     """
     q = np.where((err_est == 0.0) & (scale == 0.0), 0.0, q)
-    return float(np.add.reduce(q * q))
+    return np.add.reduce(q * q, axis=-1).tolist()
+
+
+def _error_norm(h: float, sq5: float, sq3: float, n: int) -> float:
+    """dop853.f's error of a step of size h, h sq5 / sqrt((sq5 + 0.01 sq3) n),
+    from the sums of squares sq5 and sq3 of the scaled 5th- and 3rd-order
+    estimates. It is 0 when both sums are 0, and inf when a sum is infinite
+    (an overflow, or a nonzero estimate over scale 0), which rejects the step.
+    """
+    deno = (sq5 + 0.01 * sq3) * n
+    if deno == 0.0:
+        return 0.0
+    if deno == math.inf:
+        return math.inf
+    return h * sq5 / math.sqrt(deno)
 
 
 def _start_step(v0: np.ndarray, k1: np.ndarray, rtol: float, atol: float,
@@ -187,19 +268,28 @@ def integrate_batch(
 ) -> list[Trajectory]:
     """Integrate the model flow from each row of starts (B, n) over [0, t_end].
 
-    The rows step in lockstep: each stage is one field evaluation on the
-    stack of rows still running. Every row keeps its own time, step size,
-    controller memory, grid position and counters, so each trajectory
-    equals its one-start run bit for bit. An accepted step records the grid
-    times inside it from the continuous extension, and its own y5 at a grid
-    time it ends on. A row leaves the batch when it reaches t_end. Once one
-    row runs (from the start, or when the others have finished), its state
-    is an (n,) vector and its step size a Python float: the same products
-    as on a stack of one, at a fraction of the call cost.
+    Each attempt is one DOP853 step: a power-iteration probe of the
+    Jacobian and twelve stages, that is thirteen field calls, of which the
+    last, f at the step's result y, is the next step's first stage (FSAL)
+    unless y was clipped. The rows step in lockstep: each of these calls is
+    one field evaluation on the stack of rows still running. Every row
+    keeps its own time, step size, controller memory, power-iteration
+    vector, grid position and counters, so each trajectory equals its
+    one-start run bit for bit. An accepted step that holds grid times
+    evaluates the continuous extension's three extra stages for that row
+    and records those times from it, and records its own y at a grid time
+    it ends on. A row leaves the batch when it reaches t_end. Once one row
+    runs (from the start, or when the others have finished), its state is
+    an (n,) vector and its step size a Python float: the same products as
+    on a stack of one, at a fraction of the call cost.
 
-    The error scale of a component is atol + rtol * max(|v|, |y5|). With
-    atol = 0, a component that stays exactly 0 through a step, with a zero
-    error estimate, counts as error 0 rather than 0 / 0.
+    The error of a step is dop853.f's norm h |e5|^2 / sqrt((|e5|^2 +
+    0.01 |e3|^2) n) of the 5th- and 3rd-order estimates, each component
+    over the scale atol + rtol * max(|v|, |y|). With atol = 0, a component
+    that stays exactly 0 through a step, with zero estimates, counts as
+    error 0 rather than 0 / 0. The step size also keeps |h lambda| within
+    _STIFF_LIMIT for the power iteration's estimate of the Jacobian's
+    largest |lambda|, where the continuous extension stays accurate.
 
     The work is bounded: a recording grid of more than _MAX_SAMPLES points
     is a ValueError, and a row that needs more than _MAX_STEPS attempted
@@ -246,14 +336,14 @@ def integrate_batch(
         path[0] = v0
 
     # v holds the running rows' states, (B, n), or (n,) for one row; ks holds
-    # their stages, (B, 7, n) or (7, n), and stage 0 is f at the state
+    # their 16 stages, (B, 16, n) or (16, n), and stage 0 is f at the state
     v = starts.copy() if n_rows > 1 else starts[0].copy()
-    ks = np.empty(v.shape[:-1] + (7, n))
+    ks = np.empty(v.shape[:-1] + (16, n))
     ks[..., 0, :] = f(v)
     if not np.isfinite(ks[..., 0, :]).all():
         raise NonFiniteState("vector field is non-finite at the initial state")
     h_ctrl = [_start_step(v_b, k_b[0], rtol, atol, t_end)
-              for v_b, k_b in zip(starts, ks.reshape(n_rows, 7, n))]
+              for v_b, k_b in zip(starts, ks.reshape(n_rows, 16, n))]
 
     h_floor = 1e-14 * t_end
     t = [0.0] * n_rows
@@ -263,38 +353,41 @@ def integrate_batch(
     rejected = [0] * n_rows
     rows = list(range(n_rows))  # the rows still running, in buffer order
 
-    def step_size(b: int) -> float:
+    def step_size(b: int, lam: float) -> float:
+        # lam estimates the largest |lambda| of the Jacobian at row b's state
         if accepted[b] + rejected[b] >= _MAX_STEPS:
             raise StepBudgetExceeded(
                 f"no end after {_MAX_STEPS} attempted steps; "
                 f"stopped at t={t[b]:g} of {t_end:g}"
             )
         h = min(h_ctrl[b], t_end - t[b])
+        if h * lam > _STIFF_LIMIT:
+            h = _STIFF_LIMIT / lam
         if not h >= h_floor:
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
         return h
 
-    def settle(b, h, j, v, y5, ks, finite, y5_min, sq_sum) -> bool:
+    def settle(b, h, j, v, y, ks, finite, y_min, sq5, sq3) -> bool:
         # Accept or reject row b's attempt of size h; True when accepted.
-        # v[j], ks[j] and y5[j] are its state, stages and result: j is its
+        # v[j], ks[j] and y[j] are its state, stages and result: j is its
         # place in a stack, or the full slice for one row's own arrays. An
-        # accepted y5[j] below 0 is clipped in place, and the grid samples
+        # accepted y[j] below 0 is clipped in place, and the grid samples
         # inside the step are written.
         if not finite:
             shrink = 0.25
-        elif y5_min < -atol:
+        elif y_min < -atol:
             shrink = 0.5
         else:
-            err = math.sqrt(sq_sum / n)
-            shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** (-0.2))
+            err = _error_norm(h, sq5, sq3, n)
+            shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** -0.125)
         if shrink is not None:
             rejected[b] += 1
             h_ctrl[b] = h * shrink
             return False
 
-        if y5_min <= 0.0:
+        if y_min <= 0.0:
             # also turns -0.0 into 0.0
-            np.clip(y5[j], 0.0, None, out=y5[j])
+            np.clip(y[j], 0.0, None, out=y[j])
         accepted[b] += 1
         t_b = t[b] + h
         if t_end - t_b < h_floor:
@@ -305,15 +398,21 @@ def integrate_batch(
         if hi > lo:
             inner = hi - 1 if grid[hi - 1] == t_b else hi
             if inner > lo:
-                # the grid times inside the step, in one product
+                # the continuous extension's three stages, then the grid
+                # times inside the step in one product
+                k, v_j = ks[j], v[j]
+                for s in range(13, 16):
+                    k[s] = f(v_j + h * _A[s].dot(k[:s]))
                 sigma = (times[lo + 1:inner + 1] - t[b]) / h
-                powers = np.repeat(sigma[:, None], 4, axis=1).cumprod(axis=1)
-                dense = powers @ _P.T @ ks[j]
+                weights = np.empty((sigma.size, 7))
+                weights[:, 0::2] = sigma[:, None]
+                weights[:, 1::2] = 1.0 - sigma[:, None]
+                dense = weights.cumprod(axis=1) @ _P @ k
                 dense *= h
-                dense += v[j]
+                dense += v_j
                 np.maximum(dense, 0.0, out=paths[b][lo + 1:inner + 1])
             if inner < hi:
-                paths[b][hi] = y5[j]
+                paths[b][hi] = y[j]
             grid_idx[b] = hi
         t[b] = t_b
         factor = (
@@ -325,17 +424,21 @@ def integrate_batch(
         return True
 
     def plan(ks):
-        # One field call per stage on the running rows. Stage s evaluates f
-        # at v + h * (_A[s] @ ks[..., :s, :]) into stage s; the step's y5 and
-        # error estimate weigh all the stages by _B5 and _E. One row's (7, n)
-        # stages take ndarray.dot: the same products as on a stack of one,
-        # at a fraction of the call cost.
+        # One field call per stage on the running rows. Stage s = 1..11
+        # evaluates f at v + h * (_A[s] @ ks[..., :s, :]) into stage s; the
+        # step's y and its two error estimates weigh stages 0..11 by _B and
+        # _E. One row's (16, n) stages take ndarray.dot: the same products
+        # as on a stack of one, at a fraction of the call cost.
         if ks.ndim == 2:
-            return [(_A[s].dot, ks[:s], ks[s]) for s in range(1, 7)], _B5.dot, _E.dot
-        stages = [(_A[s].__matmul__, ks[:, :s], ks[:, s]) for s in range(1, 7)]
-        return stages, _B5.__matmul__, _E.__matmul__
+            return [(_A[s].dot, ks[:s], ks[s]) for s in range(1, 12)], _B.dot, _E.dot
+        stages = [(_A[s].__matmul__, ks[:, :s], ks[:, s]) for s in range(1, 12)]
+        return stages, _B.__matmul__, _E.__matmul__
 
-    stages, weigh5, weigh_err = plan(ks)
+    stages, weigh_y, weigh_err = plan(ks)
+    # each row's power-iteration vector for the Jacobian's largest
+    # eigenvalue; the all-ones start lies close to the mass mode, which is
+    # the fast one near a steady state
+    u = np.ones_like(v)
     whole = slice(None)
     min_reduce = np.minimum.reduce
     add_reduce = np.add.reduce
@@ -343,64 +446,89 @@ def integrate_batch(
     # stages computed from it say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         while rows:
+            # One power iteration per attempt and row, at the cost of one
+            # field call: f(v + c u) - f(v) is about c J u for the probe
+            # |c u| = _PROBE |v| (or _PROBE at v = 0), so its size over the
+            # probe's estimates the largest |lambda| of J, and it is the
+            # next u. A difference that is 0 or not finite restarts u.
             lone = v.ndim == 1
             if lone:
                 b = rows[0]
-                h = step_size(b)
+                v_sq = float(add_reduce(v * v))
+                size = _PROBE * math.sqrt(v_sq) if v_sq > 0.0 else _PROBE
+                u = f(v + size / math.sqrt(float(add_reduce(u * u))) * u) - ks[0]
+                d_sq = float(add_reduce(u * u))
+                if not 0.0 < d_sq < math.inf:
+                    u = np.ones(n)
+                    d_sq = 0.0
+                h = step_size(b, math.sqrt(d_sq) / size)
             else:
-                hs = [step_size(b) for b in rows]
+                v_sq = add_reduce(v * v, axis=-1).tolist()
+                u_sq = add_reduce(u * u, axis=-1).tolist()
+                sizes = [_PROBE * math.sqrt(x) if x > 0.0 else _PROBE for x in v_sq]
+                c = [size / math.sqrt(x) for size, x in zip(sizes, u_sq)]
+                u = f(v + np.array(c)[:, None] * u) - ks[:, 0]
+                d_sq = add_reduce(u * u, axis=-1).tolist()
+                hs = []
+                for j, b in enumerate(rows):
+                    if not 0.0 < d_sq[j] < math.inf:
+                        u[j] = 1.0
+                        d_sq[j] = 0.0
+                    hs.append(step_size(b, math.sqrt(d_sq[j]) / sizes[j]))
                 h = np.array(hs)[:, None]
 
             for weigh_s, ks_s, ks_out in stages:
                 ks_out[...] = f(v + h * weigh_s(ks_s))
-            y5 = v + h * weigh5(ks)
-            finite = _finite_rows(ks, y5)
-            err_est = h * weigh_err(ks)
+            k12 = ks[..., :12, :]
+            y = v + h * weigh_y(k12)
+            ks[..., 12, :] = f(y)
+            finite = _finite_rows(ks[..., :13, :], y)
+            err_est = weigh_err(k12)
             # v >= 0, so |v| is v (up to a start's -0.0, whose sign the sum
             # with atol drops)
-            scale = atol + rtol * np.maximum(v, np.abs(y5))
-            q = err_est / scale
+            scale = atol + rtol * np.maximum(v, np.abs(y))
+            q = err_est / scale[..., None, :]
 
             if lone:
-                y5_min = float(min_reduce(y5))
-                sq_sum = float(add_reduce(q * q))
+                y_min = float(min_reduce(y))
+                sq5, sq3 = add_reduce(q * q, axis=-1).tolist()
                 finite = finite is None or finite
-                if finite and sq_sum != sq_sum:
-                    sq_sum = _zero_scale_sq_sum(q, err_est, scale)
-                if not settle(b, h, whole, v, y5, ks, finite, y5_min, sq_sum):
+                if finite and (sq5 != sq5 or sq3 != sq3):
+                    sq5, sq3 = _zero_scale_sq_sums(q, err_est, scale)
+                if not settle(b, h, whole, v, y, ks, finite, y_min, sq5, sq3):
                     continue  # v and its first stage stay
                 if grid_idx[b] == n_grid:
                     break
-                # FSAL: the last stage is f at the new state, unless clipped
-                ks[0] = f(y5) if y5_min < 0.0 else ks[6]
-                v = y5
+                # FSAL: stage 12 is f at the new state, unless clipped
+                ks[0] = f(y) if y_min < 0.0 else ks[12]
+                v = y
                 continue
 
-            y5_min = min_reduce(y5, axis=1).tolist()
-            sq_sums = add_reduce(q * q, axis=1).tolist()
+            y_min = min_reduce(y, axis=1).tolist()
+            sq_sums = add_reduce(q * q, axis=-1).tolist()
             stay = []      # rejected: keep the state and its first stage
             refresh = []   # accepted, but clipped: f changed at the state
             finished = []
             for j, b in enumerate(rows):
                 finite_j = finite is None or finite[j]
-                sq_sum = sq_sums[j]
-                if finite_j and sq_sum != sq_sum:
-                    sq_sum = _zero_scale_sq_sum(q[j], err_est[j], scale[j])
-                if not settle(b, hs[j], j, v, y5, ks, finite_j, y5_min[j], sq_sum):
+                sq5, sq3 = sq_sums[j]
+                if finite_j and (sq5 != sq5 or sq3 != sq3):
+                    sq5, sq3 = _zero_scale_sq_sums(q[j], err_est[j], scale[j])
+                if not settle(b, hs[j], j, v, y, ks, finite_j, y_min[j], sq5, sq3):
                     stay.append(j)
                 elif grid_idx[b] == n_grid:
                     finished.append(j)
-                elif y5_min[j] < 0.0:
+                elif y_min[j] < 0.0:
                     refresh.append(j)
 
-            # FSAL: an accepted row's last stage is f at its new state
+            # FSAL: an accepted row's stage 12 is f at its new state
             if stay:
-                y5[stay] = v[stay]
+                y[stay] = v[stay]
                 moved = [j for j in range(len(rows)) if j not in stay]
-                ks[moved, 0] = ks[moved, 6]
+                ks[moved, 0] = ks[moved, 12]
             else:
-                ks[:, 0] = ks[:, 6]
-            v = y5
+                ks[:, 0] = ks[:, 12]
+            v = y
             for j in refresh:
                 ks[j, 0] = f(v[j])
             if finished:
@@ -409,8 +537,9 @@ def integrate_batch(
                 if len(keep) == 1:
                     keep = keep[0]
                 v = v[keep]
+                u = u[keep]
                 ks = ks[keep]
-                stages, weigh5, weigh_err = plan(ks)
+                stages, weigh_y, weigh_err = plan(ks)
 
     return [
         Trajectory(

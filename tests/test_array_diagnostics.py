@@ -194,7 +194,10 @@ def _close(new, ref, tol):
     new = np.asarray(new, dtype=float)
     ref = np.asarray(ref, dtype=float)
     assert new.shape == ref.shape
-    gap = np.abs(new - ref)
+    # equal entries, infinities included (log E(h) = -inf where E(h) = 0),
+    # and nan against nan count as no gap
+    with np.errstate(invalid="ignore"):
+        gap = np.where((new == ref) | (np.isnan(new) & np.isnan(ref)), 0.0, np.abs(new - ref))
     worst = int(np.argmax(gap - tol))
     assert np.all(gap <= tol), f"at {worst}: {new.flat[worst]!r} vs {ref.flat[worst]!r}"
 

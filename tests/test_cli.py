@@ -500,14 +500,14 @@ def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
 def test_step_budget_is_a_solver_error(capsys, monkeypatch):
     from lvmut import dynamics
 
-    # sym2's simulate attempts 65 steps
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
+    # sym2's simulate attempts 21 steps
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 15)
     code, out, err = _run(capsys, "simulate", "--preset", "sym2")
     assert code == 3
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "StepBudgetExceeded"
-    assert "50 attempted steps" in payload["message"]
+    assert "15 attempted steps" in payload["message"]
 
 
 def test_verify_single_preset_filter(capsys):

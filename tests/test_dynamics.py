@@ -1,7 +1,11 @@
 """Integrator behavior, closed forms, envelopes, and the mass floor."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,18 +67,117 @@ def test_preset_trajectories_are_bit_identical(name):
     assert (digest, traj.accepted_steps, traj.rejected_steps) == _GOLDEN[name]
 
 
-def test_continuous_extension_ends_on_y5_and_starts_on_k1():
-    # row s of _P sums to _B5[s], so sigma = 1 reproduces y5; the first
-    # column is e_1, so the slope at sigma = 0 is the first stage
-    assert np.max(np.abs(dynamics._P.sum(axis=1) - dynamics._B5)) <= 1e-15
-    assert np.array_equal(dynamics._P[:, 0], np.eye(7)[0])
+def test_order_conditions():
+    # the weights of y sum to 1, and each stage's argument is at t + c_s h
+    assert abs(dynamics._B.sum() - 1.0) <= 1e-15
+    for s in range(1, 16):
+        row = dynamics._A[s]
+        assert abs(row.sum() - dynamics._C[s]) <= 1e-15 * max(1.0, np.abs(row).sum())
+    # both error estimates vanish on a constant slope
+    assert np.max(np.abs(dynamics._E.sum(axis=1))) <= 1e-14
+
+
+def _dense_weights(sigma):
+    weights = np.empty((len(sigma), 7))
+    weights[:, 0::2] = np.asarray(sigma)[:, None]
+    weights[:, 1::2] = 1.0 - np.asarray(sigma)[:, None]
+    return weights.cumprod(axis=1)
+
+
+def test_continuous_extension_ends_on_y_and_starts_on_v():
+    # sigma = 1 weighs the stages by _B, which gives the step's y; sigma = 0
+    # weighs them by 0, which gives v
+    ends = _dense_weights([0.0, 1.0]) @ dynamics._P
+    assert np.array_equal(ends[0], np.zeros(16))
+    assert np.array_equal(ends[1, :12], dynamics._B)
+    assert np.array_equal(ends[1, 12:], np.zeros(4))
+    # and on a step of a real run: one step of sym2 with its three extra stages
+    preset = get_preset("sym2")
+    f = dynamics._vector_field(preset.model)
+    v, h = preset.v0, 0.7
+    ks = np.empty((16, preset.model.n))
+    ks[0] = f(v)
+    for s in range(1, 12):
+        ks[s] = f(v + h * (dynamics._A[s] @ ks[:s]))
+    y = v + h * (dynamics._B @ ks[:12])
+    ks[12] = f(y)
+    for s in range(13, 16):
+        ks[s] = f(v + h * (dynamics._A[s] @ ks[:s]))
+    dense = v + h * (_dense_weights([0.0, 1.0]) @ dynamics._P @ ks)
+    assert np.array_equal(dense[0], v)
+    assert np.max(np.abs(dense[1] - y)) <= 1e-15 * np.max(np.abs(y))
 
 
 def test_continuous_extension_matches_scipy():
     pytest.importorskip("scipy")
-    from scipy.integrate import RK45
+    from scipy.integrate._ivp import dop853_coefficients as ref
 
-    assert np.max(np.abs(dynamics._P - RK45.P)) <= 1e-15
+    assert np.max(np.abs(dynamics._C - ref.C)) <= 1e-15
+    for s in range(16):
+        assert np.max(np.abs(dynamics._A[s] - ref.A[s, :s]), initial=0.0) <= 1e-15
+    assert np.max(np.abs(dynamics._B - ref.B)) <= 1e-15
+    assert np.max(np.abs(dynamics._E[0] - ref.E5[:12])) <= 1e-15
+    assert np.max(np.abs(dynamics._E[1] - ref.E3[:12])) <= 1e-15
+    assert ref.E5[12] == ref.E3[12] == 0.0
+    assert np.max(np.abs(dynamics._D - ref.D)) <= 1e-15
+
+
+def test_lvmut_never_imports_scipy():
+    # the coefficients are literals: numpy is the one runtime dependency
+    src = Path(dynamics.__file__).resolve().parents[1]
+    code = ("import sys, lvmut; p = lvmut.get_preset('mut4'); "
+            "lvmut.integrate(p.model, p.v0, 5.0); "
+            "assert 'lvmut.dynamics' in sys.modules and 'scipy' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def _hypercube8():
+    rng = np.random.default_rng(8)
+    r = rng.uniform(0.8, 1.2, size=8)
+    model = build_model(8, r, 10.0, point_mutation_matrix(3, 0.02), uniform_linear(r))
+    return model, rng.uniform(0.0, 20.0, size=8)
+
+
+def _guard_case(name):
+    if name == "hypercube8":
+        return _hypercube8()
+    preset = get_preset(name)
+    return preset.model, preset.v0
+
+
+# Attempted steps of the Dormand-Prince 5(4) pair that DOP853 replaced, at
+# rtol 1e-10 and atol 1e-12: from each start to t = 40, and for criterion
+# 04's twenty mut4 starts (the sum) to t = 200.
+_DP5_ATTEMPTS = {"sym2": 134, "mut4": 98, "hypercube8": 362, "c04": 7188}
+
+
+@pytest.mark.parametrize("name", sorted(_DP5_ATTEMPTS))
+def test_at_most_a_third_of_the_fifth_order_steps(name):
+    if name == "c04":
+        model, starts = _c04_starts()
+        batch = integrate_batch(model, starts, 200.0, rtol=1e-10, atol=1e-12,
+                                record_every=200.0)
+        attempts = sum(traj.accepted_steps + traj.rejected_steps for traj in batch)
+    else:
+        model, v0 = _guard_case(name)
+        traj = integrate(model, v0, 40.0, rtol=1e-10, atol=1e-12)
+        attempts = traj.accepted_steps + traj.rejected_steps
+    assert 3 * attempts <= _DP5_ATTEMPTS[name]
+
+
+@pytest.mark.parametrize("t_end", [40.0, 200.0])
+@pytest.mark.parametrize("name", ["sym2", "mut4", "hypercube8"])
+def test_samples_stay_near_the_closed_form(name, t_end):
+    # every recorded sample, most of them from the continuous extension, is
+    # within 1e-9 of the exact flow relative to the state; by t = 200 the
+    # mass mode limits the step, which is where the extension would amplify
+    # it were |h lambda| not kept within _STIFF_LIMIT (4.5e-8 on hypercube8)
+    model, v0 = _guard_case(name)
+    traj = integrate(model, v0, t_end, rtol=1e-10, atol=1e-12, record_every=0.1)
+    exact = closed_form_uniform_linear(model, v0, traj.times[1:]).states
+    gap = np.max(np.abs(traj.states - exact), axis=1) / np.max(np.abs(exact), axis=1)
+    assert np.max(gap) <= 1e-9
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
@@ -341,47 +444,63 @@ def test_envelopes_require_fitness_weighting():
         logistic_envelopes(get_preset("sym2").model, 0.0, np.array([1.0]))
 
 
-def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None):
-    """A plain one-state Dormand-Prince loop: the same stages, controller,
-    snap to t_end and continuous extension as `integrate`, one state at a
-    time, FSAL in its own array. The grid times inside a step share one
-    product, as in `integrate`: a product of other shape may round apart."""
+def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None, stats=None):
+    """A plain one-state DOP853 loop: the same power iteration, stages, error
+    norm, controller, snap to t_end and continuous extension as `integrate`,
+    one state at a time, FSAL in its own array. The products that round
+    (the stage weighings, the two error estimates, the grid times inside a
+    step) have the shapes `integrate` gives them: a product of other shape
+    may round apart. `stats`, a dict, receives the number of accepted steps
+    that recorded grid times from the continuous extension."""
     f = field or (lambda v: rhs(model, v))
+    A, B, E, P = dynamics._A, dynamics._B, dynamics._E, dynamics._P
     n = model.n
     grid = dynamics._record_grid(t_end, record_every).tolist()
     v = np.asarray(v0, dtype=float).copy()
     times, states = [0.0], [v.copy()]
-    k1 = f(v)
+    k0 = f(v)
     scale0 = atol + rtol * np.abs(v)
     d0 = float(np.sqrt(np.mean((v / scale0) ** 2)))
-    d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
+    d1 = float(np.sqrt(np.mean((k0 / scale0) ** 2)))
     h_ctrl = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
     h_ctrl = min(h_ctrl, t_end / 10.0)
-    t, accepted, rejected, err_prev, idx = 0.0, 0, 0, 1.0, 0
-    ks = np.empty((7, n))
+    u = np.ones(n)
+    t, accepted, rejected, err_prev, idx, recording = 0.0, 0, 0, 1.0, 0, 0
+    ks = np.empty((16, n))
     while t < t_end:
+        # one power iteration on the Jacobian at v caps |h lambda| at 5
+        v_sq = float(np.add.reduce(v * v))
+        size = 2.0 ** -26 * math.sqrt(v_sq) if v_sq > 0.0 else 2.0 ** -26
+        u = f(v + size / math.sqrt(float(np.add.reduce(u * u))) * u) - k0
+        d_sq = float(np.add.reduce(u * u))
+        if not 0.0 < d_sq < math.inf:
+            u, d_sq = np.ones(n), 0.0
+        lam = math.sqrt(d_sq) / size
         h = min(h_ctrl, t_end - t)
-        ks[0] = k1
-        for s in range(1, 7):
-            ks[s] = f(v + h * (dynamics._A[s] @ ks[:s]))
-        y5 = v + h * (dynamics._B5 @ ks)
-        if not np.isfinite(ks).all() or not np.isfinite(y5).all():
+        if h * lam > 5.0:
+            h = 5.0 / lam
+        ks[0] = k0
+        for s in range(1, 12):
+            ks[s] = f(v + h * (A[s] @ ks[:s]))
+        y = v + h * (B @ ks[:12])
+        ks[12] = f(y)
+        if not np.isfinite(ks[:13]).all() or not np.isfinite(y).all():
             rejected += 1
             h_ctrl = h * 0.25
             continue
-        y5_min = float(y5.min())
-        if y5_min < -atol:
+        y_min = float(y.min())
+        if y_min < -atol:
             rejected += 1
             h_ctrl = h * 0.5
             continue
-        q = h * (dynamics._E @ ks) / (atol + rtol * np.maximum(np.abs(v), np.abs(y5)))
-        err = math.sqrt(np.add.reduce(q * q) / n)
+        q = (E @ ks[:12]) / (atol + rtol * np.maximum(np.abs(v), np.abs(y)))
+        sq5, sq3 = np.add.reduce(q * q, axis=-1).tolist()
+        deno = (sq5 + 0.01 * sq3) * n
+        err = h * sq5 / math.sqrt(deno) if deno > 0.0 else 0.0
         if not err <= 1.0:
             rejected += 1
-            h_ctrl = h * max(0.1, 0.9 * err ** -0.2)
+            h_ctrl = h * max(0.1, 0.9 * err ** -0.125)
             continue
-        if y5_min <= 0.0:
-            y5 = np.clip(y5, 0.0, None)
         accepted += 1
         t_new = t + h
         if t_end - t_new < 1e-14 * t_end:
@@ -391,20 +510,25 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None)
             inside.append(grid[idx])
             idx += 1
         if inside:
+            recording += 1
+            for s in range(13, 16):
+                ks[s] = f(v + h * (A[s] @ ks[:s]))
             sigma = (np.array(inside) - t) / h
-            s2 = sigma * sigma
-            powers = np.stack([sigma, s2, s2 * sigma, s2 * sigma * sigma], axis=1)
             times.extend(inside)
-            states.extend(np.clip(v + h * (powers @ dynamics._P.T @ ks), 0.0, None))
+            states.extend(np.clip(v + h * (_dense_weights(sigma) @ P @ ks), 0.0, None))
+        if y_min <= 0.0:
+            y = np.clip(y, 0.0, None)
         if idx < len(grid) and grid[idx] == t_new:
             times.append(t_new)
-            states.append(y5)
+            states.append(y)
             idx += 1
-        v, t = y5, t_new
-        k1 = f(v) if y5_min < 0.0 else ks[6].copy()
-        factor = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
+        v, t = y, t_new
+        k0 = f(v) if y_min < 0.0 else ks[12].copy()
+        factor = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0) if err > 0 else 5.0
         h_ctrl = h * min(5.0, max(0.2, factor))
         err_prev = max(err, 1e-4)
+    if stats is not None:
+        stats["recording_steps"] = recording
     return np.asarray(times), np.asarray(states), accepted, rejected
 
 
@@ -416,6 +540,18 @@ def _c04_starts(count=20):
     return model, starts
 
 
+def _rejecting_starts(rows=(4, 19, 179)):
+    """fit2asym and starts of it that reject a step for accuracy at rtol 1e-10
+    over [0, 200]: rows 4, 19 and 179 of 200 random starts are the ones that do."""
+    model = get_preset("fit2asym").model
+    rng = np.random.default_rng(1)
+    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(200, model.n))
+    return model, starts[list(rows)]
+
+
+_REJECTING_KWARGS = {"t_end": 200.0, "rtol": 1e-10, "atol": 1e-12, "record_every": 200.0}
+
+
 def _assert_same_run(traj, ref):
     times, states, accepted, rejected = ref
     assert np.array_equal(traj.times, times)
@@ -424,15 +560,13 @@ def _assert_same_run(traj, ref):
 
 
 def test_rejected_steps_restart_from_the_field_at_the_state():
-    # criterion 04's starts reject steps for accuracy; every retry must be a
-    # true Dormand-Prince step from v, whose first stage is f(v)
-    model, starts = _c04_starts(4)
-    rejected = 0
+    # these starts reject steps for accuracy; every retry must be a true
+    # DOP853 step from v, whose first stage is f(v)
+    model, starts = _rejecting_starts()
     for v0 in starts:
-        traj = integrate(model, v0, 200.0, rtol=1e-10, atol=1e-12, record_every=200.0)
+        traj = integrate(model, v0, **_REJECTING_KWARGS)
         _assert_same_run(traj, _reference_integrate(model, v0, 200.0, 1e-10, 1e-12, 200.0))
-        rejected += traj.rejected_steps
-    assert rejected > 0
+        assert traj.rejected_steps > 0
 
 
 def _field_failing_at(model, call):
@@ -449,15 +583,16 @@ def _field_failing_at(model, call):
 
 
 def test_non_finite_attempt_does_not_poison_the_retry(monkeypatch):
-    # the last stage of the second attempt comes back non-finite; that
-    # attempt is rejected and the retry starts again from f(v)
+    # the last stage of the second attempt (call 1 + 13 + 13: the first step
+    # ends before the first grid time, so it runs no extra stages) comes back
+    # non-finite; that attempt is rejected and the retry starts again from f(v)
     preset = get_preset("sym2")
-    flaky, calls = _field_failing_at(preset.model, 13)
+    flaky, calls = _field_failing_at(preset.model, 27)
     monkeypatch.setattr(dynamics, "_vector_field", lambda model: flaky)
     traj = integrate(preset.model, preset.v0, preset.t_end)
     assert traj.rejected_steps == 1
-    assert np.isfinite(calls[13]).all()
-    reference_field, _ = _field_failing_at(preset.model, 13)
+    assert np.isfinite(calls[27]).all()
+    reference_field, _ = _field_failing_at(preset.model, 27)
     _assert_same_run(traj, _reference_integrate(preset.model, preset.v0, preset.t_end, 1e-8,
                                                 1e-10, preset.t_end / 500.0, reference_field))
 
@@ -471,24 +606,38 @@ def _counting_field(monkeypatch, model):
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_one_row_takes_six_field_calls_per_attempt(monkeypatch, name):
-    # one call at the start, then six stages per attempt: FSAL reuses the
-    # last stage of an accepted step, and a rejected one keeps f(v)
+def test_one_row_takes_thirteen_field_calls_per_attempt(monkeypatch, name):
+    # one call at the start, then per attempt the power iteration's probe and
+    # twelve stages: FSAL reuses the last stage of an accepted step, and a
+    # rejected one keeps f(v); an accepted step that holds grid times adds
+    # the extension's three stages
     preset = get_preset(name)
     calls = _counting_field(monkeypatch, preset.model)
-    traj = integrate(preset.model, preset.v0, preset.t_end)
-    assert len(calls) == 1 + 6 * (traj.accepted_steps + traj.rejected_steps)
-    assert all(x.shape == (preset.model.n,) for x in calls[1:])
+    for every in (preset.t_end, None):
+        calls.clear()
+        traj = integrate(preset.model, preset.v0, preset.t_end, record_every=every)
+        attempts = traj.accepted_steps + traj.rejected_steps
+        if every is not None:
+            # only the step that ends on t_end records, and not from the extension
+            assert len(calls) == 1 + 13 * attempts
+        else:
+            stats = {}
+            _reference_integrate(preset.model, preset.v0, preset.t_end, 1e-8, 1e-10,
+                                 preset.t_end / 500.0, stats=stats)
+            assert 0 < stats["recording_steps"] <= traj.accepted_steps
+            assert len(calls) == 1 + 13 * attempts + 3 * stats["recording_steps"]
+        assert all(x.shape == (preset.model.n,) for x in calls[1:])
 
 
-def test_batch_takes_six_field_calls_per_lockstep_attempt(monkeypatch):
+def test_batch_takes_thirteen_field_calls_per_lockstep_attempt(monkeypatch):
     # the rows attempt their steps together until each finishes, so the
-    # attempts in lockstep are the most any row makes; none is clipped here
+    # attempts in lockstep are the most any row makes; none is clipped here,
+    # and no step records grid times from the extension
     model, starts = _c04_starts()
     calls = _counting_field(monkeypatch, model)
     batch = integrate_batch(model, starts, 200.0, rtol=1e-10, atol=1e-12, record_every=200.0)
     lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
-    assert len(calls) == 1 + 6 * lockstep
+    assert len(calls) == 1 + 13 * lockstep
     assert calls[0].shape == starts.shape
 
 
@@ -503,8 +652,8 @@ def test_atol_zero_keeps_a_zero_genotype_at_zero():
     assert traj.times[-1] == 5.0
     assert np.all(traj.states[:, 1] == 0.0)
     # the start-up step leaves the zero-scale genotype out of its norms; when
-    # a NaN norm fell back to h = 1e-6 t_end, the run took 44 steps
-    assert (traj.accepted_steps, traj.rejected_steps) == (38, 0)
+    # a NaN norm fell back to h = 1e-6 t_end, the run took 19 steps
+    assert (traj.accepted_steps, traj.rejected_steps) == (14, 2)
     assert traj.tol_used == (1e-8, 0.0)
     assert np.all(batch[1].states[:, 1] == 0.0)
     assert np.all(batch[2].states[1:] > 0.0)
@@ -559,14 +708,13 @@ def test_batch_rows_equal_the_reference_loop():
 
 
 def test_batch_rows_with_rejections_equal_their_single_runs():
-    model, starts = _c04_starts()
-    kwargs = {"t_end": 200.0, "rtol": 1e-10, "atol": 1e-12, "record_every": 200.0}
-    batch = integrate_batch(model, starts, **kwargs)
+    model, starts = _rejecting_starts(range(20))
+    batch = integrate_batch(model, starts, **_REJECTING_KWARGS)
     for v0, traj in zip(starts, batch):
-        single = integrate(model, v0, **kwargs)
+        single = integrate(model, v0, **_REJECTING_KWARGS)
         _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
                                 single.rejected_steps))
-    assert sum(traj.rejected_steps for traj in batch) == 23
+    assert [j for j, traj in enumerate(batch) if traj.rejected_steps] == [4, 19]
 
 
 def test_batch_of_one_is_integrate():
@@ -605,8 +753,8 @@ def test_batch_bad_rows_rejected(starts, error):
 
 def test_batch_step_budget_is_per_row(monkeypatch):
     # attempted steps count, rejected ones included
-    model, starts = _c04_starts(3)
-    kwargs = {"t_end": 200.0, "rtol": 1e-10, "atol": 1e-12, "record_every": 200.0}
+    model, starts = _rejecting_starts()
+    kwargs = _REJECTING_KWARGS
     batch = integrate_batch(model, starts, **kwargs)
     assert all(traj.rejected_steps > 0 for traj in batch)
     steps = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
@@ -620,8 +768,9 @@ def test_batch_step_budget_is_per_row(monkeypatch):
 
 
 def test_batch_non_finite_stage_rejects_its_row_quietly(monkeypatch):
-    # one row's second stage overflows on the second attempt; the stages
-    # computed from it must not raise numpy warnings, and only that row retries
+    # one row's second stage overflows on the second attempt (call 1 + 13 + 3);
+    # the stages computed from it must not raise numpy warnings, and only
+    # that row retries
     preset = get_preset("pert2")
     starts = np.array([preset.v0, [1.0, 3.0]])
     field = dynamics._vector_field(preset.model)
@@ -631,7 +780,7 @@ def test_batch_non_finite_stage_rejects_its_row_quietly(monkeypatch):
         def g(x):
             calls.append(None)
             out = field(x)
-            if len(calls) == 9:
+            if len(calls) == 17:
                 out = out.copy()
                 out[0] = [np.inf, -np.inf]
             return out
@@ -661,10 +810,12 @@ def test_clipped_state_refreshes_its_first_stage(monkeypatch):
     monkeypatch.setattr(dynamics, "_vector_field", field)
     model = get_preset("sym2").model
     starts = np.array([[1.0, 1.5], [0.7, 2.0]])
-    batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=0.5)
-    # each refresh is one call beyond the six per lockstep attempt
+    batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=4.0)
+    # each refresh is one call beyond the thirteen per lockstep attempt; this
+    # grid records no sample from the extension, whose stages would add more
     lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
-    assert len(calls) > 1 + 6 * lockstep
+    assert len(calls) > 1 + 13 * lockstep
+    batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=0.5)
     for v0, traj in zip(starts, batch):
         _assert_same_run(traj, _reference_integrate(model, v0, 4.0, 0.0, 0.5, 0.5, field(model)))
     assert np.all(batch[0].states[-1] == 0.0)
@@ -672,7 +823,7 @@ def test_clipped_state_refreshes_its_first_stage(monkeypatch):
 
 def _finite_cases():
     rng = np.random.default_rng(11)
-    clean = (rng.standard_normal((2, 7, 3)), rng.standard_normal((2, 3)))
+    clean = (rng.standard_normal((2, 13, 3)), rng.standard_normal((2, 3)))
     nan = (clean[0].copy(), clean[1])
     nan[0][1, 3, 2] = np.nan
     inf_pair = (clean[0].copy(), clean[1].copy())
