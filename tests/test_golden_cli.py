@@ -82,18 +82,23 @@ def _digest(argv: list[str], out_dir) -> str:
 # re-recorded when each sweep row became one Newton run from the previous
 # row (every row moves within the 1e-13 stop: v_bar by at most 5.3e-15
 # relative on sym2 and pert2, 7.2e-14 on fit2asym and 1.1e-15 on mut4; l1
-# distance by at most 6.2e-12, 9.4e-9 and 1.5e-11 relative)
+# distance by at most 6.2e-12, 9.4e-9 and 1.5e-11 relative); the simulate,
+# entropy and rates entries, stability on sym2, fit2asym, mut4 and pert2,
+# stability-force.crowd3 and verify.sym2 re-recorded when the stepper became
+# DOP853 (trajectory samples move by at most 1.6e-8 relative, within the
+# default rtol of 1e-8; rates.mut4's sup rate from -0.1199871 to -0.1200000
+# against c1 = 0.12; all twelve verdicts of verify are unchanged)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.mut4": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.pert2": "81633c7601f7714ee64cd711248f1ad0de66bc6684890ae8b6bf7060b7b93651",
     "validate.crowd3": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
-    "simulate.sym2": "9eb0f06fb080ece89f9668f08104de707c4e1f0f1d98e552823e2972b9e586e4",
-    "simulate.fit2asym": "4dfb5795329c19e345bf1b3c6a8666a0a58aa5f5d90b2c5c1368b0f0dac37a32",
-    "simulate.mut4": "62e6c836d9576eed392523ab8f44179c2eb6642e7a0b051154efc29ef85f8aaa",
-    "simulate.pert2": "7a514bfe2df1d0a9dece168a5f4cffb185d20dd8e25c6219b12dac2d3f290848",
-    "simulate.crowd3": "a7cf78db5f59209feb78f50b60b7d0630b4ee7639a47ea5d19f1ec736e54f193",
+    "simulate.sym2": "6ff61e234cfbb83a7798cefc65b9a1cc17a2fc5cfd4b37a966c5ba5e3f39d819",
+    "simulate.fit2asym": "ad36ed8c75742f33f52f26075a6d9ec9c0aa3ba2843516fada96333463fb1322",
+    "simulate.mut4": "b4e976f1d59a563f6ef60fa7460d54beceb4d223aad9e7daa2b485c7fd363067",
+    "simulate.pert2": "bbf4962dcbcccab29c4dde49b4a852b7ad6bce888a24b0d424457d76ab80cf2c",
+    "simulate.crowd3": "6b7e75404b4cd0db4c60d08ef6bdc626ea0137a11f7ca784188f0f2daa96b919",
     "equilibrium.sym2": "97c1fdf8927ec9912facd679d97d8ec0cc9b7d927747fca6c7fd5c149fb0a55e",
     "equilibrium.fit2asym": "ef5b7c5519e2fec3f6c367f85d2013c2a00b6b950b8fb5dc5852edfd500e7106",
     "equilibrium.mut4": "0b18cbea2642cda10bda4c83c2546679bbeeb1f5cf061cf5426151af5e431d5e",
@@ -104,20 +109,20 @@ _GOLDEN = {
     "spectrum.mut4": "46d5828a8baec3380c1f36c4012b0d2c50808bcf695c621ac66338f9349ccff8",
     "spectrum.pert2": "29049d5eca290d015f412f5c888972004bd2484782314de9634d02959ccb3b86",
     "spectrum.crowd3": "5449b494572fc6d328289c790e430fcb4928124162d1402e71698979987d2bae",
-    "entropy.sym2": "eea5b5c51bd8fc80b9d725c95855b2c4d0e1eb1bf25d5295413edd2ef9006ae8",
-    "entropy.fit2asym": "42799faab5eef34040b5834dda39b255b65f675aab73b69942841459a62609d1",
-    "entropy.mut4": "140ff1931287ecb52e7c56baf8b55fe177f041c9be804037d8ea3660c2837e27",
-    "entropy.pert2": "7d980356222b34c3367ccf791e32b31d70d14cdf789d3883b878991b83e96c4d",
-    "entropy.crowd3": "58e285d93ce3565a9c2f5f996df1c6e7553de4960b4038e5ec53599b6c1c592d",
-    "rates.sym2": "5001218c4e1a85ad11937b100cb379e82172ccfc7ee33b320bd07d72acc32ec8",
-    "rates.fit2asym": "1d27887d068e359817c8ba893f0124ae753b3f75903c17dd7c6d3d17c1ab4bd8",
-    "rates.mut4": "0c984e5fbe551cd037042ea0c17c6caa9247405b24ca26f12250b3ac1872100a",
-    "rates.pert2": "4ee3ff5267f2aa3c2836418540a204f49f652c38823c5d16bad30d300b2ed0e4",
-    "rates.crowd3": "dfba382bd18fbbc20eb89aab87854511e9e9705d2b66a4debb759f8a4db2287b",
-    "stability.sym2": "5f3d365f1e9999137372aa66cf18fa52c86a91fdb4eaea87c2a238cbad45c593",
-    "stability.fit2asym": "9a775ae4ab798410360a24768dfcb7749d1ad08ea4b8672ee02d96f8a072a890",
-    "stability.mut4": "a5d58ab0fff850d09d1b38fa99dd8eed134403de44032d548ab503e16cd44f1d",
-    "stability.pert2": "5ec8dd469ec7c5f9908a4506ab4edcc8e36a82c22cbe1ad14bdb390fe305aaa5",
+    "entropy.sym2": "bbaee7dd397f081f7ffd51a6bc4b0dc9338a7744d88a7cef73fbf3dc92c24585",
+    "entropy.fit2asym": "17a5299ead9c6302379af610a37d6e0817fda5cfcc46046f3d3cb3597eac3e4c",
+    "entropy.mut4": "ffd39b192d305357ece88743c0ae6eeeadf8ec0e27717e14636d016673cf15ca",
+    "entropy.pert2": "520666c7935cc7786ae969ee434492ee6d7169ecf3ac9a33579db6b733c7df0c",
+    "entropy.crowd3": "d57d23462010f55e2e1a2454fd846ddc65cc6c111cf8c9a3e5579b2c3ea88384",
+    "rates.sym2": "c07010d259714917b5a1017ce25efe7b1f132f49858ea018d2d368acb1924c69",
+    "rates.fit2asym": "67d0d14da92e999b8f8d6307c1d31857b64b8229d345102397a380035d92a790",
+    "rates.mut4": "f8b989a3c2e8b14089ba15bda1f99dcc760f3d99a4c04a2bd5905e28bd1ebbdf",
+    "rates.pert2": "5eaf08b9268bb6161d67ae745bfe8a22603bb979082fe055bc408c9865d39d18",
+    "rates.crowd3": "0f0203d82f0a8ca6a3bc8a5d20fe42fd8cf9370c0dca8fbebf8881b76ad1d0ad",
+    "stability.sym2": "df062c8ab8f92cd55d3c97af2f8ab97c36dd15f86d6b8971a057430323350035",
+    "stability.fit2asym": "b53a1558eb6bef0913183554a0a9a67e1c38a21a331362ed2cc175c61b1f9ef6",
+    "stability.mut4": "48aedd6db67a7116650555c4d9e7f9aef0fe2784488e6a8034d1946e7dfd32c2",
+    "stability.pert2": "96120ad0097fce3dfcbfa581d72a3f30a34b266f5919f48d16430d94c9d87c43",
     "stability.crowd3": "26d614a6f573fc8e76babd27796f558a10ee149b2e55d39521e38f9525b1d5f8",
     "sweep.sym2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.fit2asym": "5adde8b34f108540ad96960e8543d92de3072be73227156f3249b0cf6a759dd2",
@@ -125,8 +130,8 @@ _GOLDEN = {
     "sweep.pert2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
-    "stability-force.crowd3": "824b42207d4c0678b178abcbfe1012eed47d098550942ec6ba19240b20655a30",
-    "verify.sym2": "d4d4f31cb3a132797cefe67da3df7a01b6c69e5b60bddc99c13327c0481e160f",
+    "stability-force.crowd3": "d39ce3c0a94cd8f8f536ca61eb86d949901e2132173c84c91fdd5b8b599456f7",
+    "verify.sym2": "ece6156d22caefa1b933df522137b59602ded421aae39478340d54d774535069",
 }
 
 
