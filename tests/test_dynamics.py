@@ -92,6 +92,8 @@ def test_continuous_extension_ends_on_y_and_starts_on_v():
     assert np.array_equal(ends[0], np.zeros(16))
     assert np.array_equal(ends[1, :12], dynamics._B)
     assert np.array_equal(ends[1, 12:], np.zeros(4))
+    # the slope at sigma = 0, h (_P[0] + _P[1]) @ k, is h times stage 0
+    assert np.max(np.abs(dynamics._P[0] + dynamics._P[1] - np.eye(16)[0])) <= 1e-16
     # and on a step of a real run: one step of sym2 with its three extra stages
     preset = get_preset("sym2")
     f = dynamics._vector_field(preset.model)
