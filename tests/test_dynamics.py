@@ -39,9 +39,8 @@ from lvmut.serialize import trajectory_csv
 
 # sha256 of trajectory.csv and the accepted/rejected step counts of each
 # preset run from its own v0 to its t_end at the default tolerances.
-# Recorded when the stepper became DOP853 (the Dormand-Prince 5(4) pair took
-# 65, 95, 95, 65 and 112 attempts); any change to the arithmetic of a step
-# or of a sample shows up here.
+# Recorded when the stepper became DOP853; any change to the arithmetic of a
+# step or of a sample shows up here.
 _GOLDEN = {
     "sym2": ("af42bcbff6af7ea1ef9519ab67cad820bac315de11a452f4eae724f39062d487", 21, 0),
     "fit2asym": ("404432573a19f19aa85ed07a045052eb97025339acc32471529f58be439f6032", 36, 0),
@@ -839,10 +838,10 @@ def _finite_cases():
 
 @pytest.mark.parametrize("case", ["clean", "nan", "inf-pair", "overflow"])
 def test_finite_rows_match_the_entrywise_test(case):
-    ks, y5 = _finite_cases()[case]
-    exact = (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y5).all(axis=1)).tolist()
+    ks, y = _finite_cases()[case]
+    exact = (np.isfinite(ks).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = dynamics._finite_rows(ks, y5)
+        rows = dynamics._finite_rows(ks, y)
     # None is the one-sum verdict "all finite"; the overflow of finite
     # entries falls through to the exact per-row flags
     assert rows == (None if case == "clean" else exact)
