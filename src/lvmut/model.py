@@ -209,42 +209,45 @@ def build_model(n: int, r, big_k: float, mu, interaction: Interaction) -> Model:
 
 
 def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """matrix @ v for one state (n,) or for each state of a stack (..., n).
+    """matrix @ v for each state of a stack (..., n).
 
-    A stack takes one BLAS matrix-vector product per state, the call a
-    single state takes, so each row matches the single-state result bit
-    for bit. One state goes through ndarray.dot, the same product at about
-    half the call cost of @.
+    One BLAS matrix-vector product per state, the call a single state
+    takes through matrix.dot, so each row matches the one-state result
+    bit for bit.
     """
-    if v.ndim == 1:
-        return matrix.dot(v)
     return (matrix @ v[..., None])[..., 0]
 
 
-def _shared_pressure(a: np.ndarray):
-    """v -> a @ v, one value per state shaped to broadcast against the genotype axis.
-
-    That is a scalar for one state and (..., 1) for a stack, whose
-    (..., 1, n) @ (n,) product is one dot product per state, as a.dot(v) is.
-    """
-    dot = a.dot
-    return lambda v: dot(v) if v.ndim == 1 else v[..., None, :] @ a
-
-
 def _pressure(model: Model):
-    """Psi as a function of states (..., n), with the interaction kind dispatched once."""
+    """Psi with the interaction kind dispatched once: the one place each
+    kind's pressure is written.
+
+    Returns a pair: the form for one state (n,), through ndarray.dot at about
+    half the call cost of @, and the form for a stack (..., n), which takes
+    the same product per state, so each row matches the one-state result bit
+    for bit. A uniform pressure is one value per state: a scalar for one
+    state, (..., 1) for a stack.
+    """
     inter = model.interaction
     if isinstance(inter, UniformLinear):
-        return _shared_pressure(inter.a)
+        a = inter.a
+        return a.dot, lambda v: v[..., None, :] @ a
     if isinstance(inter, CrowdingLinear):
         alpha = inter.alpha
+        alpha_dot = alpha.dot
         r = model.r
-        return lambda v: _matvec(alpha, r * v)
+        return lambda v: alpha_dot(r * v), lambda v: _matvec(alpha, r * v)
     if isinstance(inter, Perturbed):
-        base = _shared_pressure(inter.base.a)
+        a = inter.base.a
+        a_dot = a.dot
         w = inter.w
+        w_dot = w.dot
         eps_amp = inter.eps * inter.amp
-        return lambda v: base(v) + eps_amp * np.tanh(_matvec(w, v))
+        tanh = np.tanh
+        return (
+            lambda v: a_dot(v) + eps_amp * tanh(w_dot(v)),
+            lambda v: v[..., None, :] @ a + eps_amp * tanh(_matvec(w, v)),
+        )
     raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
 
 
@@ -254,10 +257,10 @@ def _pressure_values(model: Model):
     A solver that evaluates the pressures many times (Newton)
     binds them here once instead of calling interaction_values each time.
     """
-    psi = _pressure(model)
+    one, stack = _pressure(model)
 
     def values(v: np.ndarray) -> np.ndarray:
-        p = psi(v)
+        p = one(v) if v.ndim == 1 else stack(v)
         # a uniform pressure comes back as one value per state
         return p if p.shape == v.shape else np.full(v.shape, p)
 
@@ -303,52 +306,26 @@ def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
 
 
 def _vector_field(model: Model):
-    """The vector field as a function of states (..., n).
+    """The vector field v (r - Psi(v) / K) + M v - out_rates v as a function
+    of one state (n,) or a stack of states (..., n), written once.
 
     The interaction kind and the outflow rates are bound once, so a caller
     that evaluates the field many times (the integrator) pays for them once.
-    One state (n,) takes its kind's own closure, which calls the ndarray.dot
-    products that _pressure and _matvec would dispatch to, in the same
-    expression and operand order; a stack takes the dispatched form.
+    One state takes _pressure's one-state form and mu.dot; a stack takes the
+    stack form and one product per state, so each row of a stack matches
+    its one-state result bit for bit.
     """
     r = model.r
     big_k = model.big_k
     mu = model.mu
     out_rates = mu.sum(axis=1)
-    psi = _pressure(model)
+    psi_one, psi_stack = _pressure(model)
+    one = psi_one, mu.dot
+    stack = psi_stack, lambda v: _matvec(mu, v)
 
-    def stacked(v: np.ndarray) -> np.ndarray:
-        return v * (r - psi(v) / big_k) + _matvec(mu, v) - out_rates * v
-
-    mu_dot = mu.dot
-    inter = model.interaction
-    if isinstance(inter, UniformLinear):
-        a_dot = inter.a.dot
-
-        def field(v: np.ndarray) -> np.ndarray:
-            if v.ndim != 1:
-                return stacked(v)
-            return v * (r - a_dot(v) / big_k) + mu_dot(v) - out_rates * v
-
-    elif isinstance(inter, CrowdingLinear):
-        alpha_dot = inter.alpha.dot
-
-        def field(v: np.ndarray) -> np.ndarray:
-            if v.ndim != 1:
-                return stacked(v)
-            return v * (r - alpha_dot(r * v) / big_k) + mu_dot(v) - out_rates * v
-
-    else:
-        a_dot = inter.base.a.dot
-        w_dot = inter.w.dot
-        eps_amp = inter.eps * inter.amp
-        tanh = np.tanh
-
-        def field(v: np.ndarray) -> np.ndarray:
-            if v.ndim != 1:
-                return stacked(v)
-            psi_v = a_dot(v) + eps_amp * tanh(w_dot(v))
-            return v * (r - psi_v / big_k) + mu_dot(v) - out_rates * v
+    def field(v: np.ndarray) -> np.ndarray:
+        psi, mutate = one if v.ndim == 1 else stack
+        return v * (r - psi(v) / big_k) + mutate(v) - out_rates * v
 
     return field
 
