@@ -221,21 +221,27 @@ def _error_norm(h: float, sq5: float, sq3: float, n: int) -> float:
 
 
 def _start_step(v0: np.ndarray, k1: np.ndarray, rtol: float, atol: float,
-                t_end: float) -> float:
+                t_end: float, h_floor: float) -> float:
     """A modest start-up step from the state v0 and its field k1; the
     controller adapts within a few steps. A component with scale 0 (atol = 0
     on a zero component) is left out of both norms; the fixed fallback
-    1e-6 t_end serves when no norm is positive."""
+    1e-6 t_end serves when no norm is positive. A step below h_floor, or not
+    finite (both norms overflow), starts at h_floor instead: a component
+    whose scale is about atol can make the field's norm so large that the
+    run would end before its first step, and the controller grows h_floor
+    by up to _MAX_FACTOR per accepted step."""
     scale0 = atol + rtol * np.abs(v0)
     kept = scale0 > 0.0
     if not kept.all():
         v0, k1, scale0 = v0[kept], k1[kept], scale0[kept]
     if not v0.size:
         return min(1e-6 * t_end, t_end / 10.0)
-    d0 = float(np.sqrt(np.mean((v0 / scale0) ** 2)))
-    d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
+    with np.errstate(over="ignore"):
+        d0 = float(np.sqrt(np.mean((v0 / scale0) ** 2)))
+        d1 = float(np.sqrt(np.mean((k1 / scale0) ** 2)))
     h = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
-    return min(h, t_end / 10.0)
+    h = min(h, t_end / 10.0)
+    return h if h >= h_floor else h_floor
 
 
 def integrate(
@@ -342,10 +348,9 @@ def integrate_batch(
     ks[..., 0, :] = f(v)
     if not np.isfinite(ks[..., 0, :]).all():
         raise NonFiniteState("vector field is non-finite at the initial state")
-    h_ctrl = [_start_step(v_b, k_b[0], rtol, atol, t_end)
-              for v_b, k_b in zip(starts, ks.reshape(n_rows, 16, n))]
-
     h_floor = 1e-14 * t_end
+    h_ctrl = [_start_step(v_b, k_b[0], rtol, atol, t_end, h_floor)
+              for v_b, k_b in zip(starts, ks.reshape(n_rows, 16, n))]
     t = [0.0] * n_rows
     err_prev = [1.0] * n_rows
     grid_idx = [0] * n_rows

@@ -1,6 +1,7 @@
 """End-to-end command line coverage, run in process through main()."""
 import inspect
 import json
+import math
 import re
 import shlex
 import warnings
@@ -382,6 +383,34 @@ def test_simulate_with_atol_zero_keeps_a_zero_genotype_at_zero(capsys, tmp_path)
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     assert float(rows[-1][0]) == 5.0
     assert all(row[2] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--v0", "0,8", "--rtol", "1e-10", "--atol", "1e-22"),
+    ("--v0", "1e-300,8", "--atol", "0"),
+])
+def test_simulate_from_a_zero_or_tiny_genotype_with_a_tiny_atol(capsys, tmp_path, flags):
+    # the start-up step from these states fell below the step floor, and
+    # the run ended in StepSizeUnderflow (exit 3) at t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(capsys, "simulate", "--preset", "sym2",
+                            "--out", str(tmp_path), *flags)
+    assert (code, err) == (0, "")
+
+
+def test_simulate_at_an_unreachable_rtol_reports_a_finite_step(capsys, tmp_path):
+    # both start-up norms overflow to inf; their NaN ratio used to be the
+    # step reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "simulate", "--preset", "sym2", "--out",
+                              str(tmp_path), "--rtol", "1e-300", "--atol", "0")
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "StepSizeUnderflow"
+    step = float(re.match(r"step size (\S+) underflowed", payload["message"]).group(1))
+    assert math.isfinite(step)
 
 
 _WIDE_BOX = {"interaction": {"kind": "crowding", "alpha": [[1.0, 0.0], [0.5, 1.0]]}}

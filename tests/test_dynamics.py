@@ -663,6 +663,21 @@ def test_atol_zero_keeps_a_zero_genotype_at_zero():
                                 traj.rejected_steps))
 
 
+@pytest.mark.parametrize("atol", [1e-20, 1e-22, 1e-300])
+def test_tiny_atol_on_a_zero_component_starts_at_the_step_floor(atol):
+    # the zero genotypes' scale is atol and their inflow is not 0, so the
+    # start-up norm of the field is huge; the start step used to fall below
+    # the floor 1e-14 t_end and end the run at t = 0
+    model = get_preset("mut4").model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = integrate(model, [100, 0, 0, 0], 50, rtol=1e-10, atol=0)
+        traj = integrate(model, [100, 0, 0, 0], 50, rtol=1e-10, atol=atol)
+    assert traj.times[-1] == 50.0
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-9 * np.max(np.abs(ref.states))
+
+
 def _hypercube16():
     rng = np.random.default_rng(16)
     r = rng.uniform(0.8, 1.2, size=16)
