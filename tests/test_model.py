@@ -114,30 +114,31 @@ def test_rhs_hand_computed():
 
 
 def _hypercube16(kind: str = "uniform"):
-    # the 4-locus hypercube with the ladder's self-crowding alpha = 0.8 J + 0.2 I,
-    # or a tanh perturbation that stays off saturation for states up to 2 K
     rng = np.random.default_rng(5)
     r = rng.uniform(0.8, 1.2, size=16)
-    interaction = {
-        "uniform": lambda: uniform_linear(r),
-        "crowding": lambda: crowding_linear(0.8 * np.ones((16, 16)) + 0.2 * np.eye(16)),
-        "perturbed": lambda: perturbed(uniform_linear(r), 0.05, rng.uniform(-1.0, 1.0, 16),
-                                       0.02 * rng.normal(size=(16, 16))),
-    }[kind]()
+    if kind == "crowding":
+        # the ladder's self-crowding alpha = 0.8 J + 0.2 I
+        interaction = crowding_linear(0.8 * np.ones((16, 16)) + 0.2 * np.eye(16))
+    elif kind == "perturbed":
+        # w this small keeps tanh off saturation for states up to 2 K
+        interaction = perturbed(uniform_linear(r), 0.05, rng.uniform(-1.0, 1.0, 16),
+                                0.02 * rng.normal(size=(16, 16)))
+    else:
+        interaction = uniform_linear(r)
     return build_model(16, r, 10.0, point_mutation_matrix(4, 0.02), interaction)
 
 
-_HYPERCUBES = {
-    "hypercube16": _hypercube16,
-    "crowding16": lambda: _hypercube16("crowding"),
-    "perturbed16": lambda: _hypercube16("perturbed"),
-}
+_HYPERCUBE16_KINDS = {"hypercube16": "uniform", "crowding16": "crowding",
+                      "perturbed16": "perturbed"}
 
 
 @pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4", "pert2", "crowd3", "hypercube16",
                                   "crowding16", "perturbed16"])
 def test_stacked_states_match_row_by_row(name):
-    model = _HYPERCUBES[name]() if name in _HYPERCUBES else get_preset(name).model
+    if name in _HYPERCUBE16_KINDS:
+        model = _hypercube16(_HYPERCUBE16_KINDS[name])
+    else:
+        model = get_preset(name).model
     rng = np.random.default_rng(31)
     states = rng.uniform(0.0, 2.0 * model.big_k, size=(2, 9, model.n))
     rows = states.reshape(-1, model.n)
