@@ -566,6 +566,15 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     can be built from the symmetric eigendecomposition, where the integral
     is exact per eigenmode: the phi_1 function expm1(lam t) / lam (Higham,
     Functions of Matrices, section 10.7).
+
+    Numerator and denominator are both scaled by exp(-s t), s the largest
+    of the eigenvalues and 0, so no exponent is positive and no horizon
+    overflows: mode i of exp(-s t) V(t) is exp((lam_i - s) t), and
+    exp(-s t) phi_1(lam_i, t) is exp((max(lam_i, 0) - s) t) psi(|lam_i|, t)
+    with psi(m, t) = (1 - exp(-m t)) / m, whose limit at m = 0 is t.
+    States are clamped at 0, as the integrator clamps them. A start at
+    which the vector field is not finite, or a state that is not, raises
+    NonFiniteState, as integrate does.
     """
     if not isinstance(model.interaction, UniformLinear):
         raise WrongInteractionKind("closed form applies to uniform linear interactions")
@@ -584,17 +593,33 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     if times[0] > 0.0:
         times = np.concatenate(([0.0], times))
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        field_finite = np.isfinite(_vector_field(model)(v0)).all()
+    if not field_finite:
+        raise NonFiniteState("vector field is non-finite at the initial state")
+
     spec = symmetric_spectrum(growth_mutation_matrix(model))
     lam = spec.eigenvalues
-    coeff = spec.eigenvectors.T @ v0
-    lt = np.multiply.outer(times, lam)
-    # phi_1 per eigenmode; its limit at lam == 0 is t
-    zero = lam == 0.0
-    phi1 = np.where(zero, times[:, None], np.expm1(lt) / np.where(zero, 1.0, lam))
-    propagated = (np.exp(lt) * coeff) @ spec.eigenvectors.T
-    integral = (phi1 * coeff) @ spec.eigenvectors.T
-    states = propagated / (1.0 + integral @ (model.interaction.a / model.big_k))[:, None]
+    basis = spec.eigenvectors
+    shift = max(float(lam.max()), 0.0)
+    t = times[:, None]
+    mag = np.abs(lam)
+    zero = mag == 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeff = basis.T @ v0
+        psi = np.where(zero, t, -np.expm1(-mag * t) / np.where(zero, 1.0, mag))
+        propagated = (np.exp((lam - shift) * t) * coeff) @ basis.T
+        integral = (np.exp((np.maximum(lam, 0.0) - shift) * t) * psi * coeff) @ basis.T
+        pressure = integral @ (model.interaction.a / model.big_k)
+        denominator = np.exp(-shift * t) + pressure[:, None]
+        # a component that is exactly 0 stays 0, also where the denominator
+        # underflows to 0
+        states = np.divide(propagated, denominator, out=np.zeros_like(propagated),
+                           where=propagated != 0.0)
+    np.maximum(states, 0.0, out=states)
     states[0] = v0
+    if not np.isfinite(states).all():
+        raise NonFiniteState("closed-form state is non-finite")
 
     return Trajectory(
         times=times.copy(),

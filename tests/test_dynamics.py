@@ -401,6 +401,40 @@ def test_closed_form_rejects_asymmetric_mu():
         closed_form_uniform_linear(model, np.array([0.5, 0.5]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("t_end", [400.0, 1e4])
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4"])
+def test_closed_form_at_a_long_horizon(name, t_end):
+    # exp(lambda_p t) overflows once lambda_p t > 709 (fit2asym's lambda_p is
+    # 1.91); the scaled modes do not, and under warnings-as-errors nothing
+    # warns on the way
+    preset = get_preset(name)
+    exact = closed_form_uniform_linear(preset.model, preset.v0, [t_end]).states[-1]
+    ref = integrate(preset.model, preset.v0, t_end, rtol=1e-12, atol=1e-14,
+                    record_every=t_end).states[-1]
+    v_bar = equilibrium_uniform(preset.model).v_bar
+    assert np.max(np.abs(exact - ref)) <= 1e-12 * np.max(ref)
+    assert np.max(np.abs(exact - v_bar)) <= 1e-14 * np.max(v_bar)
+
+
+def test_closed_form_from_zero_stays_at_zero():
+    model = get_preset("fit2asym").model
+    states = closed_form_uniform_linear(model, [0.0, 0.0], [1.0, 400.0, 1e4]).states
+    assert np.array_equal(states, np.zeros((4, 2)))
+    assert not np.signbit(states).any()
+
+
+@pytest.mark.parametrize("r, v0", [([1.0, 1.0], [1e308, 1e308]),
+                                   ([1e308, 1e308], [8.0, 2.0]),
+                                   ([1e300, 1e300], [1.0, 1.0])])
+def test_closed_form_that_overflows_raises(r, v0):
+    # the first two have a field that overflows at the start, as integrate
+    # rejects them; the third has a finite field but an equilibrium K r / a
+    # beyond the largest double
+    model = build_model(2, r, 1e10, [[0.0, 0.1], [0.1, 0.0]], uniform_linear([1.0, 1.0]))
+    with pytest.raises(NonFiniteState):
+        closed_form_uniform_linear(model, v0, [1.0])
+
+
 def test_envelopes_fixed_point_at_capacity():
     preset = get_preset("sym2")
     times = np.linspace(0.0, 10.0, 50)
