@@ -178,6 +178,35 @@ def _record_grid(t_end: float, record_every: float) -> np.ndarray:
     return grid
 
 
+def _checked_grid(t_end: float, rtol: float, atol: float,
+                  record_every: float | None) -> np.ndarray:
+    """The recording grid of a run over [0, t_end], record_every apart
+    (t_end / 500 when None), once the run's settings pass their checks:
+    t_end positive and finite, rtol and atol finite, nonnegative and not
+    both zero, record_every positive and finite, and at most _MAX_SAMPLES
+    samples. Integrated and exact trajectories share it, so a bad setting
+    fails with the same ValueError on either."""
+    t_end = float(t_end)
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+    if rtol == 0.0 and atol == 0.0:
+        raise ValueError("rtol and atol must not both be zero")
+    if record_every is None:
+        record_every = t_end / 500.0
+    record_every = float(record_every)
+    if not 0.0 < record_every < np.inf:
+        raise ValueError("record_every must be positive and finite")
+    if not t_end / record_every < _MAX_SAMPLES:
+        raise ValueError(
+            f"record_every {record_every:g} would record more than {_MAX_SAMPLES} "
+            f"samples up to t_end {t_end:g}"
+        )
+    return _record_grid(t_end, record_every)
+
+
 def _finite_rows(ks: np.ndarray, y: np.ndarray) -> list[bool] | bool | None:
     """None when every entry of the stages ks (B, 13, n) and the results y (B, n)
     is finite, else one flag per row: are that row's entries all finite.
@@ -309,31 +338,14 @@ def integrate_batch(
         raise NonFiniteState("initial state contains non-finite entries")
     if np.any(starts < 0.0):
         raise ValueError("initial state must be nonnegative")
+    grid = _checked_grid(t_end, rtol, atol, record_every)
     t_end = float(t_end)
-    if not 0.0 < t_end < np.inf:
-        raise ValueError("t_end must be positive and finite")
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not (np.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
-    if rtol == 0.0 and atol == 0.0:
-        raise ValueError("rtol and atol must not both be zero")
     n_rows = len(starts)
     for b in np.flatnonzero(~np.any(starts > 0.0, axis=1)):
         row = f" (row {b})" if n_rows > 1 else ""
         warnings.warn(f"initial state{row} is identically zero; the flow stays at zero")
-    if record_every is None:
-        record_every = t_end / 500.0
-    record_every = float(record_every)
-    if not 0.0 < record_every < np.inf:
-        raise ValueError("record_every must be positive and finite")
-    if not t_end / record_every < _MAX_SAMPLES:
-        raise ValueError(
-            f"record_every {record_every:g} would record more than {_MAX_SAMPLES} "
-            f"samples up to t_end {t_end:g}"
-        )
 
     f = _vector_field(model)
-    grid = _record_grid(t_end, record_every)
     times = np.concatenate(([0.0], grid))  # every recorded time is a grid point
     grid = grid.tolist()
     n_grid = len(grid)
