@@ -12,6 +12,7 @@ import pytest
 
 from lvmut import cli, errors
 from lvmut.cli import main
+from lvmut.dynamics import integrate
 from lvmut.model import interaction_values
 from lvmut.presets import get_preset
 from lvmut.serialize import dumps_json, model_to_dict
@@ -130,6 +131,29 @@ def test_rates_fit(capsys):
     assert payload["fitted_rate_eh"] <= -0.38
     assert payload["r_squared"] >= 0.999
     assert payload["predicted_c1"] == pytest.approx(0.2, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4"])
+def test_exact_rates_match_the_spectral_gap(capsys, name):
+    # an exact trajectory is fitted down to the rounding floor
+    code, out, _ = _run(capsys, "rates", "--preset", name)
+    assert code == 0
+    payload = json.loads(out)
+    c1 = payload["predicted_c1"]
+    assert abs(payload["fitted_rate_sup"] + c1) <= 0.005 * c1
+
+
+@pytest.mark.parametrize("record_every", [None, 0.3, 50.0])
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4"])
+def test_exact_trajectory_samples_the_integrator_grid(name, record_every):
+    preset = get_preset(name)
+    job = cli.Job(preset.model, preset.v0, None, preset.t_end, 1e-8, 1e-10,
+                  record_every, None)
+    exact = cli._trajectory(job, preset.v0)
+    ref = integrate(preset.model, preset.v0, preset.t_end, record_every=record_every)
+    assert exact.tol_used == (0.0, 0.0)
+    assert np.array_equal(exact.times, ref.times)
+    assert np.allclose(exact.states, ref.states, rtol=1e-7, atol=0.0)
 
 
 def test_stability_scope_gate_and_force(capsys, tmp_path):
@@ -391,10 +415,11 @@ def test_simulate_with_atol_zero_keeps_a_zero_genotype_at_zero(capsys, tmp_path)
 ])
 def test_simulate_from_a_zero_or_tiny_genotype_with_a_tiny_atol(capsys, tmp_path, flags):
     # the start-up step from these states fell below the step floor, and
-    # the run ended in StepSizeUnderflow (exit 3) at t = 0
+    # the run ended in StepSizeUnderflow (exit 3) at t = 0; pert2 is
+    # integrated (sym2 takes the closed form)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, err = _run(capsys, "simulate", "--preset", "sym2",
+        code, _, err = _run(capsys, "simulate", "--preset", "pert2",
                             "--out", str(tmp_path), *flags)
     assert (code, err) == (0, "")
 
@@ -404,13 +429,48 @@ def test_simulate_at_an_unreachable_rtol_reports_a_finite_step(capsys, tmp_path)
     # step reported
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = _run(capsys, "simulate", "--preset", "sym2", "--out",
+        code, out, err = _run(capsys, "simulate", "--preset", "pert2", "--out",
                               str(tmp_path), "--rtol", "1e-300", "--atol", "0")
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["error"] == "StepSizeUnderflow"
     step = float(re.match(r"step size (\S+) underflowed", payload["message"]).group(1))
     assert math.isfinite(step)
+
+
+@pytest.mark.parametrize("v0, tolerances", [
+    (None, ("--rtol", "1e-300", "--atol", "0")),
+    ("0,8", ("--rtol", "1e-10", "--atol", "1e-22")),
+    ("1e-300,8", ("--atol", "0")),
+])
+def test_tolerances_do_not_apply_to_an_exact_trajectory(capsys, monkeypatch, v0, tolerances):
+    # sym2 takes the closed form: no step is taken, and tolerances that stop
+    # or slow the integrator leave the samples as they are
+    from lvmut import dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 0)
+    argv = ["simulate", "--preset", "sym2"] + ([] if v0 is None else ["--v0", v0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv, *tolerances)
+        assert (code, err) == (0, "")
+        assert _run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--rtol", "0", "--atol", "0"),
+    ("--rtol", "nan"),
+    ("--atol", "-1"),
+    ("--t-end", "-1"),
+    ("--t-end", "10", "--record-every", "1e-9"),
+    ("--record-every", "inf"),
+])
+def test_a_bad_run_setting_fails_alike_exact_or_integrated(capsys, flags):
+    # sym2 takes the closed form and pert2 is integrated
+    exact = _run(capsys, "simulate", "--preset", "sym2", *flags)
+    integrated = _run(capsys, "simulate", "--preset", "pert2", *flags)
+    assert exact == integrated
+    assert exact[0] == 2
 
 
 _WIDE_BOX = {"interaction": {"kind": "crowding", "alpha": [[1.0, 0.0], [0.5, 1.0]]}}
@@ -529,9 +589,9 @@ def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
 def test_step_budget_is_a_solver_error(capsys, monkeypatch):
     from lvmut import dynamics
 
-    # sym2's simulate attempts 21 steps
+    # pert2's simulate attempts 21 steps
     monkeypatch.setattr(dynamics, "_MAX_STEPS", 15)
-    code, out, err = _run(capsys, "simulate", "--preset", "sym2")
+    code, out, err = _run(capsys, "simulate", "--preset", "pert2")
     assert code == 3
     assert out == ""
     payload = json.loads(err)
