@@ -87,16 +87,23 @@ def _digest(argv: list[str], out_dir) -> str:
 # stability-force.crowd3 and verify.sym2 re-recorded when the stepper became
 # DOP853 (trajectory samples move by at most 1.6e-8 relative, within the
 # default rtol of 1e-8; rates.mut4's sup rate from -0.1199871 to -0.1200000
-# against c1 = 0.12; all twelve verdicts of verify are unchanged)
+# against c1 = 0.12; all twelve verdicts of verify are unchanged); simulate,
+# entropy and rates on sym2, fit2asym and mut4 re-recorded when the CLI
+# began to sample the exact closed form for uniform models (trajectory
+# samples move by at most 3.4e-9 relative, on fit2asym; with tol_used
+# (0, 0) the rates fit down to the rounding floor, so fit2asym's window
+# widens from [6.64, 13.28] with 84 points to [15.68, 31.28] with 196,
+# mut4's from [54.4, 108.4] with 136 to [100, 200] with 251, and sym2's
+# stays [25, 50] with 251)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.mut4": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.pert2": "81633c7601f7714ee64cd711248f1ad0de66bc6684890ae8b6bf7060b7b93651",
     "validate.crowd3": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
-    "simulate.sym2": "6ff61e234cfbb83a7798cefc65b9a1cc17a2fc5cfd4b37a966c5ba5e3f39d819",
-    "simulate.fit2asym": "ad36ed8c75742f33f52f26075a6d9ec9c0aa3ba2843516fada96333463fb1322",
-    "simulate.mut4": "b4e976f1d59a563f6ef60fa7460d54beceb4d223aad9e7daa2b485c7fd363067",
+    "simulate.sym2": "84ff426e492fe938bffcba72fabc116c94e445ac81380af463fb7817d1809850",
+    "simulate.fit2asym": "8a6dc4f72cb564256eb32dabf991fba52b1a863b5c693e46b95f8e3f4ea1d5e4",
+    "simulate.mut4": "dee53ca875fa4c8cbe37f8a2f6194757b79fdfed91fa64925696baed7435e316",
     "simulate.pert2": "bbf4962dcbcccab29c4dde49b4a852b7ad6bce888a24b0d424457d76ab80cf2c",
     "simulate.crowd3": "6b7e75404b4cd0db4c60d08ef6bdc626ea0137a11f7ca784188f0f2daa96b919",
     "equilibrium.sym2": "97c1fdf8927ec9912facd679d97d8ec0cc9b7d927747fca6c7fd5c149fb0a55e",
@@ -109,14 +116,14 @@ _GOLDEN = {
     "spectrum.mut4": "46d5828a8baec3380c1f36c4012b0d2c50808bcf695c621ac66338f9349ccff8",
     "spectrum.pert2": "29049d5eca290d015f412f5c888972004bd2484782314de9634d02959ccb3b86",
     "spectrum.crowd3": "5449b494572fc6d328289c790e430fcb4928124162d1402e71698979987d2bae",
-    "entropy.sym2": "bbaee7dd397f081f7ffd51a6bc4b0dc9338a7744d88a7cef73fbf3dc92c24585",
-    "entropy.fit2asym": "17a5299ead9c6302379af610a37d6e0817fda5cfcc46046f3d3cb3597eac3e4c",
-    "entropy.mut4": "ffd39b192d305357ece88743c0ae6eeeadf8ec0e27717e14636d016673cf15ca",
+    "entropy.sym2": "7335a1cb893cb7f0330645ef4f655381fcde85ce2c73e2e06ce0699da1a9c046",
+    "entropy.fit2asym": "40c00b209d4ceb2760ea0edd502d133aec1f34cd4d93a8d2bcb02f8036000295",
+    "entropy.mut4": "50ca2b882b60786ce07b24a032da0ec78cce6ad49faed70c3eaf274f7429b9a1",
     "entropy.pert2": "520666c7935cc7786ae969ee434492ee6d7169ecf3ac9a33579db6b733c7df0c",
     "entropy.crowd3": "d57d23462010f55e2e1a2454fd846ddc65cc6c111cf8c9a3e5579b2c3ea88384",
-    "rates.sym2": "c07010d259714917b5a1017ce25efe7b1f132f49858ea018d2d368acb1924c69",
-    "rates.fit2asym": "67d0d14da92e999b8f8d6307c1d31857b64b8229d345102397a380035d92a790",
-    "rates.mut4": "f8b989a3c2e8b14089ba15bda1f99dcc760f3d99a4c04a2bd5905e28bd1ebbdf",
+    "rates.sym2": "bf57f2228b24dcd122c50557b5a32a936e3bb1e4115af76971ff7aaa7ff1e321",
+    "rates.fit2asym": "529659b991b9486cf78d29065035ddb85183268edc1decda23aa2dce4373bff0",
+    "rates.mut4": "936940b0040d9a47d27f51c1ff071fbbd15dba1dd1ce550cb6a401fb0f155424",
     "rates.pert2": "5eaf08b9268bb6161d67ae745bfe8a22603bb979082fe055bc408c9865d39d18",
     "rates.crowd3": "0f0203d82f0a8ca6a3bc8a5d20fe42fd8cf9370c0dca8fbebf8881b76ad1d0ad",
     "stability.sym2": "df062c8ab8f92cd55d3c97af2f8ab97c36dd15f86d6b8971a057430323350035",
