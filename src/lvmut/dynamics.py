@@ -584,6 +584,8 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     overflows: mode i of exp(-s t) V(t) is exp((lam_i - s) t), and
     exp(-s t) phi_1(lam_i, t) is exp((max(lam_i, 0) - s) t) psi(|lam_i|, t)
     with psi(m, t) = (1 - exp(-m t)) / m, whose limit at m = 0 is t.
+    A start whose largest entry is below 1/2 is first scaled up by a power
+    of two, exactly, so that a subnormal one still reaches the attractor.
     States are clamped at 0, as the integrator clamps them. A start at
     which the vector field is not finite, or a state that is not, raises
     NonFiniteState, as integrate does.
@@ -617,13 +619,19 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     t = times[:, None]
     mag = np.abs(lam)
     zero = mag == 0.0
+    # the start enters as v0 / c with c = 2^k, k = min(0, exponent of max v0),
+    # so the modes of a tiny start do not underflow; the flow is then
+    # P / (exp(-s t) / c + I) for the scaled numerator P and integral term I
+    k = min(0, math.frexp(float(v0.max()))[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeff = basis.T @ v0
+        coeff = basis.T @ np.ldexp(v0, -k)
         psi = np.where(zero, t, -np.expm1(-mag * t) / np.where(zero, 1.0, mag))
         propagated = (np.exp((lam - shift) * t) * coeff) @ basis.T
         integral = (np.exp((np.maximum(lam, 0.0) - shift) * t) * psi * coeff) @ basis.T
         pressure = integral @ (model.interaction.a / model.big_k)
-        denominator = np.exp(-shift * t) + pressure[:, None]
+        # where exp(-s t) / c overflows, the state is below about 1e-308 and
+        # its quotient 0
+        denominator = np.ldexp(np.exp(-shift * t), -k) + pressure[:, None]
         # a component that is exactly 0 stays 0, also where the denominator
         # underflows to 0
         states = np.divide(propagated, denominator, out=np.zeros_like(propagated),

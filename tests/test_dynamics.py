@@ -423,6 +423,17 @@ def test_closed_form_from_zero_stays_at_zero():
     assert not np.signbit(states).any()
 
 
+def test_closed_form_from_a_subnormal_start_reaches_the_attractor():
+    # exp(-s t) and the integral term of the unscaled start both underflow
+    # to 0 while the Perron mode does not; the start scaled by 2^1073 keeps
+    # all three
+    model = get_preset("sym2").model
+    state = closed_form_uniform_linear(model, [5e-324, 5e-324], [1000.0]).states[-1]
+    v_bar = equilibrium_uniform(model).v_bar
+    assert np.isfinite(state).all()
+    assert np.max(np.abs(state - v_bar)) <= 1e-12
+
+
 @pytest.mark.parametrize("r, v0", [([1.0, 1.0], [1e308, 1e308]),
                                    ([1e308, 1e308], [8.0, 2.0]),
                                    ([1e300, 1e300], [1.0, 1.0])])
