@@ -23,11 +23,11 @@ from .analysis import (
     perturbation_sweep,
     spectral_gap,
 )
-from .dynamics import Trajectory, _checked_grid, closed_form_uniform_linear, integrate
+from .dynamics import Trajectory, _flow_batch
 from .entropy import EntropyKernel, decompose, dissipation
 from .equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from .errors import LvmutError
-from .model import Model, Perturbed, UniformLinear, mutation_symmetric, validate
+from .model import Model, Perturbed, mutation_symmetric, validate
 from .presets import catalog, get_preset
 
 _FORCE_BANNER = (
@@ -171,17 +171,13 @@ def _require_v0(job: Job) -> np.ndarray:
 
 
 def _trajectory(job: Job, v0: np.ndarray) -> Trajectory:
-    """The flow from v0, sampled on the recording grid. A uniform linear
-    model with symmetric mutation takes the exact closed form on the grid
-    integrate would record; its rtol and atol are checked but unused, and
-    its trajectory reports tol_used (0, 0). Any other model is integrated."""
-    model = job.model
-    if isinstance(model.interaction, UniformLinear) and mutation_symmetric(model):
-        grid = _checked_grid(job.t_end, job.rtol, job.atol, job.record_every)
-        return closed_form_uniform_linear(model, v0, grid)
-    return integrate(
-        model, v0, job.t_end, rtol=job.rtol, atol=job.atol, record_every=job.record_every
-    )
+    """The flow from v0, sampled on the recording grid: exact for a uniform
+    linear model with symmetric mutation, integrated otherwise (see
+    dynamics._flow_batch)."""
+    n = job.model.n
+    if v0.shape != (n,):
+        raise ValueError(f"v0 must have shape ({n},)")
+    return _flow_batch(job.model, v0[None], job.t_end, job.rtol, job.atol, job.record_every)[0]
 
 
 def _parse_kernel(text: str) -> EntropyKernel:

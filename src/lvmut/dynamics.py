@@ -207,6 +207,27 @@ def _checked_grid(t_end: float, rtol: float, atol: float,
     return _record_grid(t_end, record_every)
 
 
+def _checked_run(model: Model, starts, t_end: float, rtol: float, atol: float,
+                 record_every: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The starts (B, n) as floats and the recording grid of a run from
+    them, once both pass their checks: B >= 1 finite, nonnegative rows of
+    the model's size, and the settings of _checked_grid. A start that is
+    identically zero gets a warning: the flow stays at zero."""
+    starts = np.asarray(starts, dtype=float)
+    n = model.n
+    if starts.ndim != 2 or starts.shape[1] != n or len(starts) == 0:
+        raise ValueError(f"starts must have shape (B, {n}) with B >= 1")
+    if not np.isfinite(starts).all():
+        raise NonFiniteState("initial state contains non-finite entries")
+    if np.any(starts < 0.0):
+        raise ValueError("initial state must be nonnegative")
+    grid = _checked_grid(t_end, rtol, atol, record_every)
+    for b in np.flatnonzero(~np.any(starts > 0.0, axis=1)):
+        row = f" (row {b})" if len(starts) > 1 else ""
+        warnings.warn(f"initial state{row} is identically zero; the flow stays at zero")
+    return starts, grid
+
+
 def _finite_rows(ks: np.ndarray, y: np.ndarray) -> list[bool] | bool | None:
     """None when every entry of the stages ks (B, 13, n) and the results y (B, n)
     is finite, else one flag per row: are that row's entries all finite.
@@ -330,20 +351,10 @@ def integrate_batch(
     is a ValueError, and a row that needs more than _MAX_STEPS attempted
     steps raises StepBudgetExceeded. The first row to fail aborts the call.
     """
-    starts = np.asarray(starts, dtype=float)
+    starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
     n = model.n
-    if starts.ndim != 2 or starts.shape[1] != n or len(starts) == 0:
-        raise ValueError(f"starts must have shape (B, {n}) with B >= 1")
-    if not np.isfinite(starts).all():
-        raise NonFiniteState("initial state contains non-finite entries")
-    if np.any(starts < 0.0):
-        raise ValueError("initial state must be nonnegative")
-    grid = _checked_grid(t_end, rtol, atol, record_every)
     t_end = float(t_end)
     n_rows = len(starts)
-    for b in np.flatnonzero(~np.any(starts > 0.0, axis=1)):
-        row = f" (row {b})" if n_rows > 1 else ""
-        warnings.warn(f"initial state{row} is identically zero; the flow stays at zero")
 
     f = _vector_field(model)
     times = np.concatenate(([0.0], grid))  # every recorded time is a grid point
@@ -648,6 +659,28 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
         rejected_steps=0,
         tol_used=(0.0, 0.0),
     )
+
+
+def _flow_batch(
+    model: Model,
+    starts,
+    t_end: float,
+    rtol: float = 1e-8,
+    atol: float = 1e-10,
+    record_every: float | None = None,
+) -> list[Trajectory]:
+    """The flow from each row of starts (B, n) over [0, t_end], on the
+    recording grid and after the checks of integrate_batch.
+
+    A uniform linear model with symmetric mutation takes the exact
+    closed_form_uniform_linear from each start, so rtol and atol are
+    checked but unused and each trajectory reports tol_used (0, 0). Any
+    other model is integrated by integrate_batch.
+    """
+    if not (isinstance(model.interaction, UniformLinear) and mutation_symmetric(model)):
+        return integrate_batch(model, starts, t_end, rtol, atol, record_every)
+    starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
+    return [closed_form_uniform_linear(model, v0, grid) for v0 in starts]
 
 
 def logistic_envelopes(model: Model, n0: float, times) -> EnvelopePair:

@@ -12,7 +12,7 @@ from lvmut.analysis import (
     perturbation_sweep,
     spectral_gap,
 )
-from lvmut.dynamics import Trajectory, integrate
+from lvmut.dynamics import Trajectory, closed_form_uniform_linear, integrate, integrate_batch
 from lvmut.entropy import decompose
 from lvmut.equilibrium import equilibrium_auto, equilibrium_homotopy, equilibrium_uniform
 from lvmut.errors import (
@@ -199,7 +199,8 @@ def test_global_stability_mut4():
 
 
 def test_global_stability_equals_a_loop_over_integrate():
-    model = get_preset("mut4").model
+    # pert2 is in theorem scope and has no closed form, so it integrates
+    model = get_preset("pert2").model
     rep = global_stability_experiment(model, n_samples=6, seed=404, t_end=60.0, tol=1e-3)
     rng = np.random.default_rng(404)
     starts = rng.uniform(0.0, 2.0 * model.big_k, size=(6, model.n))
@@ -211,6 +212,31 @@ def test_global_stability_equals_a_loop_over_integrate():
     assert np.array_equal(rep.endpoints, np.array(ends))
     assert rep.max_pairwise_gap == max_pair
     assert rep.max_equilibrium_gap == float(np.max(np.abs(np.array(ends) - rep.attractor)))
+
+
+def test_global_stability_equals_a_loop_over_the_closed_form():
+    model = get_preset("mut4").model
+    rep = global_stability_experiment(model, n_samples=6, seed=404, t_end=60.0, tol=1e-3)
+    rng = np.random.default_rng(404)
+    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(6, model.n))
+    ends = [closed_form_uniform_linear(model, v0, [60.0]).states[-1] for v0 in starts]
+    assert np.array_equal(rep.endpoints, np.array(ends))
+
+
+def test_integrator_meets_the_exact_endpoints_of_criterion_04():
+    # criterion 04's inputs: its endpoints are exact, and the integrator
+    # keeps its check here
+    model = get_preset("mut4").model
+    rng = np.random.default_rng(404)
+    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(20, model.n))
+    assert np.all(np.any(starts > 0.0, axis=1))
+    trajs = integrate_batch(model, starts, 200.0, rtol=1e-10, atol=1e-12, record_every=200.0)
+    ends = np.array([traj.states[-1] for traj in trajs])
+    exact = np.array([closed_form_uniform_linear(model, v0, [200.0]).states[-1]
+                      for v0 in starts])
+    assert np.all(np.abs(ends - exact) <= 1e-9 * np.maximum(1.0, np.abs(exact)))
+    v_bar = equilibrium_uniform(model).v_bar
+    assert np.max(np.abs(ends - v_bar)) <= 1e-6
 
 
 def _pert2_params():

@@ -187,6 +187,40 @@ def test_stability_converges_on_preset(capsys):
     assert payload["max_pairwise_gap"] <= 1e-6
 
 
+@pytest.mark.parametrize("preset, calls", [
+    ("sym2", 0), ("fit2asym", 0), ("mut4", 0), ("pert2", 1),
+])
+def test_stability_integrates_only_without_a_closed_form(capsys, monkeypatch, preset, calls):
+    from lvmut import dynamics
+
+    original = dynamics.integrate_batch
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_batch", spy)
+    code, _, err = _run(capsys, "stability", "--preset", preset, "--samples", "5",
+                        "--seed", "1")
+    assert (code, err) == (0, "")
+    assert len(seen) == calls
+
+
+def test_stability_at_t_end_1e300_is_exact_on_sym2_and_underflows_on_pert2(capsys):
+    # sym2's endpoints are exact, so t_end = 1e300 needs no steps; pert2
+    # integrates, and its step floor 1e-14 t_end is above any step it takes
+    code, out, err = _run(capsys, "stability", "--preset", "sym2", "--t-end", "1e300")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    ends = np.array(payload["endpoints"])
+    assert payload["converged"] is True
+    assert np.max(np.abs(ends - np.array(payload["attractor"]))) <= 1e-12
+    code, out, err = _run(capsys, "stability", "--preset", "pert2", "--t-end", "1e300")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "StepSizeUnderflow"
+
+
 def test_sweep_from_perturbed_preset(capsys, tmp_path):
     out_dir = tmp_path / "sw"
     code, _, _ = _run(
@@ -577,6 +611,12 @@ def test_negative_v0_flag_rejected(capsys):
         (["sweep", "--preset", "pert2", "--eps", "1e-4,inf"], "eps_grid"),
         (["stability", "--preset", "sym2", "--samples", "2", "--tol", "nan"], "tol"),
         (["stability", "--preset", "sym2", "--samples", "2", "--tol", "-1"], "tol"),
+        # sym2's stability endpoints are exact, after the integrator's checks
+        (["stability", "--preset", "sym2", "--t-end", "0"], "t_end must be positive"),
+        (["stability", "--preset", "sym2", "--t-end", "nan"], "t_end must be positive"),
+        (["stability", "--preset", "sym2", "--t-end", "inf"], "t_end must be positive"),
+        (["stability", "--preset", "sym2", "--t-end", "-1"], "t_end must be positive"),
+        (["simulate", "--preset", "sym2", "--v0", "1,2,3"], "v0 must have shape (2,)"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
