@@ -2,8 +2,8 @@
 
 The ops are the benchmark's cli workload (8 commands on the 5 presets,
 stability with 5 samples and seed 1, and `presets --json`), plus
-`stability --force` on a model outside the convergence statements and
-`verify --preset sym2 --out`. Each digest is the sha256 of the exit code,
+`stability --force` on a model outside the convergence statements,
+`verify --preset sym2 --out` and the full `verify --out`. Each digest is the sha256 of the exit code,
 stdout, stderr and every file the op wrote, in name order. A change to
 how reports or tables are written must keep every digest.
 """
@@ -50,6 +50,7 @@ def _ops() -> dict[str, list[str]]:
     ops["stability-force.crowd3"] = ["stability", "--preset", "crowd3", "--samples", "3",
                                      "--seed", "2", "--force"]
     ops["verify.sym2"] = ["verify", "--preset", "sym2"]
+    ops["verify"] = ["verify"]
     return ops
 
 
@@ -141,6 +142,7 @@ _GOLDEN = {
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
     "stability-force.crowd3": "d39ce3c0a94cd8f8f536ca61eb86d949901e2132173c84c91fdd5b8b599456f7",
     "verify.sym2": "ece6156d22caefa1b933df522137b59602ded421aae39478340d54d774535069",
+    "verify": "b9d5fbfff97b752996c2438ac640bd415fe635d75582b3daf76597288849db26",
 }
 
 
