@@ -97,7 +97,10 @@ def _digest(argv: list[str], out_dir) -> str:
 # mut4's from [54.4, 108.4] with 136 to [100, 200] with 251, and sym2's
 # stays [25, 50] with 251); stability on sym2, fit2asym and mut4 re-recorded
 # when its endpoints began to come from the closed form (they move by at
-# most 1.3e-13 relative, on sym2)
+# most 1.3e-13 relative, on sym2); verify and verify.sym2 re-recorded when
+# criteria 01, 05, 06, 08 and 10 began to read the closed form (one line
+# moves: criterion 10's worst sandwich slack, from -1.847e-13 to
+# -2.842e-14; every verdict is unchanged)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
@@ -141,8 +144,8 @@ _GOLDEN = {
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
     "stability-force.crowd3": "d39ce3c0a94cd8f8f536ca61eb86d949901e2132173c84c91fdd5b8b599456f7",
-    "verify.sym2": "ece6156d22caefa1b933df522137b59602ded421aae39478340d54d774535069",
-    "verify": "b9d5fbfff97b752996c2438ac640bd415fe635d75582b3daf76597288849db26",
+    "verify.sym2": "973d5367b9cba99072a614abc7bad4ca7383a0b555924c972e9b3f45aaa45625",
+    "verify": "9b428a35a7d17b9614e9b5c5011c6e91889edc62531fc9e761eb040cacd56acd",
 }
 
 
