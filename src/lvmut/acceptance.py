@@ -3,6 +3,12 @@
 Each criterion builds its own models, runs with fixed seeds, and returns a
 pass flag plus a one-line numeric account. Failures are reported, never
 masked; a criterion that raises counts as failed with the error message.
+
+Criteria about the flow of the uniform presets (01, 04, 05, 06, 08, 10)
+read it through dynamics._flow_batch, which gives it exactly there, so
+they test the statement rather than the integrator. Criterion 09 compares
+the integrator with the exact flow and criterion 12 integrates perturbed
+models; they are the only criteria that integrate.
 """
 from __future__ import annotations
 
