@@ -221,6 +221,8 @@ def global_stability_experiment(
     and integrated at rtol 1e-10, atol 1e-12 otherwise."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     in_scope = _theorem_scope(model)

@@ -391,16 +391,26 @@ def integrate_batch(
         h = min(h_ctrl[b], t_end - t[b])
         if h * lam > _STIFF_LIMIT:
             h = _STIFF_LIMIT / lam
+            if not h >= h_floor:
+                # steps below 1e-14 t_end cannot reach t_end in _MAX_STEPS
+                raise StepBudgetExceeded(
+                    f"the stiffness cap |h lambda| <= {_STIFF_LIMIT:g} holds the step "
+                    f"at {h:g}, below the floor 1e-14 t_end, so t_end={t_end:g} is "
+                    f"out of reach of {_MAX_STEPS} attempted steps"
+                )
         if not h >= h_floor:
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
         return h
 
-    def settle(b, h, j, v, y, ks, finite, y_min, sq5, sq3) -> bool:
-        # Accept or reject row b's attempt of size h; True when accepted.
-        # v[j], ks[j] and y[j] are its state, stages and result: j is its
-        # place in a stack, or the full slice for one row's own arrays. An
-        # accepted y[j] below 0 is clipped in place, and the grid samples
-        # inside the step are written.
+    def settle(b, h, j, v, y, ks, finite, y_min, sq, q, err_est, scale) -> bool:
+        # Decide row b's attempt of size h, and leave y[j] as its next state
+        # and ks[j, 0] as the field there; True when the row reached t_end.
+        # v[j], ks[j], y[j], q[j], err_est[j] and scale[j] are its state,
+        # stages, result and error terms: j is its place in a stack, or the
+        # full slice for one row's own arrays. sq holds the sums of q[j]**2.
+        sq5, sq3 = sq
+        if finite and (sq5 != sq5 or sq3 != sq3):
+            sq5, sq3 = _zero_scale_sq_sums(q[j], err_est[j], scale[j])
         if not finite:
             shrink = 0.25
         elif y_min < -atol:
@@ -409,8 +419,10 @@ def integrate_batch(
             err = _error_norm(h, sq5, sq3, n)
             shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** -0.125)
         if shrink is not None:
+            # the state and its first stage stay
             rejected[b] += 1
             h_ctrl[b] = h * shrink
+            y[j] = v[j]
             return False
 
         if y_min <= 0.0:
@@ -449,7 +461,12 @@ def integrate_batch(
         )
         h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev[b] = max(err, 1e-4)
-        return True
+        if grid_idx[b] == n_grid:
+            return True
+        # FSAL: stage 12 is f at the new state, unless it was clipped
+        k = ks[j]
+        k[0] = f(y[j]) if y_min < 0.0 else k[12]
+        return False
 
     def plan(ks):
         # One field call per stage on the running rows. Stage s = 1..11
@@ -517,48 +534,21 @@ def integrate_batch(
             scale = atol + rtol * np.maximum(v, np.abs(y))
             q = err_est / scale[..., None, :]
 
+            sq_sums = add_reduce(q * q, axis=-1).tolist()
             if lone:
-                y_min = float(min_reduce(y))
-                sq5, sq3 = add_reduce(q * q, axis=-1).tolist()
-                finite = finite is None or finite
-                if finite and (sq5 != sq5 or sq3 != sq3):
-                    sq5, sq3 = _zero_scale_sq_sums(q, err_est, scale)
-                if not settle(b, h, whole, v, y, ks, finite, y_min, sq5, sq3):
-                    continue  # v and its first stage stay
-                if grid_idx[b] == n_grid:
+                if settle(b, h, whole, v, y, ks, finite is None or finite,
+                          float(min_reduce(y)), sq_sums, q, err_est, scale):
                     break
-                # FSAL: stage 12 is f at the new state, unless clipped
-                ks[0] = f(y) if y_min < 0.0 else ks[12]
                 v = y
                 continue
 
             y_min = min_reduce(y, axis=1).tolist()
-            sq_sums = add_reduce(q * q, axis=-1).tolist()
-            stay = []      # rejected: keep the state and its first stage
-            refresh = []   # accepted, but clipped: f changed at the state
-            finished = []
-            for j, b in enumerate(rows):
-                finite_j = finite is None or finite[j]
-                sq5, sq3 = sq_sums[j]
-                if finite_j and (sq5 != sq5 or sq3 != sq3):
-                    sq5, sq3 = _zero_scale_sq_sums(q[j], err_est[j], scale[j])
-                if not settle(b, hs[j], j, v, y, ks, finite_j, y_min[j], sq5, sq3):
-                    stay.append(j)
-                elif grid_idx[b] == n_grid:
-                    finished.append(j)
-                elif y_min[j] < 0.0:
-                    refresh.append(j)
-
-            # FSAL: an accepted row's stage 12 is f at its new state
-            if stay:
-                y[stay] = v[stay]
-                moved = [j for j in range(len(rows)) if j not in stay]
-                ks[moved, 0] = ks[moved, 12]
-            else:
-                ks[:, 0] = ks[:, 12]
+            finished = [
+                j for j, b in enumerate(rows)
+                if settle(b, hs[j], j, v, y, ks, finite is None or finite[j], y_min[j],
+                          sq_sums[j], q, err_est, scale)
+            ]
             v = y
-            for j in refresh:
-                ks[j, 0] = f(v[j])
             if finished:
                 keep = [j for j in range(len(rows)) if j not in finished]
                 rows = [rows[j] for j in keep]

@@ -207,9 +207,10 @@ def test_stability_integrates_only_without_a_closed_form(capsys, monkeypatch, pr
     assert len(seen) == calls
 
 
-def test_stability_at_t_end_1e300_is_exact_on_sym2_and_underflows_on_pert2(capsys):
+def test_stability_at_t_end_1e300_is_exact_on_sym2_and_over_budget_on_pert2(capsys):
     # sym2's endpoints are exact, so t_end = 1e300 needs no steps; pert2
-    # integrates, and its step floor 1e-14 t_end is above any step it takes
+    # integrates, and its stiffness cap holds every step below the floor
+    # 1e-14 t_end, so the step budget cannot reach t_end
     code, out, err = _run(capsys, "stability", "--preset", "sym2", "--t-end", "1e300")
     assert (code, err) == (0, "")
     payload = json.loads(out)
@@ -218,7 +219,10 @@ def test_stability_at_t_end_1e300_is_exact_on_sym2_and_underflows_on_pert2(capsy
     assert np.max(np.abs(ends - np.array(payload["attractor"]))) <= 1e-12
     code, out, err = _run(capsys, "stability", "--preset", "pert2", "--t-end", "1e300")
     assert (code, out) == (3, "")
-    assert json.loads(err)["error"] == "StepSizeUnderflow"
+    payload = json.loads(err)
+    assert payload["error"] == "StepBudgetExceeded"
+    assert "stiffness cap" in payload["message"]
+    assert "t_end=1e+300" in payload["message"]
 
 
 def test_sweep_from_perturbed_preset(capsys, tmp_path):
@@ -377,8 +381,9 @@ def _pert2_interaction(**entries):
         ("simulate", _pert2_interaction(eps=[1]), {}, "'eps'"),
         ("simulate", None, {"outputs": 5}, "'outputs'"),
         ("stability", None, {"initial": {"count": [1], "seed": 0}}, "'count'"),
+        ("stability", None, {"initial": {"count": 3, "seed": -1}}, "seed"),
     ],
-    ids=["n", "K", "interaction", "eps", "outputs", "count"],
+    ids=["n", "K", "interaction", "eps", "outputs", "count", "negative-seed"],
 )
 def test_scenario_values_of_the_wrong_type_are_usage_errors(
     capsys, tmp_path, command, model, keys, named
@@ -617,6 +622,7 @@ def test_negative_v0_flag_rejected(capsys):
         (["stability", "--preset", "sym2", "--t-end", "inf"], "t_end must be positive"),
         (["stability", "--preset", "sym2", "--t-end", "-1"], "t_end must be positive"),
         (["simulate", "--preset", "sym2", "--v0", "1,2,3"], "v0 must have shape (2,)"),
+        (["stability", "--preset", "sym2", "--seed", "-1"], "seed"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv, flag):

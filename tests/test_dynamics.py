@@ -498,7 +498,9 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
     (the stage weighings, the two error estimates, the grid times inside a
     step) have the shapes `integrate` gives them: a product of other shape
     may round apart. `stats`, a dict, receives the number of accepted steps
-    that recorded grid times from the continuous extension."""
+    that recorded grid times from the continuous extension, and of the
+    accepted steps that were clipped and did not end the run, whose next
+    first stage is a fresh field call."""
     f = field or (lambda v: rhs(model, v))
     A, B, E, P = dynamics._A, dynamics._B, dynamics._E, dynamics._P
     n = model.n
@@ -512,7 +514,7 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
     h_ctrl = 0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * t_end
     h_ctrl = min(h_ctrl, t_end / 10.0)
     u = np.ones(n)
-    t, accepted, rejected, err_prev, idx, recording = 0.0, 0, 0, 1.0, 0, 0
+    t, accepted, rejected, err_prev, idx, recording, refreshes = 0.0, 0, 0, 1.0, 0, 0, 0
     ks = np.empty((16, n))
     while t < t_end:
         # one power iteration on the Jacobian at v caps |h lambda| at 5
@@ -570,12 +572,17 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
             states.append(y)
             idx += 1
         v, t = y, t_new
-        k0 = f(v) if y_min < 0.0 else ks[12].copy()
+        if y_min < 0.0 and t < t_end:
+            refreshes += 1
+            k0 = f(v)
+        else:
+            k0 = ks[12].copy()
         factor = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0) if err > 0 else 5.0
         h_ctrl = h * min(5.0, max(0.2, factor))
         err_prev = max(err, 1e-4)
     if stats is not None:
         stats["recording_steps"] = recording
+        stats["refreshes"] = refreshes
     return np.asarray(times), np.asarray(states), accepted, rejected
 
 
@@ -873,10 +880,18 @@ def test_clipped_state_refreshes_its_first_stage(monkeypatch):
     model = get_preset("sym2").model
     starts = np.array([[1.0, 1.5], [0.7, 2.0]])
     batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=4.0)
-    # each refresh is one call beyond the thirteen per lockstep attempt; this
-    # grid records no sample from the extension, whose stages would add more
+    # each refresh is one call beyond the thirteen per lockstep attempt, and
+    # a row's finishing step makes none; this grid records no sample from
+    # the extension, whose stages would add more
     lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
-    assert len(calls) > 1 + 13 * lockstep
+    batch_calls = len(calls)
+    refreshes = 0
+    for v0 in starts:
+        stats = {}
+        _reference_integrate(model, v0, 4.0, 0.0, 0.5, 4.0, field(model), stats)
+        refreshes += stats["refreshes"]
+    assert refreshes > 0
+    assert batch_calls == 1 + 13 * lockstep + refreshes
     batch = integrate_batch(model, starts, 4.0, rtol=0.0, atol=0.5, record_every=0.5)
     for v0, traj in zip(starts, batch):
         _assert_same_run(traj, _reference_integrate(model, v0, 4.0, 0.0, 0.5, 0.5, field(model)))

@@ -263,6 +263,50 @@ def test_newton_steps_per_stage_are_bounded(monkeypatch):
     assert info.value.s == 0.05
 
 
+def _newton_system(model, box, pressure=None):
+    """The _System of a solve on model, with its box and, when given, its
+    pressure replaced."""
+    a = growth_mutation_matrix(model)
+    return equilibrium._System(a, *box, pressure or model_module._pressure_values(model),
+                               model_module._gradient(model))
+
+
+def test_newton_raises_left_apriori_box_when_every_damped_step_leaves_it():
+    # a box that holds only the start's total: every damped candidate, and
+    # the 1e-8 probe along the step, change the total
+    model = get_preset("sym2").model
+    v = np.array([1.0, 1.0])
+    total = float(v.sum())
+    with pytest.raises(LeftAprioriBox) as info:
+        equilibrium._newton(model, _newton_system(model, (total, total)), 0.5, v)
+    assert info.value.s == 0.5
+
+
+def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_residual():
+    # the pressure is NaN anywhere but at the start, so no candidate in the
+    # wide box has a residual below the start's
+    model = get_preset("sym2").model
+    v = np.array([1.0, 1.0])
+    pressure = model_module._pressure_values(model)
+
+    def nan_off_v(x):
+        out = pressure(x)
+        return out if np.array_equal(x, v) else np.full_like(out, np.nan)
+
+    system = _newton_system(model, (1e-6, 1e6), nan_off_v)
+    with pytest.raises(InnerNoConvergence) as info:
+        equilibrium._newton(model, system, 0.5, v)
+    assert info.value.s == 0.5
+
+
+def test_solve_from_a_start_outside_the_box_leaves_it():
+    model = get_preset("crowd3").model
+    linear = equilibrium._linear_setup(model, model_module.validate(model))
+    with pytest.raises(LeftAprioriBox) as info:
+        equilibrium._solve_from(model, linear, np.full(model.n, 1e12))
+    assert info.value.s == 1.0
+
+
 # -- the anchor -------------------------------------------------------------------
 
 def _pert2_at(eps: float):
