@@ -306,26 +306,24 @@ def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
 
 
 def _vector_field(model: Model):
-    """The vector field v (r - Psi(v) / K) + M v - out_rates v as a function
-    of one state (n,) or a stack of states (..., n), written once.
+    """The vector field (R+M) v - (Psi(v) / K) v as a function of one state
+    (n,) or a stack of states (..., n), written once.
 
-    The interaction kind and the outflow rates are bound once, so a caller
-    that evaluates the field many times (the integrator) pays for them once.
-    One state takes _pressure's one-state form and mu.dot; a stack takes the
-    stack form and one product per state, so each row of a stack matches
-    its one-state result bit for bit.
+    R+M (growth_mutation_matrix) and the interaction kind are bound once, so
+    a caller that evaluates the field many times (the integrator) pays for
+    them once. One state takes (R+M).dot and _pressure's one-state form; a
+    stack takes one product per state and the stack form, so each row of a
+    stack matches its one-state result bit for bit.
     """
-    r = model.r
+    a = growth_mutation_matrix(model)
     big_k = model.big_k
-    mu = model.mu
-    out_rates = mu.sum(axis=1)
     psi_one, psi_stack = _pressure(model)
-    one = psi_one, mu.dot
-    stack = psi_stack, lambda v: _matvec(mu, v)
+    one = psi_one, a.dot
+    stack = psi_stack, lambda v: _matvec(a, v)
 
     def field(v: np.ndarray) -> np.ndarray:
-        psi, mutate = one if v.ndim == 1 else stack
-        return v * (r - psi(v) / big_k) + mutate(v) - out_rates * v
+        psi, grow = one if v.ndim == 1 else stack
+        return grow(v) - psi(v) / big_k * v
 
     return field
 
