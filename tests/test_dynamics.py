@@ -40,13 +40,15 @@ from lvmut.serialize import trajectory_csv
 # sha256 of trajectory.csv and the accepted/rejected step counts of each
 # preset run from its own v0 to its t_end at the default tolerances.
 # Recorded when the stepper became DOP853; any change to the arithmetic of a
-# step or of a sample shows up here.
+# step or of a sample shows up here. Re-recorded when the field became
+# (R+M)v - (Psi(v)/K)v: states move by at most 1.1e-12 relative (mut4), and
+# no accepted or rejected count moves.
 _GOLDEN = {
-    "sym2": ("af42bcbff6af7ea1ef9519ab67cad820bac315de11a452f4eae724f39062d487", 21, 0),
-    "fit2asym": ("404432573a19f19aa85ed07a045052eb97025339acc32471529f58be439f6032", 36, 0),
-    "mut4": ("3a066aa6bc15bde85467cd476a25302dbd8a7b7dda0f96b51eff843f020a6141", 46, 0),
-    "pert2": ("6f97681b25e8575c6cad5497e7782f563f811ff1a3c910eca3be760955e484cf", 21, 0),
-    "crowd3": ("098d58705d401ddf5b691302c0721f513fecd1347b6a6f076f44a2488dc5df77", 45, 0),
+    "sym2": ("8fc99ec57cb7e9601ba055ecce64137700aaf1c9d52c7676e56c73de9e39e7b7", 21, 0),
+    "fit2asym": ("8b4dd3d7ebf75a790e3c530e46d8ad2f5980e2216b411f9a4ca5109e936da502", 36, 0),
+    "mut4": ("5b3c670a62ba0d0cfd0a5239be572736d4a799e44fa37301f2c97b51209c83c3", 46, 0),
+    "pert2": ("cfc47785c34327bd6292e61fbdaeac84511012a7ffe8531f6e83bd7f9b7b5c5a", 21, 0),
+    "crowd3": ("ffe6e43c884ef261278f78320fc0e5a0b096bd4b2a00a4ad2ae5b5d49b4ad3aa", 45, 0),
 }
 
 

@@ -100,7 +100,16 @@ def _digest(argv: list[str], out_dir) -> str:
 # most 1.3e-13 relative, on sym2); verify and verify.sym2 re-recorded when
 # criteria 01, 05, 06, 08 and 10 began to read the closed form (one line
 # moves: criterion 10's worst sandwich slack, from -1.847e-13 to
-# -2.842e-14; every verdict is unchanged)
+# -2.842e-14; every verdict is unchanged); simulate, entropy and rates on
+# pert2 and crowd3, equilibrium on all five presets, stability.pert2,
+# stability-force.crowd3, verify.sym2 and verify re-recorded when the field
+# became (R+M)v - (Psi(v)/K)v (trajectory samples move by at most 9.6e-13
+# relative, on crowd3; entropy columns by at most 2.6e-9 of their largest
+# entry, on pert2; stability endpoints by at most 5.5e-15 relative; every
+# v_bar keeps its bytes and only the field's residual moves, e.g. sym2's
+# 6.5e-16 -> 8.9e-16; in verify, criterion 02's residual 6.523e-16 ->
+# 8.882e-16, criterion 09's gap 3.757e-12 -> 3.764e-12 and criterion 11's
+# residual 1.221e-15 -> 2.220e-16; every verdict is unchanged)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
@@ -110,13 +119,13 @@ _GOLDEN = {
     "simulate.sym2": "84ff426e492fe938bffcba72fabc116c94e445ac81380af463fb7817d1809850",
     "simulate.fit2asym": "8a6dc4f72cb564256eb32dabf991fba52b1a863b5c693e46b95f8e3f4ea1d5e4",
     "simulate.mut4": "dee53ca875fa4c8cbe37f8a2f6194757b79fdfed91fa64925696baed7435e316",
-    "simulate.pert2": "bbf4962dcbcccab29c4dde49b4a852b7ad6bce888a24b0d424457d76ab80cf2c",
-    "simulate.crowd3": "6b7e75404b4cd0db4c60d08ef6bdc626ea0137a11f7ca784188f0f2daa96b919",
-    "equilibrium.sym2": "97c1fdf8927ec9912facd679d97d8ec0cc9b7d927747fca6c7fd5c149fb0a55e",
-    "equilibrium.fit2asym": "ef5b7c5519e2fec3f6c367f85d2013c2a00b6b950b8fb5dc5852edfd500e7106",
-    "equilibrium.mut4": "0b18cbea2642cda10bda4c83c2546679bbeeb1f5cf061cf5426151af5e431d5e",
-    "equilibrium.pert2": "52e0ec734913cf6e8c83b259fe45ae72fb33ef6a84e62c3ac065d6f2607faa0d",
-    "equilibrium.crowd3": "e8b83aed5fa62c4484203d9855043f5e1ec4694e8666e34bc9d961d5de721666",
+    "simulate.pert2": "754ca1d810f40c29eb354b9d0fbeaea76c6196cf586bca3cbcc9a59dba45e9e9",
+    "simulate.crowd3": "3c5d9c48c38e64e522331c9078711efa3b7bc419d9d1d449cfd45e70420d924e",
+    "equilibrium.sym2": "9145aaa4cc049a4e3e5f601d3ce26be1ba94940ee76618ec269b31f3a0fd0983",
+    "equilibrium.fit2asym": "c32748b979a9b8131d0287c95c049d5a6165ab1dbbef5547a59b2e0bd3ae7d53",
+    "equilibrium.mut4": "29cadc53b1ed8af3167747d8784739494dc3bda1b2127e793cd58e31ed0b7ec1",
+    "equilibrium.pert2": "f7d37ab518be6d2521332f014aaf0f8488572172331c3a856598319607b05a8d",
+    "equilibrium.crowd3": "d0b8bfab4149017dbc6463033acb796425d51676618abd3ef35efaa31ed2d641",
     "spectrum.sym2": "44fc2a7a048cd1d3ad965eb0f66ca043c04195d82ebf20535a1953b2074b2bf2",
     "spectrum.fit2asym": "7ce028267f6b106c1da8ab5e16680c0319385fd99f2d815392dc46a71bb9b67b",
     "spectrum.mut4": "46d5828a8baec3380c1f36c4012b0d2c50808bcf695c621ac66338f9349ccff8",
@@ -125,17 +134,17 @@ _GOLDEN = {
     "entropy.sym2": "7335a1cb893cb7f0330645ef4f655381fcde85ce2c73e2e06ce0699da1a9c046",
     "entropy.fit2asym": "40c00b209d4ceb2760ea0edd502d133aec1f34cd4d93a8d2bcb02f8036000295",
     "entropy.mut4": "50ca2b882b60786ce07b24a032da0ec78cce6ad49faed70c3eaf274f7429b9a1",
-    "entropy.pert2": "520666c7935cc7786ae969ee434492ee6d7169ecf3ac9a33579db6b733c7df0c",
-    "entropy.crowd3": "d57d23462010f55e2e1a2454fd846ddc65cc6c111cf8c9a3e5579b2c3ea88384",
+    "entropy.pert2": "54349889d7d8f2d2df280362699fbaf2c6e72b97434130ba0555b406a48dfdec",
+    "entropy.crowd3": "b22669860c09f7d86f3d10d6000235019a5726e04d0ddda0e41c922b44cbcbab",
     "rates.sym2": "bf57f2228b24dcd122c50557b5a32a936e3bb1e4115af76971ff7aaa7ff1e321",
     "rates.fit2asym": "529659b991b9486cf78d29065035ddb85183268edc1decda23aa2dce4373bff0",
     "rates.mut4": "936940b0040d9a47d27f51c1ff071fbbd15dba1dd1ce550cb6a401fb0f155424",
-    "rates.pert2": "5eaf08b9268bb6161d67ae745bfe8a22603bb979082fe055bc408c9865d39d18",
-    "rates.crowd3": "0f0203d82f0a8ca6a3bc8a5d20fe42fd8cf9370c0dca8fbebf8881b76ad1d0ad",
+    "rates.pert2": "5b8238b332d25158c1a1fc2e2abc22e2202ac992bde757615be290c256378db1",
+    "rates.crowd3": "e07773a8975c61216b08f27bc97d3645a0312eed1d58c64ce3d9c112d9043829",
     "stability.sym2": "66d5155c4ec5b084ed2734aeb62761b0a3825f501f75e327e00e9d7f60afbed8",
     "stability.fit2asym": "645d321af69464f6f21020431d021dcbbaf4cb0fe62dec7afb99c155fd4dcacb",
     "stability.mut4": "6c760b76e02fa88e19e6e3bf7e13e16ba34d1c0f361b185fb83e6eaa6a8f3b2c",
-    "stability.pert2": "96120ad0097fce3dfcbfa581d72a3f30a34b266f5919f48d16430d94c9d87c43",
+    "stability.pert2": "a86ceb1c899069a0ced944bfd92b4ffa1852a544d55f436824327d60ed79a582",
     "stability.crowd3": "26d614a6f573fc8e76babd27796f558a10ee149b2e55d39521e38f9525b1d5f8",
     "sweep.sym2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.fit2asym": "5adde8b34f108540ad96960e8543d92de3072be73227156f3249b0cf6a759dd2",
@@ -143,9 +152,9 @@ _GOLDEN = {
     "sweep.pert2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
-    "stability-force.crowd3": "d39ce3c0a94cd8f8f536ca61eb86d949901e2132173c84c91fdd5b8b599456f7",
-    "verify.sym2": "973d5367b9cba99072a614abc7bad4ca7383a0b555924c972e9b3f45aaa45625",
-    "verify": "9b428a35a7d17b9614e9b5c5011c6e91889edc62531fc9e761eb040cacd56acd",
+    "stability-force.crowd3": "182336c8f499370f305f3806cf2a578f62175079b9a342a4cb2f9d8d2e2aeef2",
+    "verify.sym2": "039a61554efeec32f04460bc17f1754171987fb4021ecff291aa96f8ff3e5cf3",
+    "verify": "e18cbe7c71b9c5027b18a572e4420721f74fdd663876bff0b978e3a2ce09d941",
 }
 
 
