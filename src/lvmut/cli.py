@@ -403,7 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=_cmd_rates)
 
     sub = subs.add_parser("stability", help="random-start convergence experiment")
-    _add_source_args(sub)
+    # the experiment draws its own starts and integrates at its own
+    # tolerances and grid, so of the simulation flags only the horizon applies
+    _add_source_args(sub, with_sim_params=False)
+    sub.add_argument("--t-end", dest="t_end", type=float)
     sub.add_argument("--samples", type=int, default=20)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=1e-6)

@@ -632,6 +632,19 @@ def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
     assert payload["error"] == "ValueError"
     assert flag in payload["message"]
 
+
+@pytest.mark.parametrize("flag, value", [("--v0", "1,2"), ("--rtol", "1e-3"),
+                                         ("--atol", "1e-3"), ("--record-every", "3")])
+def test_stability_rejects_the_simulation_flags_it_would_ignore(capsys, flag, value):
+    # stability draws its own starts at its own tolerances and grid
+    code, out, err = _run(capsys, "stability", "--preset", "pert2", "--samples", "2",
+                          flag, value)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert flag in payload["message"]
+
+
 def test_step_budget_is_a_solver_error(capsys, monkeypatch):
     from lvmut import dynamics
 

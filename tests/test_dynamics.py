@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lvmut import dynamics
+from lvmut import model as model_module
 from lvmut.dynamics import (
     closed_form_uniform_linear,
     integrate,
@@ -695,6 +696,34 @@ def test_batch_takes_thirteen_field_calls_per_lockstep_attempt(monkeypatch):
     lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
     assert len(calls) == 1 + 13 * lockstep
     assert calls[0].shape == starts.shape
+
+
+def test_batch_builds_r_plus_m_once(monkeypatch):
+    # the field binds R+M when the run starts, not at each evaluation
+    model, starts = _c04_starts()
+    builds, calls = [], []
+    build, bind = model_module.growth_mutation_matrix, dynamics._vector_field
+
+    def counted_build(model):
+        builds.append(None)
+        return build(model)
+
+    def counted_bind(model):
+        field = bind(model)
+
+        def counted(v):
+            calls.append(None)
+            return field(v)
+
+        return counted
+
+    monkeypatch.setattr(model_module, "growth_mutation_matrix", counted_build)
+    monkeypatch.setattr(dynamics, "growth_mutation_matrix", counted_build)
+    monkeypatch.setattr(dynamics, "_vector_field", counted_bind)
+    batch = integrate_batch(model, starts, 200.0, rtol=1e-10, atol=1e-12)
+    lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
+    assert len(calls) > 13 * lockstep > 13
+    assert len(builds) == 1
 
 
 def test_atol_zero_keeps_a_zero_genotype_at_zero():

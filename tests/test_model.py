@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lvmut.errors import DimensionMismatch, NegativeMutation, NonPositiveRate
 from lvmut.model import (
+    _vector_field,
     build_model,
     coercivity_params,
     crowding_linear,
@@ -149,6 +150,51 @@ def test_stacked_states_match_row_by_row(name):
     # a stack as tall as the state is long is no matrix-vector product in disguise
     square = rows[: model.n]
     assert np.array_equal(rhs(model, square), np.array([rhs(model, v) for v in square]))
+
+
+def _random_model(kind: str, n: int, rng):
+    r = rng.uniform(0.5, 2.0, size=n)
+    # sparse nonnegative rates: some pairs exchange nothing
+    mu = rng.uniform(0.0, 0.1, size=(n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(mu, 0.0)
+    if kind == "crowding":
+        interaction = crowding_linear(rng.uniform(0.0, 2.0, size=(n, n)))
+    elif kind == "perturbed":
+        interaction = perturbed(uniform_linear(rng.uniform(0.5, 2.0, size=n)),
+                                rng.uniform(0.0, 0.5), rng.uniform(-1.0, 1.0, size=n),
+                                rng.normal(size=(n, n)))
+    else:
+        interaction = uniform_linear(rng.uniform(0.5, 2.0, size=n))
+    return build_model(n, r, float(rng.choice([1.0, 10.0, 100.0])), mu, interaction)
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(st.sampled_from(["uniform", "crowding", "perturbed"]),
+       st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_field_is_the_papers_system(kind, n, seed):
+    # dv_i/dt = v_i (r_i - Psi_i(v)/K) + sum_j mu_ij (v_j - v_i), written out
+    rng = np.random.default_rng(seed)
+    model = _random_model(kind, n, rng)
+    states = rng.uniform(0.0, 2.0 * model.big_k, size=(5, n))
+    states[rng.random(states.shape) < 0.3] = 0.0
+    states[np.arange(5), rng.integers(n, size=5)] = 0.0  # each state has a zero
+    field = _vector_field(model)
+    mu, r, big_k = model.mu, model.r, model.big_k
+    for v in states:
+        got = field(v)
+        psi = interaction_values(model, v)
+        growth = v * (r - psi / big_k)
+        exchange = (mu * (v[None, :] - v[:, None])).sum(axis=1)
+        # both sums round within about (n + 2) ulps of their terms' magnitudes
+        terms = v * (r + np.abs(psi) / big_k + mu.sum(axis=1)) + mu.dot(v)
+        assert np.all(np.abs(got - (growth + exchange))
+                      <= (n + 2) * np.finfo(float).eps * terms)
+        # the cone invariance positivity rests on: at v_i = 0 only inflow is left
+        zero = v == 0.0
+        assert np.array_equal(got[zero], mu.dot(v)[zero])
+        assert np.all(got[zero] >= 0.0)
+    assert np.array_equal(field(states), np.array([field(v) for v in states]))
 
 
 def test_growth_mutation_matrix():
