@@ -117,7 +117,17 @@ def _initial_state(v0: np.ndarray, where: str) -> np.ndarray:
     return v0
 
 
-def _build_job(args) -> Job:
+# scenario keys that stability would ignore: it integrates at tolerances
+# derived from --tol, on its own grid
+_STABILITY_IGNORES = ("rtol", "atol", "record_every")
+
+
+def _build_job(args, for_stability: bool = False) -> Job:
+    """The job of a command from its preset or scenario and its flags.
+
+    For stability a scenario's 'initial' must be a sampler, since it draws
+    its own starts, and each key of _STABILITY_IGNORES is refused, as the
+    matching flags are."""
     preset_name = getattr(args, "preset", None)
     scenario_path = getattr(args, "scenario", None)
     if preset_name is None and scenario_path is None:
@@ -137,6 +147,18 @@ def _build_job(args) -> Job:
         obj = _load_scenario(scenario_path)
         model = serialize.model_from_dict(obj["model"])
         initial = obj.get("initial")
+        if for_stability:
+            if "initial" in obj and not isinstance(initial, dict):
+                raise ValueError(
+                    "scenario key 'initial' must be a sampler {\"count\", \"seed\"} "
+                    "for stability, which draws its own starts"
+                )
+            for key in _STABILITY_IGNORES:
+                if key in obj:
+                    raise ValueError(
+                        f"scenario key {key!r} does not apply to stability, which "
+                        "integrates at tolerances derived from --tol on its own grid"
+                    )
         if isinstance(initial, dict):
             sampler = {
                 key: serialize._integer(initial, key, "scenario key 'initial'")
@@ -259,7 +281,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    job = _build_job(args)
+    job = _build_job(args, for_stability=True)
     n_samples = args.samples
     seed = args.seed
     if job.sampler is not None:

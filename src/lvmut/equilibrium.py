@@ -1,8 +1,11 @@
 """Positive stationary states.
 
-Two routes: exact scaling of the dominant eigenvector when every genotype
-feels the same pressure (uniform linear family), and a continuation from
-that anchor for heterogeneous pressures. Stationarity means
+Three routes: exact scaling of the dominant eigenvector when every genotype
+feels the same pressure (uniform linear family); for a perturbed kind, one
+Newton run on the full system started at its uniform base's equilibrium,
+which that scaling gives exactly (the implicit function theorem's branch
+for small eps); and a homotopy from that anchor for the other
+heterogeneous pressures, or when the Newton run fails. Stationarity means
 (R+M) v = diag(Psi(v)) v / K.
 
 Every continuation stage, the last one included, is solved by one damped
@@ -11,8 +14,9 @@ the Newton correction at v is at most _NEWTON_TOL max(1, ||v||_inf), a stop
 relative to the size of v, so it holds for any carrying capacity K. The
 accepted point is v itself, not v plus that last correction, so a stage
 that its start already solves (every stage of a uniform kind) returns the
-start bit for bit. A start already near the answer, such as the previous
-row of a perturbation sweep, needs only the last stage (_solve_from).
+start bit for bit. A start already near the answer, such as a perturbed
+kind's base equilibrium or the previous row of a perturbation sweep, needs
+only the last stage (_continue).
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ from .model import (
 class Method(Enum):
     PerronScaling = "perron"
     Homotopy = "homotopy"
+    Continuation = "continuation"
 
 
 _NEWTON_TOL = 1e-13  # bound on the Newton correction, relative to max(1, ||v||_inf)
@@ -113,9 +118,17 @@ def equilibrium_uniform(model: Model) -> EquilibriumResult:
 
 
 def equilibrium_auto(model: Model) -> EquilibriumResult:
-    """Eigenvector scaling for uniform pressures, continuation for every other family."""
-    if isinstance(model.interaction, UniformLinear):
+    """Eigenvector scaling for uniform pressures; for a perturbed kind, one
+    s = 1 Newton run from _anchor's point, which is its base's exact
+    equilibrium since the perturbed kind's C is its base's (the homotopy if
+    that run fails); the homotopy for crowding."""
+    inter = model.interaction
+    if isinstance(inter, UniformLinear):
         return equilibrium_uniform(model)
+    if isinstance(inter, Perturbed):
+        linear = _linear_setup(model, validate(model))
+        per, v = _anchor(model, linear.a)
+        return _continue(model, linear, v, per.lambda_p)
     return equilibrium_homotopy(model)
 
 
@@ -321,3 +334,21 @@ def _solve_from(model: Model, linear: _Linear, v: np.ndarray) -> np.ndarray:
     if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(1.0)
     return _newton(model, system, 1.0, v)
+
+
+def _continue(model: Model, linear: _Linear, v: np.ndarray, lambda_p: float) -> EquilibriumResult:
+    """_solve_from(model, linear, v) as a result, lambda_p being the Perron
+    root of R+M; equilibrium_homotopy(model) when that run leaves the box,
+    does not converge or meets a singular Jacobian."""
+    try:
+        v_bar = _solve_from(model, linear, v)
+    except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
+        return equilibrium_homotopy(model)
+    return EquilibriumResult(
+        v_bar=v_bar,
+        alpha_bar=None,
+        lambda_p=lambda_p,
+        residual=residual(model, v_bar),
+        method=Method.Continuation,
+        homotopy_path=[],
+    )

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import PerturbationTable
 from .dynamics import Trajectory
 from .entropy import Decomposition, EntropyReport
-from .equilibrium import EquilibriumResult
+from .equilibrium import EquilibriumResult, Method
 from .model import (
     CrowdingLinear,
     Model,
@@ -236,7 +236,9 @@ def equilibrium_to_dict(result: EquilibriumResult) -> dict:
         "residual": result.residual,
         "method": result.method.value,
     }
-    if result.homotopy_path:
+    # a solve that ran Newton stages lists the homotopy's checkpoints, which
+    # a continuation run has none of; eigenvector scaling has no path
+    if result.method is not Method.PerronScaling:
         out["path"] = [
             {"s": s, "v": v, "residual": res} for s, v, res in result.homotopy_path
         ]

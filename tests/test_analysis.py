@@ -202,9 +202,12 @@ def test_global_stability_equals_a_loop_over_integrate():
     # pert2 is in theorem scope and has no closed form, so it integrates
     model = get_preset("pert2").model
     rep = global_stability_experiment(model, n_samples=6, seed=404, t_end=60.0, tol=1e-3)
+    # rtol min(1e-8, 1e-3 tol) and atol 1e-2 rtol
+    assert rep.tol_used == (1e-8, 1e-10)
     rng = np.random.default_rng(404)
     starts = rng.uniform(0.0, 2.0 * model.big_k, size=(6, model.n))
-    ends = [integrate(model, v0, 60.0, rtol=1e-10, atol=1e-12, record_every=60.0).states[-1]
+    rtol, atol = rep.tol_used
+    ends = [integrate(model, v0, 60.0, rtol=rtol, atol=atol, record_every=60.0).states[-1]
             for v0 in starts]
     max_pair = max(
         float(np.max(np.abs(ends[i] - ends[j]))) for i in range(6) for j in range(i + 1, 6)
@@ -221,6 +224,39 @@ def test_global_stability_equals_a_loop_over_the_closed_form():
     starts = rng.uniform(0.0, 2.0 * model.big_k, size=(6, model.n))
     ends = [closed_form_uniform_linear(model, v0, [60.0]).states[-1] for v0 in starts]
     assert np.array_equal(rep.endpoints, np.array(ends))
+    assert rep.tol_used == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("tol, tol_used", [
+    (0.0, (1e-10, 1e-12)),
+    (1e-12, (1e-10, 1e-12)),
+    (1e-7, (1e-10, 1e-12)),
+    (1e-6, (1e-3 * 1e-6, 1e-2 * (1e-3 * 1e-6))),
+    (1e-5, (1e-8, 1e-10)),
+    (1.0, (1e-8, 1e-10)),
+])
+def test_stability_integrates_at_the_accuracy_its_tol_needs(tol, tol_used):
+    # rtol min(1e-8, max(1e-3 tol, 1e-10)), atol 1e-2 rtol: never looser than
+    # the fixed (1e-10, 1e-12) of old below tol = 1e-7
+    rep = global_stability_experiment(get_preset("pert2").model, n_samples=2, seed=1,
+                                      t_end=5.0, tol=tol)
+    assert rep.tol_used == tol_used
+
+
+@pytest.mark.parametrize("eps", [1e-4, 4e-4, 1.6e-3, 6.4e-3])
+def test_stability_endpoints_of_criterion_12_meet_a_tight_reference(eps):
+    # criterion 12's model, seed, starts, horizon and tol: the derived
+    # tolerances keep every endpoint within tol / 1000 of an rtol 1e-13 run
+    sym = get_preset("sym2").model
+    inter = get_preset("pert2").model.interaction
+    model = _row_model(sym, inter.amp, inter.w, eps)
+    seed = 1200 + int(eps * 1e6)
+    rep = global_stability_experiment(model, n_samples=5, seed=seed, t_end=120.0, tol=1e-5)
+    assert rep.tol_used == (1e-8, 1e-10)
+    starts = np.random.default_rng(seed).uniform(0.0, 2.0 * model.big_k, size=(5, model.n))
+    ref = integrate_batch(model, starts, 120.0, rtol=1e-13, atol=1e-15, record_every=120.0)
+    ref_ends = np.array([traj.states[-1] for traj in ref])
+    assert np.max(np.abs(rep.endpoints - ref_ends)) <= 1e-5 / 1000
 
 
 def test_integrator_meets_the_exact_endpoints_of_criterion_04():
@@ -291,7 +327,7 @@ def test_perturbation_sweep_rejects_bad_input_before_solving(
     monkeypatch, amp, w, eps_grid, error, named
 ):
     calls = []
-    monkeypatch.setattr(analysis, "equilibrium_homotopy", lambda model: calls.append(model))
+    monkeypatch.setattr(analysis, "_continue", lambda *args: calls.append(args))
     with pytest.raises(error, match=named):
         perturbation_sweep(get_preset("sym2").model, amp, w, eps_grid)
     assert calls == []
@@ -398,7 +434,7 @@ def test_sweep_row_that_fails_in_the_fallback_keeps_the_homotopy_error(monkeypat
 
 def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatch):
     base, amp, w = _sweep_inputs("pert2")
-    solve_from = analysis._solve_from
+    solve_from = equilibrium._solve_from
     starts = []
 
     def spy(model, report, v):
@@ -407,7 +443,7 @@ def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatc
             raise Hypothesis3Violated("row 2 fails")
         return solve_from(model, report, v)
 
-    monkeypatch.setattr(analysis, "_solve_from", spy)
+    monkeypatch.setattr(equilibrium, "_solve_from", spy)
     rows = perturbation_sweep(base, amp, w, [1e-4, 4e-4, 1.6e-3]).rows
     assert [row.failed for row in rows] == [False, False, True, False]
     assert starts[0].tobytes() == rows[0].v_bar.tobytes()

@@ -94,6 +94,20 @@ def test_equilibrium_auto_picks_homotopy(capsys):
     assert len(payload["path"]) == 21
 
 
+def test_equilibrium_auto_continues_a_perturbed_model(capsys):
+    code, out, _ = _run(capsys, "equilibrium", "--preset", "pert2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "continuation"
+    assert payload["alpha_bar"] is None
+    assert payload["path"] == []
+    code, out, _ = _run(capsys, "equilibrium", "--preset", "pert2", "--method", "homotopy")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "homotopy"
+    assert len(payload["path"]) == 21
+
+
 def test_spectrum_value(capsys):
     code, out, _ = _run(capsys, "spectrum", "--preset", "sym2")
     assert code == 0
@@ -643,6 +657,18 @@ def test_stability_rejects_the_simulation_flags_it_would_ignore(capsys, flag, va
     payload = json.loads(err)
     assert payload["error"] == "UsageError"
     assert flag in payload["message"]
+
+
+@pytest.mark.parametrize("key, value", [("initial", [8.0, 2.0]), ("rtol", 1e-3),
+                                        ("atol", 1e-3), ("record_every", 3.0)])
+def test_stability_scenario_refuses_the_keys_it_would_ignore(capsys, tmp_path, key, value):
+    # as with the flags: a concrete start, tolerances or a grid would be ignored
+    path = _scenario(tmp_path, **{"initial": {"count": 2, "seed": 1}, key: value})
+    code, out, err = _run(capsys, "stability", "--scenario", path)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert repr(key) in payload["message"]
 
 
 def test_step_budget_is_a_solver_error(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from lvmut.equilibrium import (
     HomotopyConfig,
     Method,
     _guarded_solve,
+    equilibrium_auto,
     equilibrium_homotopy,
     equilibrium_uniform,
     residual,
@@ -120,6 +121,59 @@ def test_homotopy_path_shape():
     for _, v, _ in eq.homotopy_path:
         assert np.all(v > 0)
     assert eq.homotopy_path[-1][2] <= 1e-10
+
+
+def _perturbed_models() -> dict:
+    """pert2, and criterion 12's four perturbations of sym2 by pert2's bump."""
+    sym = get_preset("sym2").model
+    inter = get_preset("pert2").model.interaction
+    models = {"pert2": get_preset("pert2").model}
+    for eps in (1e-4, 4e-4, 1.6e-3, 6.4e-3):
+        models[f"sym2-eps{eps:g}"] = build_model(
+            sym.n, sym.r, sym.big_k, sym.mu, perturbed(uniform_linear(sym.r), eps, inter.amp, inter.w)
+        )
+    return models
+
+
+@pytest.mark.parametrize("name", list(_perturbed_models()))
+def test_perturbed_equilibrium_is_continued_from_its_base(monkeypatch, name):
+    # one s = 1 Newton run from the base's Perron equilibrium; the 21-stage
+    # homotopy takes 63 solves on each of these models
+    model = _perturbed_models()[name]
+    solves = _spy_on_solves(monkeypatch)
+    eq = equilibrium_auto(model)
+    assert len(solves) <= 5
+    assert eq.method is Method.Continuation
+    assert eq.homotopy_path == []
+    assert eq.alpha_bar is None
+    ref = equilibrium_homotopy(model)
+    assert eq.lambda_p == ref.lambda_p
+    assert np.max(np.abs(eq.v_bar - ref.v_bar)) <= 1e-13 * np.max(ref.v_bar)
+    assert eq.residual == residual(model, eq.v_bar) <= 1e-13 * np.max(eq.v_bar)
+
+
+@pytest.mark.parametrize(
+    "exc", [LeftAprioriBox(1.0), InnerNoConvergence(1.0), SingularMatrix("singular")]
+)
+def test_failed_continuation_falls_back_to_the_homotopy(monkeypatch, exc):
+    model = get_preset("pert2").model
+    ref = equilibrium_homotopy(model)
+    newton = equilibrium._newton
+    raised = []
+
+    def failing(model, system, s, v):
+        # the first s = 1 run is the continuation; the homotopy's comes last
+        if s == 1.0 and not raised:
+            raised.append(s)
+            raise exc
+        return newton(model, system, s, v)
+
+    monkeypatch.setattr(equilibrium, "_newton", failing)
+    eq = equilibrium_auto(model)
+    assert raised == [1.0]
+    assert eq.method is Method.Homotopy
+    assert len(eq.homotopy_path) == HomotopyConfig.s_steps
+    assert eq.v_bar.tobytes() == ref.v_bar.tobytes()
 
 
 def test_trivial_crowding_matches_uniform():
