@@ -109,7 +109,19 @@ def _digest(argv: list[str], out_dir) -> str:
 # v_bar keeps its bytes and only the field's residual moves, e.g. sym2's
 # 6.5e-16 -> 8.9e-16; in verify, criterion 02's residual 6.523e-16 ->
 # 8.882e-16, criterion 09's gap 3.757e-12 -> 3.764e-12 and criterion 11's
-# residual 1.221e-15 -> 2.220e-16; every verdict is unchanged)
+# residual 1.221e-15 -> 2.220e-16; every verdict is unchanged);
+# equilibrium, spectrum, entropy and rates on pert2 re-recorded when
+# equilibrium_auto began to continue a perturbed model from its base by one
+# Newton run (equilibrium.json's method becomes "continuation" and its path
+# empty; v_bar moves by 1.6e-15 relative, the spectrum's kernel vector by
+# 1.4e-15, entropy columns by at most 1.2e-11 of their largest entry, the
+# fitted rates by 7.1e-12 relative); stability on sym2, fit2asym, mut4 and
+# pert2 and stability-force.crowd3 re-recorded when the report gained
+# tol_used ((0, 0) on the three exact flows, whose endpoints keep their
+# bytes) and the integrated runs began to derive their tolerances from tol
+# (rtol 1e-9, atol 1e-11 at the default tol 1e-6, where they were 1e-10 and
+# 1e-12: pert2's endpoints move by at most 6.0e-13 relative and its
+# attractor by 1.6e-15, crowd3's endpoints by at most 3.5e-14 relative)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
@@ -124,27 +136,27 @@ _GOLDEN = {
     "equilibrium.sym2": "9145aaa4cc049a4e3e5f601d3ce26be1ba94940ee76618ec269b31f3a0fd0983",
     "equilibrium.fit2asym": "c32748b979a9b8131d0287c95c049d5a6165ab1dbbef5547a59b2e0bd3ae7d53",
     "equilibrium.mut4": "29cadc53b1ed8af3167747d8784739494dc3bda1b2127e793cd58e31ed0b7ec1",
-    "equilibrium.pert2": "f7d37ab518be6d2521332f014aaf0f8488572172331c3a856598319607b05a8d",
+    "equilibrium.pert2": "e8f1aa61d5a8ef9a337ead1938c835437b341a61ab8dafa36018d882a0e0422b",
     "equilibrium.crowd3": "d0b8bfab4149017dbc6463033acb796425d51676618abd3ef35efaa31ed2d641",
     "spectrum.sym2": "44fc2a7a048cd1d3ad965eb0f66ca043c04195d82ebf20535a1953b2074b2bf2",
     "spectrum.fit2asym": "7ce028267f6b106c1da8ab5e16680c0319385fd99f2d815392dc46a71bb9b67b",
     "spectrum.mut4": "46d5828a8baec3380c1f36c4012b0d2c50808bcf695c621ac66338f9349ccff8",
-    "spectrum.pert2": "29049d5eca290d015f412f5c888972004bd2484782314de9634d02959ccb3b86",
+    "spectrum.pert2": "12ed39dc3d80fccf6930b1dd136f19df042423346ccd5c69041eb2b1da2a0a69",
     "spectrum.crowd3": "5449b494572fc6d328289c790e430fcb4928124162d1402e71698979987d2bae",
     "entropy.sym2": "7335a1cb893cb7f0330645ef4f655381fcde85ce2c73e2e06ce0699da1a9c046",
     "entropy.fit2asym": "40c00b209d4ceb2760ea0edd502d133aec1f34cd4d93a8d2bcb02f8036000295",
     "entropy.mut4": "50ca2b882b60786ce07b24a032da0ec78cce6ad49faed70c3eaf274f7429b9a1",
-    "entropy.pert2": "54349889d7d8f2d2df280362699fbaf2c6e72b97434130ba0555b406a48dfdec",
+    "entropy.pert2": "2012c28c9eb317b4ebf4c652a11dd9519fce02dc885c51c9ef8eb80aa41551b2",
     "entropy.crowd3": "b22669860c09f7d86f3d10d6000235019a5726e04d0ddda0e41c922b44cbcbab",
     "rates.sym2": "bf57f2228b24dcd122c50557b5a32a936e3bb1e4115af76971ff7aaa7ff1e321",
     "rates.fit2asym": "529659b991b9486cf78d29065035ddb85183268edc1decda23aa2dce4373bff0",
     "rates.mut4": "936940b0040d9a47d27f51c1ff071fbbd15dba1dd1ce550cb6a401fb0f155424",
-    "rates.pert2": "5b8238b332d25158c1a1fc2e2abc22e2202ac992bde757615be290c256378db1",
+    "rates.pert2": "c135ce428ca8303511640fa090ed444bd1b00947d03b777ba6246f30e7df97f5",
     "rates.crowd3": "e07773a8975c61216b08f27bc97d3645a0312eed1d58c64ce3d9c112d9043829",
-    "stability.sym2": "66d5155c4ec5b084ed2734aeb62761b0a3825f501f75e327e00e9d7f60afbed8",
-    "stability.fit2asym": "645d321af69464f6f21020431d021dcbbaf4cb0fe62dec7afb99c155fd4dcacb",
-    "stability.mut4": "6c760b76e02fa88e19e6e3bf7e13e16ba34d1c0f361b185fb83e6eaa6a8f3b2c",
-    "stability.pert2": "a86ceb1c899069a0ced944bfd92b4ffa1852a544d55f436824327d60ed79a582",
+    "stability.sym2": "96e2dc42b0803218fa49cc74be3e428dc973e07e3dd67ccfd7d9777ab7eec568",
+    "stability.fit2asym": "48db3191992ca5d0ae708e1d0608851661f00f5aa686b90b6aa1be8f8fecac3f",
+    "stability.mut4": "a5d7f74db3dd5c716856e96a1da43595be4057a3e197e2fa3dee2488fe324c7b",
+    "stability.pert2": "cbbc3634e162925fb0e6ee36c900af9c86c49dea21824210b9b94b768328faee",
     "stability.crowd3": "26d614a6f573fc8e76babd27796f558a10ee149b2e55d39521e38f9525b1d5f8",
     "sweep.sym2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.fit2asym": "5adde8b34f108540ad96960e8543d92de3072be73227156f3249b0cf6a759dd2",
@@ -152,7 +164,7 @@ _GOLDEN = {
     "sweep.pert2": "18f1187fb23740e7616c5796b56da49df44ea198826acbe1f78fa03093a63909",
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
-    "stability-force.crowd3": "182336c8f499370f305f3806cf2a578f62175079b9a342a4cb2f9d8d2e2aeef2",
+    "stability-force.crowd3": "a4d7fd62a03f7d108581ae0751d4db24fd592c4725319d2be06eb92e0315e1d5",
     "verify.sym2": "039a61554efeec32f04460bc17f1754171987fb4021ecff291aa96f8ff3e5cf3",
     "verify": "e18cbe7c71b9c5027b18a572e4420721f74fdd663876bff0b978e3a2ce09d941",
 }
