@@ -391,12 +391,15 @@ def integrate_batch(
         h = min(h_ctrl[b], t_end - t[b])
         if h * lam > _STIFF_LIMIT:
             h = _STIFF_LIMIT / lam
-            if not h >= h_floor:
-                # steps below 1e-14 t_end cannot reach t_end in _MAX_STEPS
+            left = _MAX_STEPS - accepted[b] - rejected[b]
+            if not (h >= h_floor and h * left >= t_end - t[b]):
+                # the attempts left, at the capped step, fall short of t_end;
+                # the cap moves with the state, so this is an estimate
                 raise StepBudgetExceeded(
                     f"the stiffness cap |h lambda| <= {_STIFF_LIMIT:g} holds the step "
-                    f"at {h:g}, below the floor 1e-14 t_end, so t_end={t_end:g} is "
-                    f"out of reach of {_MAX_STEPS} attempted steps"
+                    f"at {h:g}, so t_end={t_end:g} is out of reach of {_MAX_STEPS} "
+                    f"attempted steps (an estimate from the cap at t={t[b]:g}, "
+                    "which moves with the state)"
                 )
         if not h >= h_floor:
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")

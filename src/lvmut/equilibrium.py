@@ -9,14 +9,17 @@ heterogeneous pressures, or when the Newton run fails. Stationarity means
 (R+M) v = diag(Psi(v)) v / K.
 
 Every continuation stage, the last one included, is solved by one damped
-Newton loop on G_s(v) = (R+M) v - Psi^s(v) v / K. A stage is accepted when
+Newton loop on G_s(v) = (R+M) v - (Psi^s(v) / K) v, written once (_stationarity)
+in the vector field's own operation order, so G_1 is model.rhs bit for bit.
+One runner (_run_stages) takes a start through a list of stages and scores
+each stage's point by ||G_1||_inf. A stage is accepted when
 the Newton correction at v is at most _NEWTON_TOL max(1, ||v||_inf), a stop
 relative to the size of v, so it holds for any carrying capacity K. The
 accepted point is v itself, not v plus that last correction, so a stage
 that its start already solves (every stage of a uniform kind) returns the
-start bit for bit. A start already near the answer, such as a perturbed
-kind's base equilibrium or the previous row of a perturbation sweep, needs
-only the last stage (_continue).
+start bit for bit. The homotopy runs every stage; a start already near the
+answer, such as a perturbed kind's base equilibrium or the previous row of
+a perturbation sweep, needs only the last one (_continue).
 """
 from __future__ import annotations
 
@@ -36,7 +39,13 @@ from .errors import (
     SingularMatrix,
     WrongInteractionKind,
 )
-from .linalg import _PIVOT_REL, PerronResult, perron_eigenpair, require_nonsingular
+from .linalg import (
+    _PIVOT_REL,
+    PerronResult,
+    _symmetric_extremes,
+    perron_eigenpair,
+    require_nonsingular,
+)
 from .model import (
     HypothesisReport,
     Model,
@@ -45,7 +54,6 @@ from .model import (
     _gradient,
     _linear_coefficients,
     _pressure_values,
-    _vector_field,
     growth_mutation_matrix,
     rhs,
     validate,
@@ -130,12 +138,6 @@ def equilibrium_auto(model: Model) -> EquilibriumResult:
         per, v = _anchor(model, linear.a)
         return _continue(model, linear, v, per.lambda_p)
     return equilibrium_homotopy(model)
-
-
-def _symmetric_extremes(a: np.ndarray) -> tuple[float, float]:
-    """The smallest and largest eigenvalue of a's symmetric part."""
-    eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
 def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -249,6 +251,14 @@ def _prepare(model: Model, linear: _Linear) -> _System:
     return _System(linear.a, box_lo, box_hi, _pressure_values(model), _gradient(model))
 
 
+def _stationarity(system: _System, big_k: float, s: float, v: np.ndarray):
+    """Psi^s(v) and G_s(v) = (R+M) v - (Psi^s(v) / K) v, in model._vector_field's
+    operation order, so G_1 equals rhs bit for bit."""
+    psi = system.pressure(v)
+    psi_s = psi if s == 1.0 else s * psi + (1.0 - s) * psi[0]
+    return psi_s, system.a.dot(v) - psi_s / big_k * v
+
+
 def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarray:
     """Drive the stage-s stationarity residual G_s to zero by damped Newton.
 
@@ -258,16 +268,10 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
     until the candidate stays in the box and lowers ||G_s||_inf.
     """
     big_k = model.big_k
-    a, box_lo, box_hi, pressure, gradient = system
-
-    def stage_pressure(x: np.ndarray) -> np.ndarray:
-        psi = pressure(x)
-        return s * psi + (1.0 - s) * psi[0]
-
     for _ in range(_MAX_INNER):
-        psi_s = stage_pressure(v)
-        g = a @ v - psi_s * v / big_k
-        step = _guarded_solve(_jacobian(a, big_k, s, v, psi_s, gradient(v)), -g)
+        psi_s, g = _stationarity(system, big_k, s, v)
+        jac = _jacobian(system.a, big_k, s, v, psi_s, system.gradient(v))
+        step = _guarded_solve(jac, -g)
         if _sup(step) <= _NEWTON_TOL * max(1.0, _sup(v)):
             return v
         g_norm = _sup(g)
@@ -275,19 +279,33 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
         accepted = False
         for _ in range(60):
             cand = v + t * step
-            if _in_box(cand, box_lo, box_hi):
-                cand_psi = stage_pressure(cand)
-                cand_norm = _sup(a @ cand - cand_psi * cand / big_k)
-                if cand_norm < g_norm:
-                    v = cand
-                    accepted = True
-                    break
+            if (_in_box(cand, system.box_lo, system.box_hi)
+                    and _sup(_stationarity(system, big_k, s, cand)[1]) < g_norm):
+                v = cand
+                accepted = True
+                break
             t *= _DAMPING
         if not accepted:
-            if not _in_box(v + 1e-8 * step, box_lo, box_hi):
+            if not _in_box(v + 1e-8 * step, system.box_lo, system.box_hi):
                 raise LeftAprioriBox(s)
             raise InnerNoConvergence(s)
     raise InnerNoConvergence(s)
+
+
+def _run_stages(model: Model, system: _System, v: np.ndarray, stages: list) -> list:
+    """Solve each stage s of stages in turn by _newton, warm-started at the
+    last; the (s, v, ||G_1(v)||_inf) checkpoints.
+
+    A start outside the box raises LeftAprioriBox(stages[0]), like a Newton
+    run that leaves it.
+    """
+    if not _in_box(v, system.box_lo, system.box_hi):
+        raise LeftAprioriBox(stages[0])
+    path = []
+    for s in stages:
+        v = _newton(model, system, s, v)
+        path.append((s, v.copy(), _sup(_stationarity(system, model.big_k, 1.0, v)[1])))
+    return path
 
 
 def equilibrium_homotopy(model: Model) -> EquilibriumResult:
@@ -296,24 +314,18 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     The pressure map is slid from Psi_1 (applied to every genotype) to the
     genuine Psi along s in [0, 1]. The start is _anchor's point on the Perron
     ray, exact for the linear part of Psi_1. Each stage, s = 0 included, is
-    solved by _newton on G_s(v) = (R+M)v - Psi^s(v) v / K warm-started from
-    the previous stage, and accepted only when its Newton correction is at
-    most _NEWTON_TOL max(1, ||v||_inf); so a perturbed kind's tanh offset is
+    solved by _newton on G_s warm-started from the previous stage, and
+    accepted only when its Newton correction is at most
+    _NEWTON_TOL max(1, ||v||_inf); so a perturbed kind's tanh offset is
     absorbed by the s = 0 stage, and the s = 1 stage solves the full
     stationarity equation.
     """
     system = _prepare(model, _linear_setup(model, validate(model)))
     per, v = _anchor(model, system.a)
-    if not _in_box(v, system.box_lo, system.box_hi):
-        raise LeftAprioriBox(0.0)
-    vector_field = _vector_field(model)
-    path = []
-    for s in np.linspace(0.0, 1.0, HomotopyConfig.s_steps):
-        v = _newton(model, system, float(s), v)
-        path.append((float(s), v.copy(), _sup(vector_field(v))))
-
+    stages = [float(s) for s in np.linspace(0.0, 1.0, HomotopyConfig.s_steps)]
+    path = _run_stages(model, system, v, stages)
     return EquilibriumResult(
-        v_bar=v,
+        v_bar=path[-1][1],
         alpha_bar=None,
         lambda_p=per.lambda_p,
         residual=path[-1][2],
@@ -322,33 +334,24 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     )
 
 
-def _solve_from(model: Model, linear: _Linear, v: np.ndarray) -> np.ndarray:
-    """The stationary state by one s = 1 _newton run started at v, given
-    linear = _linear_setup(model, validate(model)).
-
-    It runs under equilibrium_homotopy's checks and box, and is accepted by
-    the same stop as the homotopy's last stage. A start outside the box
-    raises LeftAprioriBox(1.0), like a Newton run that leaves it.
-    """
-    system = _prepare(model, linear)
-    if not _in_box(v, system.box_lo, system.box_hi):
-        raise LeftAprioriBox(1.0)
-    return _newton(model, system, 1.0, v)
-
-
 def _continue(model: Model, linear: _Linear, v: np.ndarray, lambda_p: float) -> EquilibriumResult:
-    """_solve_from(model, linear, v) as a result, lambda_p being the Perron
+    """The stationary state by one s = 1 stage run from v, given
+    linear = _linear_setup(model, validate(model)) and lambda_p, the Perron
     root of R+M; equilibrium_homotopy(model) when that run leaves the box,
-    does not converge or meets a singular Jacobian."""
+    does not converge or meets a singular Jacobian.
+
+    The run has the homotopy's checks and box, and is accepted by the same
+    stop as its last stage.
+    """
     try:
-        v_bar = _solve_from(model, linear, v)
+        ((_, v_bar, res),) = _run_stages(model, _prepare(model, linear), v, [1.0])
     except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
         return equilibrium_homotopy(model)
     return EquilibriumResult(
         v_bar=v_bar,
         alpha_bar=None,
         lambda_p=lambda_p,
-        residual=residual(model, v_bar),
+        residual=res,
         method=Method.Continuation,
         homotopy_path=[],
     )

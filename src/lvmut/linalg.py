@@ -150,7 +150,13 @@ def solve_linear(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularMatrix(str(exc)) from exc
 
 
+def _symmetric_extremes(mat: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest eigenvalue of mat's symmetric part."""
+    mat = np.asarray(mat, dtype=float)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    return float(eigenvalues[0]), float(eigenvalues[-1])
+
+
 def is_positive_definite(mat: np.ndarray) -> bool:
     """True when the symmetric part's smallest eigenvalue is strictly positive."""
-    mat = np.asarray(mat, dtype=float)
-    return bool(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] > 0.0)
+    return _symmetric_extremes(mat)[0] > 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lvmut import analysis, equilibrium
+from lvmut import model as model_module
 from lvmut.analysis import (
     convergence_rate,
     global_stability_experiment,
@@ -243,18 +244,25 @@ def test_stability_integrates_at_the_accuracy_its_tol_needs(tol, tol_used):
     assert rep.tol_used == tol_used
 
 
-@pytest.mark.parametrize("eps", [1e-4, 4e-4, 1.6e-3, 6.4e-3])
-def test_stability_endpoints_of_criterion_12_meet_a_tight_reference(eps):
-    # criterion 12's model, seed, starts, horizon and tol: the derived
-    # tolerances keep every endpoint within tol / 1000 of an rtol 1e-13 run
+@pytest.mark.parametrize("eps, t_end", [
+    # criterion 12's horizon keeps the ids the cases had before t = 5 joined
+    pytest.param(eps, t_end, id=str(eps) if t_end == 120.0 else f"{eps}-{t_end}")
+    for t_end in (120.0, 5.0) for eps in (1e-4, 4e-4, 1.6e-3, 6.4e-3)
+])
+def test_stability_endpoints_of_criterion_12_meet_a_tight_reference(eps, t_end):
+    # criterion 12's model, seed, starts and tol, at its horizon and at one
+    # short enough that the transient still shows: the derived tolerances
+    # keep every endpoint within tol / 1000 of an rtol 1e-13 run. At t = 120
+    # the attractor damps the error of any rtol up to 1e-3; at t = 5, eps
+    # 6.4e-3 is off by 7.2e-8 at rtol 1e-5 and by 7.2e-11 at the derived 1e-8
     sym = get_preset("sym2").model
     inter = get_preset("pert2").model.interaction
     model = _row_model(sym, inter.amp, inter.w, eps)
     seed = 1200 + int(eps * 1e6)
-    rep = global_stability_experiment(model, n_samples=5, seed=seed, t_end=120.0, tol=1e-5)
+    rep = global_stability_experiment(model, n_samples=5, seed=seed, t_end=t_end, tol=1e-5)
     assert rep.tol_used == (1e-8, 1e-10)
     starts = np.random.default_rng(seed).uniform(0.0, 2.0 * model.big_k, size=(5, model.n))
-    ref = integrate_batch(model, starts, 120.0, rtol=1e-13, atol=1e-15, record_every=120.0)
+    ref = integrate_batch(model, starts, t_end, rtol=1e-13, atol=1e-15, record_every=t_end)
     ref_ends = np.array([traj.states[-1] for traj in ref])
     assert np.max(np.abs(rep.endpoints - ref_ends)) <= 1e-5 / 1000
 
@@ -396,6 +404,30 @@ def test_sweep_solve_counts_on_pert2(monkeypatch, grid, solves):
     assert len(calls) == solves
 
 
+def test_each_solve_builds_r_plus_m_once(monkeypatch):
+    # the residuals come from the solve's own R+M, not from a rebuilt field;
+    # the sweep's base row builds it for its Perron pair and its residual,
+    # and the rows share one more
+    builds = []
+    build = model_module.growth_mutation_matrix
+
+    def counted(model):
+        builds.append(None)
+        return build(model)
+
+    monkeypatch.setattr(model_module, "growth_mutation_matrix", counted)
+    monkeypatch.setattr(equilibrium, "growth_mutation_matrix", counted)
+    base, amp, w = _sweep_inputs("sym2")
+    counts = []
+    for solve in (lambda: equilibrium_homotopy(get_preset("crowd3").model),
+                  lambda: equilibrium_auto(get_preset("pert2").model),
+                  lambda: perturbation_sweep(base, amp, w, _SWEEP_GRIDS["cli"])):
+        builds.clear()
+        solve()
+        counts.append(len(builds))
+    assert counts == [1, 1, 3]
+
+
 def _failing_newton(monkeypatch, exc, times):
     """Make the first `times` s = 1 _newton runs raise exc."""
     newton = equilibrium._newton
@@ -434,16 +466,16 @@ def test_sweep_row_that_fails_in_the_fallback_keeps_the_homotopy_error(monkeypat
 
 def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatch):
     base, amp, w = _sweep_inputs("pert2")
-    solve_from = equilibrium._solve_from
+    run_stages = equilibrium._run_stages
     starts = []
 
-    def spy(model, report, v):
+    def spy(model, system, v, stages):
         starts.append(v.copy())
         if len(starts) == 2:
             raise Hypothesis3Violated("row 2 fails")
-        return solve_from(model, report, v)
+        return run_stages(model, system, v, stages)
 
-    monkeypatch.setattr(equilibrium, "_solve_from", spy)
+    monkeypatch.setattr(equilibrium, "_run_stages", spy)
     rows = perturbation_sweep(base, amp, w, [1e-4, 4e-4, 1.6e-3]).rows
     assert [row.failed for row in rows] == [False, False, True, False]
     assert starts[0].tobytes() == rows[0].v_bar.tobytes()

@@ -684,6 +684,20 @@ def test_step_budget_is_a_solver_error(capsys, monkeypatch):
     assert "15 attempted steps" in payload["message"]
 
 
+def test_unreachable_horizon_is_a_solver_error(capsys, monkeypatch):
+    from lvmut import dynamics
+
+    # at a budget of 2,000 attempts pert2's capped step (near 5) falls far
+    # short of t_end = 1e5, and the run says so before spending the budget
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+    code, out, err = _run(capsys, "simulate", "--preset", "pert2", "--t-end", "1e5")
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "StepBudgetExceeded"
+    assert "2000 attempted steps" in payload["message"]
+    assert "estimate" in payload["message"]
+
+
 def test_verify_single_preset_filter(capsys):
     code, out, _ = _run(capsys, "verify", "--preset", "pert2")
     assert code == 0

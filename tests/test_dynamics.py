@@ -285,6 +285,31 @@ def test_step_budget_bounds_the_work(monkeypatch):
         integrate(preset.model, preset.v0, preset.t_end)
 
 
+def test_a_horizon_the_capped_step_cannot_reach_fails_at_once(monkeypatch):
+    # pert2's stiffness cap holds the step near 5, so 2,000 attempts reach
+    # about t = 1e4: t_end = 5e3 still finishes, and t_end = 1e5 fails within
+    # a few attempts, where it used to spend the whole budget (26,002 calls)
+    preset = get_preset("pert2")
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+    assert integrate(preset.model, preset.v0, 5e3, record_every=5e3).times[-1] == 5e3
+    calls = []
+    bind = dynamics._vector_field
+
+    def counted_bind(model):
+        field = bind(model)
+
+        def counted(v):
+            calls.append(None)
+            return field(v)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_vector_field", counted_bind)
+    with pytest.raises(StepBudgetExceeded, match="2000 attempted steps.*an estimate"):
+        integrate(preset.model, preset.v0, 1e5, record_every=1e5)
+    assert len(calls) < 13 * 100
+
+
 def test_positivity_and_strictness_from_boundary():
     model = get_preset("sym2").model
     traj = integrate(model, np.array([0.0, 5.0]), 10.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvmut import equilibrium
 from lvmut import model as model_module
@@ -33,7 +35,9 @@ from lvmut.model import (
     interaction_values,
     perturbed,
     point_mutation_matrix,
+    rhs,
     uniform_linear,
+    validate,
 )
 from lvmut.presets import get_preset, preset_names
 
@@ -329,6 +333,50 @@ def _newton_system(model, box, pressure=None):
                                model_module._gradient(model))
 
 
+def _in_scope_model(kind, n, big_k, seed):
+    """A model of the given kind inside the paper's hypotheses: r > 0,
+    symmetric mu with outflow within r/2 (h3), and pressures monotone."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.2, 2.0, size=n)
+    mu = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+    mu = np.triu(mu, 1) + np.triu(mu, 1).T
+    outflow = mu.sum(axis=1)
+    mu *= rng.uniform(0.0, 0.5) * np.min(r / np.where(outflow > 0.0, outflow, 1.0))
+    if kind == "crowding":
+        interaction = crowding_linear(rng.uniform(0.0, 2.0, size=(n, n)))
+    elif kind == "perturbed":
+        a = rng.uniform(0.5, 2.0, size=n)
+        amp = rng.uniform(-1.0, 1.0, size=n)
+        w = rng.normal(size=(n, n))
+        # eps below min a / max |amp_i| max |w_i.| keeps the pressures monotone
+        slope = float(np.max(np.abs(amp) * np.max(np.abs(w), axis=1)))
+        eps = rng.uniform(0.0, 0.99) * a.min() / slope
+        interaction = perturbed(uniform_linear(a), eps, amp, w)
+    else:
+        interaction = uniform_linear(rng.uniform(0.5, 2.0, size=n))
+    return build_model(n, r, big_k, mu, interaction)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.sampled_from(["uniform", "crowding", "perturbed"]),
+       st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1.0, max_value=100.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_newton_residual_at_s_1_is_the_field(kind, n, big_k, seed):
+    # Newton's G_1 and its stage residuals are the vector field itself, bit
+    # for bit, at nonnegative states with exact zeros
+    model = _in_scope_model(kind, n, big_k, seed)
+    report = validate(model)
+    assert report.h1_symmetry and report.h3_half and report.h1_monotone
+    system = _newton_system(model, (0.0, math.inf))
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(0.0, 2.0 * big_k, size=(5, n))
+    states[rng.random(states.shape) < 0.3] = 0.0
+    for v in states:
+        g = equilibrium._stationarity(system, big_k, 1.0, v)[1]
+        assert g.tobytes() == rhs(model, v).tobytes()
+
+
 def test_newton_raises_left_apriori_box_when_every_damped_step_leaves_it():
     # a box that holds only the start's total: every damped candidate, and
     # the 1e-8 probe along the step, change the total
@@ -357,11 +405,12 @@ def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_resid
     assert info.value.s == 0.5
 
 
-def test_solve_from_a_start_outside_the_box_leaves_it():
+def test_stage_run_from_a_start_outside_the_box_leaves_it():
     model = get_preset("crowd3").model
     linear = equilibrium._linear_setup(model, model_module.validate(model))
+    system = equilibrium._prepare(model, linear)
     with pytest.raises(LeftAprioriBox) as info:
-        equilibrium._solve_from(model, linear, np.full(model.n, 1e12))
+        equilibrium._run_stages(model, system, np.full(model.n, 1e12), [1.0])
     assert info.value.s == 1.0
 
 
