@@ -393,13 +393,10 @@ def integrate_batch(
             h = _STIFF_LIMIT / lam
             left = _MAX_STEPS - accepted[b] - rejected[b]
             if not (h >= h_floor and h * left >= t_end - t[b]):
-                # the attempts left, at the capped step, fall short of t_end;
-                # the cap moves with the state, so this is an estimate
                 raise StepBudgetExceeded(
-                    f"the stiffness cap |h lambda| <= {_STIFF_LIMIT:g} holds the step "
-                    f"at {h:g}, so t_end={t_end:g} is out of reach of {_MAX_STEPS} "
-                    f"attempted steps (an estimate from the cap at t={t[b]:g}, "
-                    "which moves with the state)"
+                    f"the stiffness cap |h lambda| <= {_STIFF_LIMIT:g} holds the step at {h:g} "
+                    f"at t={t[b]:g}, so t_end={t_end:g} is out of reach of {_MAX_STEPS} "
+                    "attempted steps (an estimate: the cap moves with the state)"
                 )
         if not h >= h_floor:
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")

@@ -8,18 +8,17 @@ for small eps); and a homotopy from that anchor for the other
 heterogeneous pressures, or when the Newton run fails. Stationarity means
 (R+M) v = diag(Psi(v)) v / K.
 
-Every continuation stage, the last one included, is solved by one damped
-Newton loop on G_s(v) = (R+M) v - (Psi^s(v) / K) v, written once (_stationarity)
-in the vector field's own operation order, so G_1 is model.rhs bit for bit.
-One runner (_run_stages) takes a start through a list of stages and scores
-each stage's point by ||G_1||_inf. A stage is accepted when
-the Newton correction at v is at most _NEWTON_TOL max(1, ||v||_inf), a stop
+One runner (_run_stages) solves every continuation stage, the last one
+included, by one damped Newton loop on G_s(v) = (R+M) v - (Psi^s(v) / K) v,
+written once (_stationarity) in the vector field's operation order, so G_1
+is rhs bit for bit and scores each stage. A stage is accepted when the
+Newton correction at v is at most _NEWTON_TOL max(1, ||v||_inf), a stop
 relative to the size of v, so it holds for any carrying capacity K. The
 accepted point is v itself, not v plus that last correction, so a stage
 that its start already solves (every stage of a uniform kind) returns the
-start bit for bit. The homotopy runs every stage; a start already near the
-answer, such as a perturbed kind's base equilibrium or the previous row of
-a perturbation sweep, needs only the last one (_continue).
+start bit for bit. A start already near the answer, such as a perturbed
+kind's base equilibrium or the previous row of a perturbation sweep, needs
+only the last stage (_continue).
 """
 from __future__ import annotations
 
@@ -205,7 +204,7 @@ def _jacobian(
     a: np.ndarray, big_k: float, s: float, v: np.ndarray, psi_s: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
     """J_s = a - diag(Psi^s)/K - (v outer grad Psi^s)/K, the Jacobian of
-    G_s(v) = a v - Psi^s(v) v / K at v, given psi_s = Psi^s(v) and grad = Psi'(v)."""
+    _stationarity's G_s at v, given psi_s = Psi^s(v) and grad = Psi'(v)."""
     grad_s = s * grad + (1.0 - s) * grad[0]
     return a - np.diag(psi_s / big_k) - (v[:, None] * grad_s) / big_k
 
@@ -244,13 +243,6 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
     return _Linear(a, _symmetric_extremes(a))
 
 
-def _prepare(model: Model, linear: _Linear) -> _System:
-    """The set-up of every continuation, given _linear_setup(model): the
-    a-priori box, and Psi and its gradient bound once."""
-    box_lo, box_hi = _apriori_box(model, linear.extremes)
-    return _System(linear.a, box_lo, box_hi, _pressure_values(model), _gradient(model))
-
-
 def _stationarity(system: _System, big_k: float, s: float, v: np.ndarray):
     """Psi^s(v) and G_s(v) = (R+M) v - (Psi^s(v) / K) v, in model._vector_field's
     operation order, so G_1 equals rhs bit for bit."""
@@ -276,29 +268,29 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
             return v
         g_norm = _sup(g)
         t = 1.0
-        accepted = False
         for _ in range(60):
             cand = v + t * step
             if (_in_box(cand, system.box_lo, system.box_hi)
                     and _sup(_stationarity(system, big_k, s, cand)[1]) < g_norm):
                 v = cand
-                accepted = True
                 break
             t *= _DAMPING
-        if not accepted:
+        else:
             if not _in_box(v + 1e-8 * step, system.box_lo, system.box_hi):
                 raise LeftAprioriBox(s)
             raise InnerNoConvergence(s)
     raise InnerNoConvergence(s)
 
 
-def _run_stages(model: Model, system: _System, v: np.ndarray, stages: list) -> list:
-    """Solve each stage s of stages in turn by _newton, warm-started at the
-    last; the (s, v, ||G_1(v)||_inf) checkpoints.
+def _run_stages(model: Model, linear: _Linear, v: np.ndarray, stages: list) -> list:
+    """The (s, v, ||G_1(v)||_inf) checkpoints of solving each stage s in turn
+    by _newton from v, given linear = _linear_setup(model, validate(model)).
 
-    A start outside the box raises LeftAprioriBox(stages[0]), like a Newton
-    run that leaves it.
+    The a-priori box, Psi and its gradient are bound once. A start outside
+    the box raises LeftAprioriBox(stages[0]), like a Newton run that leaves it.
     """
+    system = _System(linear.a, *_apriori_box(model, linear.extremes),
+                     _pressure_values(model), _gradient(model))
     if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(stages[0])
     path = []
@@ -320,10 +312,9 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     absorbed by the s = 0 stage, and the s = 1 stage solves the full
     stationarity equation.
     """
-    system = _prepare(model, _linear_setup(model, validate(model)))
-    per, v = _anchor(model, system.a)
-    stages = [float(s) for s in np.linspace(0.0, 1.0, HomotopyConfig.s_steps)]
-    path = _run_stages(model, system, v, stages)
+    linear = _linear_setup(model, validate(model))
+    per, v = _anchor(model, linear.a)
+    path = _run_stages(model, linear, v, np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
     return EquilibriumResult(
         v_bar=path[-1][1],
         alpha_bar=None,
@@ -335,16 +326,13 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
 
 
 def _continue(model: Model, linear: _Linear, v: np.ndarray, lambda_p: float) -> EquilibriumResult:
-    """The stationary state by one s = 1 stage run from v, given
-    linear = _linear_setup(model, validate(model)) and lambda_p, the Perron
-    root of R+M; equilibrium_homotopy(model) when that run leaves the box,
-    does not converge or meets a singular Jacobian.
-
-    The run has the homotopy's checks and box, and is accepted by the same
-    stop as its last stage.
-    """
+    """The stationary state by one s = 1 stage run from v, under the
+    homotopy's checks, box and stop, given linear = _linear_setup(model,
+    validate(model)) and lambda_p, the Perron root of R+M;
+    equilibrium_homotopy(model) when that run leaves the box, does not
+    converge or meets a singular Jacobian."""
     try:
-        ((_, v_bar, res),) = _run_stages(model, _prepare(model, linear), v, [1.0])
+        ((_, v_bar, res),) = _run_stages(model, linear, v, [1.0])
     except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
         return equilibrium_homotopy(model)
     return EquilibriumResult(

@@ -469,11 +469,11 @@ def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatc
     run_stages = equilibrium._run_stages
     starts = []
 
-    def spy(model, system, v, stages):
+    def spy(model, linear, v, stages):
         starts.append(v.copy())
         if len(starts) == 2:
             raise Hypothesis3Violated("row 2 fails")
-        return run_stages(model, system, v, stages)
+        return run_stages(model, linear, v, stages)
 
     monkeypatch.setattr(equilibrium, "_run_stages", spy)
     rows = perturbation_sweep(base, amp, w, [1e-4, 4e-4, 1.6e-3]).rows

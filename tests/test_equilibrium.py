@@ -412,9 +412,8 @@ def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_resid
 def test_stage_run_from_a_start_outside_the_box_leaves_it():
     model = get_preset("crowd3").model
     linear = equilibrium._linear_setup(model, model_module.validate(model))
-    system = equilibrium._prepare(model, linear)
     with pytest.raises(LeftAprioriBox) as info:
-        equilibrium._run_stages(model, system, np.full(model.n, 1e12), [1.0])
+        equilibrium._run_stages(model, linear, np.full(model.n, 1e12), [1.0])
     assert info.value.s == 1.0
 
 
