@@ -395,7 +395,7 @@ def integrate_batch(
             if not (h >= h_floor and h * left >= t_end - t[b]):
                 raise StepBudgetExceeded(
                     f"the stiffness cap |h lambda| <= {_STIFF_LIMIT:g} holds the step at {h:g} "
-                    f"at t={t[b]:g}, so t_end={t_end:g} is out of reach of {_MAX_STEPS} "
+                    f"(t={t[b]:g}), so t_end={t_end:g} is out of reach of {_MAX_STEPS} "
                     "attempted steps (an estimate: the cap moves with the state)"
                 )
         if not h >= h_floor:

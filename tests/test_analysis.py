@@ -404,7 +404,7 @@ def test_sweep_solve_counts_on_pert2(monkeypatch, grid, solves):
     assert len(calls) == solves
 
 
-def test_each_solve_builds_r_plus_m_once(monkeypatch):
+def test_r_plus_m_builds_per_solve(monkeypatch):
     # the residuals come from the solve's own R+M, not from a rebuilt field;
     # the sweep's base row builds it for its Perron pair and its residual,
     # and the rows share one more
