@@ -100,3 +100,36 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     # criterion 09 integrates sym2 and mut4 from one start each; criterion
     # 12 integrates five starts on each of its four perturbed models
     assert calls == [(9, 1), (9, 1)] + [(12, 5)] * 4
+
+
+def test_run_all_keeps_its_integrator_work(monkeypatch):
+    # the battery's calls of the field that dynamics binds, those made inside
+    # integrate_batch, and the steps its trajectories accepted and rejected;
+    # the other 61 calls are the closed form's check of each start
+    real_batch, bind = dynamics.integrate_batch, dynamics._vector_field
+    field_calls, trajs, integrating = [], [], []
+
+    def counted_bind(model):
+        field = bind(model)
+
+        def counted(v):
+            field_calls.append(bool(integrating))
+            return field(v)
+
+        return counted
+
+    def spy(*args, **kwargs):
+        integrating.append(None)
+        try:
+            out = real_batch(*args, **kwargs)
+        finally:
+            integrating.pop()
+        trajs.extend(out)
+        return out
+
+    monkeypatch.setattr(dynamics, "_vector_field", counted_bind)
+    monkeypatch.setattr(dynamics, "integrate_batch", spy)
+    acceptance.run_all()
+    accepted = sum(traj.accepted_steps for traj in trajs)
+    rejected = sum(traj.rejected_steps for traj in trajs)
+    assert (len(field_calls), sum(field_calls), accepted, rejected) == (3657, 3596, 1128, 0)
