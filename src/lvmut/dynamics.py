@@ -125,6 +125,14 @@ _P[1, 0] += 1.0
 _P[2] = 2.0 * _P[0]
 _P[2, [0, 12]] -= 1.0
 _P[3:] = _D
+# The weights of each stage's argument v + h _A[s] @ k[:s] on [v; k_0..k_15]:
+# row s holds _A[s] from column 1 on. An attempt of size h weighs by _AH * h
+# with column 0 set to 1, so one product of row s with the state and stages
+# forms stage s's argument; row 12 (_B) forms the step's result y.
+_AH = np.zeros((16, 17))
+for _s in range(1, 16):
+    _AH[_s, 1:_s + 1] = _A[_s]
+del _s
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -364,16 +372,19 @@ def integrate_batch(
     for path, v0 in zip(paths, starts):
         path[0] = v0
 
-    # v holds the running rows' states, (B, n), or (n,) for one row; ks holds
-    # their 16 stages, (B, 16, n) or (16, n), and stage 0 is f at the state
-    v = starts.copy() if n_rows > 1 else starts[0].copy()
-    ks = np.empty(v.shape[:-1] + (16, n))
+    # z holds each running row's state and its 16 stages, (B, 17, n), or
+    # (17, n) for one row; v and ks are views of it, and stage 0 is f at the
+    # state. hc holds each row's weights of z for the attempt, (B, 16, 17) or
+    # (16, 17): _AH times the row's h, with column 0 set to 1.
+    z = np.empty((n_rows, 17, n) if n_rows > 1 else (17, n))
+    v, ks = z[..., 0, :], z[..., 1:, :]
+    v[...] = starts if n_rows > 1 else starts[0]
     ks[..., 0, :] = f(v)
     if not np.isfinite(ks[..., 0, :]).all():
         raise NonFiniteState("vector field is non-finite at the initial state")
     h_floor = 1e-14 * t_end
-    h_ctrl = [_start_step(v_b, k_b[0], rtol, atol, t_end, h_floor)
-              for v_b, k_b in zip(starts, ks.reshape(n_rows, 16, n))]
+    h_ctrl = [_start_step(v_b, k_b, rtol, atol, t_end, h_floor)
+              for v_b, k_b in zip(starts, z.reshape(n_rows, 17, n)[:, 1])]
     t = [0.0] * n_rows
     err_prev = [1.0] * n_rows
     grid_idx = [0] * n_rows
@@ -402,12 +413,13 @@ def integrate_batch(
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
         return h
 
-    def settle(b, h, j, v, y, ks, finite, y_min, sq, q, err_est, scale) -> bool:
+    def settle(b, h, j, z, hc, y, finite, y_min, sq, q, err_est, scale) -> bool:
         # Decide row b's attempt of size h, and leave y[j] as its next state
-        # and ks[j, 0] as the field there; True when the row reached t_end.
-        # v[j], ks[j], y[j], q[j], err_est[j] and scale[j] are its state,
-        # stages, result and error terms: j is its place in a stack, or the
-        # full slice for one row's own arrays. sq holds the sums of q[j]**2.
+        # and stage 0 of z[j] as the field there; True when the row reached
+        # t_end. z[j], hc[j], y[j], q[j], err_est[j] and scale[j] are its
+        # state and stages, weights, result and error terms: j is its place
+        # in a stack, or the full slice for one row's own arrays. sq holds
+        # the sums of q[j]**2.
         sq5, sq3 = sq
         if finite and (sq5 != sq5 or sq3 != sq3):
             sq5, sq3 = _zero_scale_sq_sums(q[j], err_est[j], scale[j])
@@ -418,11 +430,12 @@ def integrate_batch(
         else:
             err = _error_norm(h, sq5, sq3, n)
             shrink = None if err <= 1.0 else max(0.1, _SAFETY * err ** -0.125)
+        zj = z[j]
         if shrink is not None:
             # the state and its first stage stay
             rejected[b] += 1
             h_ctrl[b] = h * shrink
-            y[j] = v[j]
+            y[j] = zj[0]
             return False
 
         if y_min <= 0.0:
@@ -440,16 +453,16 @@ def integrate_batch(
             if inner > lo:
                 # the continuous extension's three stages, then the grid
                 # times inside the step in one product
-                k, v_j = ks[j], v[j]
+                hcj = hc[j]
                 for s in range(13, 16):
-                    k[s] = f(v_j + h * _A[s].dot(k[:s]))
+                    zj[s + 1] = f(hcj[s, :s + 1].dot(zj[:s + 1]))
                 sigma = (times[lo + 1:inner + 1] - t[b]) / h
                 weights = np.empty((sigma.size, 7))
                 weights[:, 0::2] = sigma[:, None]
                 weights[:, 1::2] = 1.0 - sigma[:, None]
-                dense = weights.cumprod(axis=1) @ _P @ k
+                dense = weights.cumprod(axis=1) @ _P @ zj[1:]
                 dense *= h
-                dense += v_j
+                dense += zj[0]
                 np.maximum(dense, 0.0, out=paths[b][lo + 1:inner + 1])
             if inner < hi:
                 paths[b][hi] = y[j]
@@ -464,22 +477,25 @@ def integrate_batch(
         if grid_idx[b] == n_grid:
             return True
         # FSAL: stage 12 is f at the new state, unless it was clipped
-        k = ks[j]
-        k[0] = f(y[j]) if y_min < 0.0 else k[12]
+        zj[1] = f(y[j]) if y_min < 0.0 else zj[13]
         return False
 
-    def plan(ks):
-        # One field call per stage on the running rows. Stage s = 1..11
-        # evaluates f at v + h * (_A[s] @ ks[..., :s, :]) into stage s; the
-        # step's y and its two error estimates weigh stages 0..11 by _B and
-        # _E. One row's (16, n) stages take ndarray.dot: the same products
-        # as on a stack of one, at a fraction of the call cost.
-        if ks.ndim == 2:
-            return [(_A[s].dot, ks[:s], ks[s]) for s in range(1, 12)], _B.dot, _E.dot
-        stages = [(_A[s].__matmul__, ks[:, :s], ks[:, s]) for s in range(1, 12)]
-        return stages, _B.__matmul__, _E.__matmul__
+    def plan(z, hc):
+        # One field call per stage on the running rows: for s = 1..12, row s
+        # of hc weighs z[..., :s+1, :], the state and stages 0..s-1, into
+        # stage s's argument (at s = 12, the step's y), and f there goes to
+        # stage s, z[..., s+1, :]; the error estimates weigh stages 0..11
+        # by _E. One row takes ndarray.dot of (s+1,) and (s+1, n); a stack
+        # takes one @ of (B, 1, s+1) and (B, s+1, n) into (B, 1, n), the
+        # same vector-matrix product per row, at a fraction of the call cost.
+        if z.ndim == 2:
+            return [(hc[s, :s + 1].dot, z[:s + 1], z[s + 1]) for s in range(1, 13)], _E.dot
+        stages = [(hc[:, s:s + 1, :s + 1].__matmul__, z[:, :s + 1], z[:, s + 1:s + 2])
+                  for s in range(1, 13)]
+        return stages, _E.__matmul__
 
-    stages, weigh_y, weigh_err = plan(ks)
+    hc = np.empty(z.shape[:-2] + _AH.shape)
+    stages, weigh_err = plan(z, hc)
     # each row's power-iteration vector for the Jacobian's largest
     # eigenvalue; the all-ones start lies close to the mass mode, which is
     # the fast one near a steady state
@@ -487,6 +503,7 @@ def integrate_batch(
     whole = slice(None)
     min_reduce = np.minimum.reduce
     add_reduce = np.add.reduce
+    multiply = np.multiply
     # a non-finite stage rejects its step; numpy's warnings about the
     # stages computed from it say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,6 +524,7 @@ def integrate_batch(
                     u = np.ones(n)
                     d_sq = 0.0
                 h = step_size(b, math.sqrt(d_sq) / size)
+                multiply(_AH, h, out=hc)
             else:
                 v_sq = add_reduce(v * v, axis=-1).tolist()
                 u_sq = add_reduce(u * u, axis=-1).tolist()
@@ -520,15 +538,16 @@ def integrate_batch(
                         u[j] = 1.0
                         d_sq[j] = 0.0
                     hs.append(step_size(b, math.sqrt(d_sq[j]) / sizes[j]))
-                h = np.array(hs)[:, None]
+                multiply(_AH, np.array(hs)[:, None, None], out=hc)
+            hc[..., 0] = 1.0
 
-            for weigh_s, ks_s, ks_out in stages:
-                ks_out[...] = f(v + h * weigh_s(ks_s))
-            k12 = ks[..., :12, :]
-            y = v + h * weigh_y(k12)
-            ks[..., 12, :] = f(y)
+            for weigh, z_s, out in stages:
+                y = weigh(z_s)
+                out[...] = f(y)
+            if not lone:
+                y = y[:, 0]
             finite = _finite_rows(ks[..., :13, :], y)
-            err_est = weigh_err(k12)
+            err_est = weigh_err(ks[..., :12, :])
             # v >= 0, so |v| is v (up to a start's -0.0, whose sign the sum
             # with atol drops)
             scale = atol + rtol * np.maximum(v, np.abs(y))
@@ -536,28 +555,29 @@ def integrate_batch(
 
             sq_sums = add_reduce(q * q, axis=-1).tolist()
             if lone:
-                if settle(b, h, whole, v, y, ks, finite is None or finite,
+                if settle(b, h, whole, z, hc, y, finite is None or finite,
                           float(min_reduce(y)), sq_sums, q, err_est, scale):
                     break
-                v = y
+                v[...] = y
                 continue
 
             y_min = min_reduce(y, axis=1).tolist()
             finished = [
                 j for j, b in enumerate(rows)
-                if settle(b, hs[j], j, v, y, ks, finite is None or finite[j], y_min[j],
+                if settle(b, hs[j], j, z, hc, y, finite is None or finite[j], y_min[j],
                           sq_sums[j], q, err_est, scale)
             ]
-            v = y
+            v[...] = y
             if finished:
                 keep = [j for j in range(len(rows)) if j not in finished]
                 rows = [rows[j] for j in keep]
                 if len(keep) == 1:
                     keep = keep[0]
-                v = v[keep]
+                z = z[keep]
+                v, ks = z[..., 0, :], z[..., 1:, :]
                 u = u[keep]
-                ks = ks[keep]
-                stages, weigh_y, weigh_err = plan(ks)
+                hc = np.empty(z.shape[:-2] + _AH.shape)
+                stages, weigh_err = plan(z, hc)
 
     return [
         Trajectory(

@@ -530,7 +530,7 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
     accepted steps that were clipped and did not end the run, whose next
     first stage is a fresh field call."""
     f = field or (lambda v: rhs(model, v))
-    A, B, E, P = dynamics._A, dynamics._B, dynamics._E, dynamics._P
+    A, E, P = dynamics._A, dynamics._E, dynamics._P
     n = model.n
     grid = dynamics._record_grid(t_end, record_every).tolist()
     v = np.asarray(v0, dtype=float).copy()
@@ -544,6 +544,11 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
     u = np.ones(n)
     t, accepted, rejected, err_prev, idx, recording, refreshes = 0.0, 0, 0, 1.0, 0, 0, 0
     ks = np.empty((16, n))
+
+    def weigh(s):
+        # v + h (A[s] @ ks[:s]) as [1, h A[s]] @ [v; ks[:s]]
+        return np.concatenate(([1.0], h * A[s])) @ np.vstack([v, ks[:s]])
+
     while t < t_end:
         # one power iteration on the Jacobian at v caps |h lambda| at 5
         v_sq = float(np.add.reduce(v * v))
@@ -558,8 +563,8 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
             h = 5.0 / lam
         ks[0] = k0
         for s in range(1, 12):
-            ks[s] = f(v + h * (A[s] @ ks[:s]))
-        y = v + h * (B @ ks[:12])
+            ks[s] = f(weigh(s))
+        y = weigh(12)
         ks[12] = f(y)
         if not np.isfinite(ks[:13]).all() or not np.isfinite(y).all():
             rejected += 1
@@ -589,7 +594,7 @@ def _reference_integrate(model, v0, t_end, rtol, atol, record_every, field=None,
         if inside:
             recording += 1
             for s in range(13, 16):
-                ks[s] = f(v + h * (A[s] @ ks[:s]))
+                ks[s] = f(weigh(s))
             sigma = (np.array(inside) - t) / h
             times.extend(inside)
             states.extend(np.clip(v + h * (_dense_weights(sigma) @ P @ ks), 0.0, None))
