@@ -43,13 +43,16 @@ from lvmut.serialize import trajectory_csv
 # Recorded when the stepper became DOP853; any change to the arithmetic of a
 # step or of a sample shows up here. Re-recorded when the field became
 # (R+M)v - (Psi(v)/K)v: states move by at most 1.1e-12 relative (mut4), and
-# no accepted or rejected count moves.
+# no accepted or rejected count moves. Re-recorded (digests only) when each
+# stage's argument became one product [1, h a_s] @ [v; k_0..]: states move by
+# at most 1.2e-12 relative (fit2asym; mut4 1.1e-12, crowd3 1.0e-12, sym2 and
+# pert2 3.5e-13), and no accepted or rejected count moves.
 _GOLDEN = {
-    "sym2": ("8fc99ec57cb7e9601ba055ecce64137700aaf1c9d52c7676e56c73de9e39e7b7", 21, 0),
-    "fit2asym": ("8b4dd3d7ebf75a790e3c530e46d8ad2f5980e2216b411f9a4ca5109e936da502", 36, 0),
-    "mut4": ("5b3c670a62ba0d0cfd0a5239be572736d4a799e44fa37301f2c97b51209c83c3", 46, 0),
-    "pert2": ("cfc47785c34327bd6292e61fbdaeac84511012a7ffe8531f6e83bd7f9b7b5c5a", 21, 0),
-    "crowd3": ("ffe6e43c884ef261278f78320fc0e5a0b096bd4b2a00a4ad2ae5b5d49b4ad3aa", 45, 0),
+    "sym2": ("92f88ef63c25c2b1cbd52bf908ff6dd7d18628004e7c20f4d9ef9723f3d28180", 21, 0),
+    "fit2asym": ("1761e442ff039e97c8e73c266ff1866082c141305e8c7bf3129017140aa44391", 36, 0),
+    "mut4": ("f1557ab5c4835b1db25b8802ad3e7794fef41e80e9ed47da2a88d5eba4001580", 46, 0),
+    "pert2": ("7568acb482f87329fac76c7b8890df03f2b7ff64a8cd8f26f79cf4120ad27c9e", 21, 0),
+    "crowd3": ("f24676be873af4ee4675ff3b4cf170fd10d2c4844eac4667f4b536c4801e663e", 45, 0),
 }
 
 
@@ -868,6 +871,7 @@ def test_batch_rows_with_rejections_equal_their_single_runs():
 
 
 def test_batch_of_one_is_integrate():
+    # mut4's _GOLDEN entry, re-recorded with it for the one-product stages
     preset = get_preset("mut4")
     (traj,) = integrate_batch(preset.model, preset.v0[None], preset.t_end)
     digest = hashlib.sha256(trajectory_csv(traj).encode()).hexdigest()

@@ -132,7 +132,15 @@ def _digest(argv: list[str], out_dir) -> str:
 # rates by at most 6.2e-11 relative; sweep l1 distances by at most 3.6e-12
 # relative; stability endpoints keep their bytes and only the attractor and
 # the gaps to it move; every digest of the uniform kinds, verify and
-# verify.sym2 keep their bytes)
+# verify.sym2 keep their bytes); simulate, entropy and rates on pert2 and
+# crowd3, stability.pert2, stability-force.crowd3, verify.sym2 and verify
+# re-recorded when each Runge-Kutta stage's argument became one product
+# [1, h a_s] @ [v; k_0..] (trajectory samples move by at most 1.0e-12
+# relative, on crowd3; entropy columns by at most 8.7e-9 of their largest
+# entry, on pert2; fitted rates by at most 9.5e-10 relative, crowd3's sup
+# rate; stability endpoints by at most 1.6e-14 relative; in verify only two
+# gap figures move, criterion 09's 3.764e-12 -> 3.758e-12 and criterion
+# 12's 1.785e-10 -> 1.784e-10; every verdict and step count is unchanged)
 _GOLDEN = {
     "validate.sym2": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
     "validate.fit2asym": "cc5197516a90f94b6c1c337281374fcb3d33192af2c7c7bbc5c1cbb474580b68",
@@ -142,8 +150,8 @@ _GOLDEN = {
     "simulate.sym2": "84ff426e492fe938bffcba72fabc116c94e445ac81380af463fb7817d1809850",
     "simulate.fit2asym": "8a6dc4f72cb564256eb32dabf991fba52b1a863b5c693e46b95f8e3f4ea1d5e4",
     "simulate.mut4": "dee53ca875fa4c8cbe37f8a2f6194757b79fdfed91fa64925696baed7435e316",
-    "simulate.pert2": "754ca1d810f40c29eb354b9d0fbeaea76c6196cf586bca3cbcc9a59dba45e9e9",
-    "simulate.crowd3": "3c5d9c48c38e64e522331c9078711efa3b7bc419d9d1d449cfd45e70420d924e",
+    "simulate.pert2": "e4143ae8404312c8ee02aa9aee51913e3fa9c40bcf1a425878854ef7e3dac687",
+    "simulate.crowd3": "f3a7d5a08db4af52b4595b02e484dc6ad8b9a00dad475c60884d023febddfe1f",
     "equilibrium.sym2": "9145aaa4cc049a4e3e5f601d3ce26be1ba94940ee76618ec269b31f3a0fd0983",
     "equilibrium.fit2asym": "c32748b979a9b8131d0287c95c049d5a6165ab1dbbef5547a59b2e0bd3ae7d53",
     "equilibrium.mut4": "29cadc53b1ed8af3167747d8784739494dc3bda1b2127e793cd58e31ed0b7ec1",
@@ -157,17 +165,17 @@ _GOLDEN = {
     "entropy.sym2": "7335a1cb893cb7f0330645ef4f655381fcde85ce2c73e2e06ce0699da1a9c046",
     "entropy.fit2asym": "40c00b209d4ceb2760ea0edd502d133aec1f34cd4d93a8d2bcb02f8036000295",
     "entropy.mut4": "50ca2b882b60786ce07b24a032da0ec78cce6ad49faed70c3eaf274f7429b9a1",
-    "entropy.pert2": "a48f2e659a6e69755cc80493da39789227b994770f5ca3da665574eeecb626e0",
-    "entropy.crowd3": "dae4199ab7523cf20669c33c9455764e819a4cba6a3de85f3bacfef3b2a6a5d7",
+    "entropy.pert2": "8b57ea6a2a21a7c046942a5da114d093d6b7a35e621365473206852f29f038f8",
+    "entropy.crowd3": "8c3654898f1a940d65fbd0c312b47dacfc41dd4e4e901357489456e165ec323a",
     "rates.sym2": "bf57f2228b24dcd122c50557b5a32a936e3bb1e4115af76971ff7aaa7ff1e321",
     "rates.fit2asym": "529659b991b9486cf78d29065035ddb85183268edc1decda23aa2dce4373bff0",
     "rates.mut4": "936940b0040d9a47d27f51c1ff071fbbd15dba1dd1ce550cb6a401fb0f155424",
-    "rates.pert2": "c650b2550bf0f4b29cb8a61a0344cfa1f3e04385203d373585e1f56948f4c77a",
-    "rates.crowd3": "eb9b17d84f1392706a10860e87fc11e50ea7a0b79dcdf36d02f0447bfc72f293",
+    "rates.pert2": "db1218c6460c31394740f152285c52735c084b3715c02e9056c0fdc04ce0f1fb",
+    "rates.crowd3": "c218ad26df10a0734b0301f9ed68c09cbab19a9456856056900e97bb02b334cc",
     "stability.sym2": "96e2dc42b0803218fa49cc74be3e428dc973e07e3dd67ccfd7d9777ab7eec568",
     "stability.fit2asym": "48db3191992ca5d0ae708e1d0608851661f00f5aa686b90b6aa1be8f8fecac3f",
     "stability.mut4": "a5d7f74db3dd5c716856e96a1da43595be4057a3e197e2fa3dee2488fe324c7b",
-    "stability.pert2": "85275542aec13d2623fe036b79ee099d20fd98f825c7998fecb3d6253e48e8ba",
+    "stability.pert2": "5d44110ae85a9a50e4f56c8cc2b64a55cbf04ec94620d69b30940c21ed84a4c1",
     "stability.crowd3": "26d614a6f573fc8e76babd27796f558a10ee149b2e55d39521e38f9525b1d5f8",
     "sweep.sym2": "11cf44367ea7ee8926094864f8ab73982b43ead0a01974d5bd372dcd1c66583f",
     "sweep.fit2asym": "5adde8b34f108540ad96960e8543d92de3072be73227156f3249b0cf6a759dd2",
@@ -175,9 +183,9 @@ _GOLDEN = {
     "sweep.pert2": "11cf44367ea7ee8926094864f8ab73982b43ead0a01974d5bd372dcd1c66583f",
     "sweep.crowd3": "24ec35cf4d047a97d664c3080885f2c746ab40acdad614ce3039697efce1bba8",
     "presets": "5ca0560c92012a1d1165eb71e9ca7b53e1c6a2418ae1d2de464d01b1570a5dfb",
-    "stability-force.crowd3": "a3cf173dc325c6c95529a31d44dcf44195b854d1fb038c8b78c1c85cfb02b31c",
-    "verify.sym2": "039a61554efeec32f04460bc17f1754171987fb4021ecff291aa96f8ff3e5cf3",
-    "verify": "e18cbe7c71b9c5027b18a572e4420721f74fdd663876bff0b978e3a2ce09d941",
+    "stability-force.crowd3": "3710f850d31dea012a8fe1d188e7cbda52e5f86780ee8f06105913f5021a9694",
+    "verify.sym2": "3a50c1db5131c93c40f543a761b2cd9676962c8d41a7c15062e149d99f5256da",
+    "verify": "55621c16329d7dffd2198409f0b51a2ad1eb6540f47e1db2c48659d2ba7801a0",
 }
 
 
