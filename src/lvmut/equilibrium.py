@@ -113,12 +113,15 @@ def equilibrium_uniform(model: Model) -> EquilibriumResult:
     inter = model.interaction
     if not isinstance(inter, UniformLinear):
         raise WrongInteractionKind("eigenvector scaling applies to uniform interactions")
-    per, v_bar = _anchor(model, growth_mutation_matrix(model))
+    a = growth_mutation_matrix(model)
+    per, v_bar = _anchor(model, a)
+    big_k = model.big_k
     return EquilibriumResult(
         v_bar=v_bar,
-        alpha_bar=model.big_k * per.lambda_p,
+        alpha_bar=big_k * per.lambda_p,
         lambda_p=per.lambda_p,
-        residual=residual(model, v_bar),
+        # the field at v_bar in its own expression, from this R+M
+        residual=_sup(a.dot(v_bar) - inter.a.dot(v_bar) / big_k * v_bar),
         method=Method.PerronScaling,
         homotopy_path=[],
     )

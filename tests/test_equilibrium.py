@@ -63,6 +63,14 @@ def test_fit2asym_closed_form():
     assert eq.method is Method.PerronScaling
 
 
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4"])
+def test_perron_scaling_residual_is_the_field_at_v_bar(name):
+    # scored from the solve's own R+M, in the field's expression
+    model = get_preset(name).model
+    eq = equilibrium_uniform(model)
+    assert eq.residual == residual(model, eq.v_bar)
+
+
 def test_sym2_and_mut4_equilibria():
     eq2 = equilibrium_uniform(get_preset("sym2").model)
     assert np.max(np.abs(eq2.v_bar - 5.0)) < 1e-10
