@@ -32,6 +32,9 @@ _EH_FLOOR = 1e-28
 # a fitted sample's |h| stands this many error scales above the integration
 # error, so an error of one scale moves log E(h) by at most about 0.02
 _NOISE_MARGIN = 100.0
+# the most starts one stability experiment draws: about 1 s of integration
+# at the ~1 ms per start that 8,000 starts took
+_MAX_STARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -213,9 +216,10 @@ def global_stability_experiment(
     and integrated otherwise at rtol = min(1e-8, max(1e-3 tol, 1e-10)) and
     atol = 1e-2 rtol, so the integration error stays far below tol and
     tol = 0 integrates at rtol 1e-10, atol 1e-12. The report's tol_used
-    is the pair used, (0, 0) for the exact flow."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    is the pair used, (0, 0) for the exact flow. n_samples is at most
+    _MAX_STARTS, which bounds the work of one call."""
+    if not 1 <= n_samples <= _MAX_STARTS:
+        raise ValueError(f"n_samples must be between 1 and {_MAX_STARTS}, got {n_samples!r}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (math.isfinite(tol) and tol >= 0.0):

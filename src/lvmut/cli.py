@@ -18,6 +18,7 @@ import numpy as np
 
 from . import acceptance, serialize
 from .analysis import (
+    _MAX_STARTS,
     convergence_rate,
     global_stability_experiment,
     perturbation_sweep,
@@ -287,10 +288,12 @@ def _cmd_stability(args) -> int:
     if job.sampler is not None:
         n_samples = job.sampler["count"]
         seed = job.sampler["seed"]
-        if n_samples < 1:
-            raise ValueError("key 'count' in scenario key 'initial' must be at least 1")
-    elif n_samples < 1:
-        raise ValueError("--samples must be at least 1")
+        if not 1 <= n_samples <= _MAX_STARTS:
+            raise ValueError(
+                f"key 'count' in scenario key 'initial' must be between 1 and {_MAX_STARTS}"
+            )
+    elif not 1 <= n_samples <= _MAX_STARTS:
+        raise ValueError(f"--samples must be between 1 and {_MAX_STARTS}")
     report = global_stability_experiment(
         job.model, n_samples=n_samples, seed=seed, t_end=job.t_end,
         tol=args.tol, force=args.force,

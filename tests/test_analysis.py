@@ -173,6 +173,16 @@ def test_global_stability_needs_a_sample(n_samples):
         global_stability_experiment(model, n_samples=n_samples, seed=0, t_end=10.0, tol=1e-6)
 
 
+def test_global_stability_bounds_its_samples(monkeypatch):
+    # the guard stops the call before it draws or integrates a start
+    calls = []
+    monkeypatch.setattr(analysis, "_flow_batch", lambda *args, **kwargs: calls.append(args))
+    model = get_preset("pert2").model
+    with pytest.raises(ValueError, match="n_samples must be between 1 and 1000, got 1001"):
+        global_stability_experiment(model, n_samples=1001, seed=0, t_end=10.0, tol=1e-6)
+    assert calls == []
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
 def test_global_stability_needs_a_finite_nonnegative_tol(tol):
     model = get_preset("sym2").model

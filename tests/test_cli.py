@@ -647,6 +647,26 @@ def test_bad_flag_values_are_usage_errors(capsys, argv, flag):
     assert flag in payload["message"]
 
 
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_stability_bounds_its_samples(capsys, tmp_path, monkeypatch, source):
+    # above 1,000 starts the entry check exits 2 naming the flag or key, and
+    # nothing integrates
+    from lvmut import analysis
+
+    calls = []
+    monkeypatch.setattr(analysis, "_flow_batch", lambda *args, **kwargs: calls.append(args))
+    if source == "flag":
+        argv, name = ["--preset", "pert2", "--samples", "1001"], "--samples"
+    else:
+        argv = ["--scenario", _scenario(tmp_path, initial={"count": 1001, "seed": 1})]
+        name = "'count'"
+    code, out, err = _run(capsys, "stability", *argv)
+    assert (code, out, calls) == (2, "", [])
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert name in payload["message"] and "between 1 and 1000" in payload["message"]
+
+
 @pytest.mark.parametrize("flag, value", [("--v0", "1,2"), ("--rtol", "1e-3"),
                                          ("--atol", "1e-3"), ("--record-every", "3")])
 def test_stability_rejects_the_simulation_flags_it_would_ignore(capsys, flag, value):
