@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_equilibrium import _in_scope_model
 
 from lvmut import dynamics
 from lvmut import model as model_module
@@ -844,6 +847,31 @@ def test_batch_rows_equal_their_single_runs(name):
         assert traj.tol_used == single.tol_used
     # the rows leave the batch at different steps
     assert len({traj.accepted_steps for traj in batch}) > 1
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(st.sampled_from(["uniform", "crowding", "perturbed"]),
+       st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1.0, max_value=100.0),
+       st.integers(min_value=2, max_value=4),
+       st.floats(min_value=0.5, max_value=4.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batch_rows_equal_their_single_runs_on_in_scope_models(kind, n, big_k, rows, t_end,
+                                                                seed):
+    # every row of a lockstep stack, on any in-scope model and from any
+    # nonnegative start (exact zeros, and whole rows of them, included), is
+    # its one-start run bit for bit
+    rng = np.random.default_rng(seed)
+    model = _in_scope_model(kind, n, big_k, rng)
+    starts = rng.uniform(0.0, 2.0 * big_k, size=(rows, n))
+    starts[rng.random(starts.shape) < 0.3] = 0.0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "initial state.* is identically zero", UserWarning)
+        batch = integrate_batch(model, starts, t_end)
+        for v0, traj in zip(starts, batch):
+            single = integrate(model, v0, t_end)
+            _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
+                                    single.rejected_steps))
 
 
 def test_batch_rows_equal_the_reference_loop():
