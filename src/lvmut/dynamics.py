@@ -12,6 +12,11 @@ the recording grid never changes the steps and finite-difference
 diagnostics downstream see a clean grid. Negative excursions beyond -atol
 reject the step; tiny negatives inside (-atol, 0) are clamped to zero, and
 so are interpolated samples, matching the positivity guarantees of the flow.
+
+A running state and its 16 stages share one buffer [v; k_0..k_15], and an
+attempt of size h weighs it by [1, h a_s] (a row of _AH times h, with the
+state's weight 1): each stage's argument v + h a_s @ k, and the step's
+result y, is one matrix-vector product.
 """
 from __future__ import annotations
 
@@ -129,10 +134,7 @@ _P[3:] = _D
 # row s holds _A[s] from column 1 on. An attempt of size h weighs by _AH * h
 # with column 0 set to 1, so one product of row s with the state and stages
 # forms stage s's argument; row 12 (_B) forms the step's result y.
-_AH = np.zeros((16, 17))
-for _s in range(1, 16):
-    _AH[_s, 1:_s + 1] = _A[_s]
-del _s
+_AH = np.array([np.pad(row, (1, 16 - row.size)) for row in _A])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -335,17 +337,21 @@ def integrate_batch(
     Each attempt is one DOP853 step: a power-iteration probe of the
     Jacobian and twelve stages, that is thirteen field calls, of which the
     last, f at the step's result y, is the next step's first stage (FSAL)
-    unless y was clipped. The rows step in lockstep: each of these calls is
-    one field evaluation on the stack of rows still running. Every row
-    keeps its own time, step size, controller memory, power-iteration
-    vector, grid position and counters, so each trajectory equals its
-    one-start run bit for bit. An accepted step that holds grid times
-    evaluates the continuous extension's three extra stages for that row
-    and records those times from it, and records its own y at a grid time
-    it ends on. A row leaves the batch when it reaches t_end. Once one row
-    runs (from the start, or when the others have finished), its state is
-    an (n,) vector and its step size a Python float: the same products as
-    on a stack of one, at a fraction of the call cost.
+    unless y was clipped. A row's state and stages live in one buffer
+    z = [v; k_0..k_15], and the attempt's weights hc = [1, h a_s] (_AH times
+    h, column 0 set to 1) turn each stage's argument, y included, into one
+    product of hc's row s with z's first s + 1 rows. The rows step in
+    lockstep: each of these calls is one field evaluation on the stack of
+    rows still running, and each stage's arguments one batched product with
+    every row's own h. Every row keeps its own time, step size, controller
+    memory, power-iteration vector, grid position and counters, so each
+    trajectory equals its one-start run bit for bit. An accepted step that
+    holds grid times evaluates the continuous extension's three extra
+    stages for that row and records those times from it, and records its
+    own y at a grid time it ends on. A row leaves the batch when it reaches
+    t_end. Once one row runs (from the start, or when the others have
+    finished), its buffer is (17, n) and its step size a Python float: the
+    same products as on a stack of one, at a fraction of the call cost.
 
     The error of a step is dop853.f's norm h |e5|^2 / sqrt((|e5|^2 +
     0.01 |e3|^2) n) of the 5th- and 3rd-order estimates, each component
