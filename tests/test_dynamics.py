@@ -698,6 +698,18 @@ def _counting_field(monkeypatch, model):
     return calls
 
 
+# field calls and accepted/rejected steps of each preset run from its own v0
+# to its t_end at the default tolerances and grid: the integrator's work,
+# which a change to the rounding of a step's products must leave alone
+_WORK = {
+    "sym2": (334, 21, 0),
+    "fit2asym": (574, 36, 0),
+    "mut4": (734, 46, 0),
+    "pert2": (334, 21, 0),
+    "crowd3": (715, 45, 0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_one_row_takes_thirteen_field_calls_per_attempt(monkeypatch, name):
     # one call at the start, then per attempt the power iteration's probe and
@@ -719,27 +731,8 @@ def test_one_row_takes_thirteen_field_calls_per_attempt(monkeypatch, name):
                                  preset.t_end / 500.0, stats=stats)
             assert 0 < stats["recording_steps"] <= traj.accepted_steps
             assert len(calls) == 1 + 13 * attempts + 3 * stats["recording_steps"]
+            assert (len(calls), traj.accepted_steps, traj.rejected_steps) == _WORK[name]
         assert all(x.shape == (preset.model.n,) for x in calls[1:])
-
-
-# field calls and accepted/rejected steps of each preset run from its own v0
-# to its t_end at the default tolerances and grid: the integrator's work,
-# which a change to the rounding of a step's products must leave alone
-_WORK = {
-    "sym2": (334, 21, 0),
-    "fit2asym": (574, 36, 0),
-    "mut4": (734, 46, 0),
-    "pert2": (334, 21, 0),
-    "crowd3": (715, 45, 0),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_WORK))
-def test_preset_runs_keep_their_work(monkeypatch, name):
-    preset = get_preset(name)
-    calls = _counting_field(monkeypatch, preset.model)
-    traj = integrate(preset.model, preset.v0, preset.t_end)
-    assert (len(calls), traj.accepted_steps, traj.rejected_steps) == _WORK[name]
 
 
 def test_batch_takes_thirteen_field_calls_per_lockstep_attempt(monkeypatch):
