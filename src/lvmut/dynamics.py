@@ -130,10 +130,9 @@ _P[1, 0] += 1.0
 _P[2] = 2.0 * _P[0]
 _P[2, [0, 12]] -= 1.0
 _P[3:] = _D
-# The weights of each stage's argument v + h _A[s] @ k[:s] on [v; k_0..k_15]:
-# row s holds _A[s] from column 1 on. An attempt of size h weighs by _AH * h
-# with column 0 set to 1, so one product of row s with the state and stages
-# forms stage s's argument; row 12 (_B) forms the step's result y.
+# Row s holds _A[s] from column 1 on: times h, with column 0 set to 1, it
+# weighs [v; k_0..k_15] into stage s's argument v + h _A[s] @ k[:s], and
+# row 12 (_B) into the step's result y.
 _AH = np.array([np.pad(row, (1, 16 - row.size)) for row in _A])
 
 _SAFETY = 0.9
