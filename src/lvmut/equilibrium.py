@@ -1,12 +1,15 @@
 """Positive stationary states.
 
-Three routes: exact scaling of the dominant eigenvector when every genotype
+Four routes: exact scaling of the dominant eigenvector when every genotype
 feels the same pressure (uniform linear family); for a perturbed kind, one
 Newton run on the full system started at its uniform base's equilibrium,
 which that scaling gives exactly (the implicit function theorem's branch
-for small eps); and a homotopy from that anchor for the other
-heterogeneous pressures, or when the Newton run fails. Stationarity means
-(R+M) v = diag(Psi(v)) v / K.
+for small eps); for crowding, pseudo-transient continuation (Psi-tc) on the
+full system from the anchor, linearly implicit Euler on the flow itself
+with a pseudo-time step that grows until the iteration is Newton's; and
+the homotopy from that anchor (equilibrium_homotopy), which solves the
+model when either run fails (_continue).
+Stationarity means (R+M) v = diag(Psi(v)) v / K.
 
 One runner (_run_stages) solves every continuation stage, the last one
 included, by one damped Newton loop on G_s(v) = (R+M) v - (Psi^s(v) / K) v,
@@ -18,7 +21,8 @@ accepted point is v itself, not v plus that last correction, so a stage
 that its start already solves (every stage of a uniform kind) returns the
 start bit for bit. A start already near the answer, such as a perturbed
 kind's base equilibrium or the previous row of a perturbation sweep, needs
-only the last stage (_continue).
+only the last stage (_stage_one). Psi-tc (_pseudo_transient) stops by the
+same test once its step is Newton's.
 """
 from __future__ import annotations
 
@@ -68,6 +72,8 @@ class Method(Enum):
 _NEWTON_TOL = 1e-13  # bound on the Newton correction, relative to max(1, ||v||_inf)
 _MAX_INNER = 100     # Newton steps per stage (the ladder rungs take at most 26)
 _DAMPING = 0.5       # backtracking factor of a damped Newton step
+_MAX_HALVINGS = 60   # step cuts per Newton or Psi-tc step
+_PTC_NEWTON = 1e14   # pseudo-time step from which Psi-tc stops on Newton's test
 
 
 @dataclass(frozen=True)
@@ -128,18 +134,18 @@ def equilibrium_uniform(model: Model) -> EquilibriumResult:
 
 
 def equilibrium_auto(model: Model) -> EquilibriumResult:
-    """Eigenvector scaling for uniform pressures; for a perturbed kind, one
-    s = 1 Newton run from _anchor's point, which is its base's exact
-    equilibrium since the perturbed kind's C is its base's (the homotopy if
-    that run fails); the homotopy for crowding."""
+    """Eigenvector scaling for uniform pressures. Otherwise one run from
+    _anchor's point (_continue, with the homotopy if that run fails): for a
+    perturbed kind one s = 1 Newton run, since that point is its base's exact
+    equilibrium (the perturbed kind's C is its base's); for crowding,
+    pseudo-transient continuation (_pseudo_transient)."""
     inter = model.interaction
     if isinstance(inter, UniformLinear):
         return equilibrium_uniform(model)
-    if isinstance(inter, Perturbed):
-        linear = _linear_setup(model, validate(model))
-        per, v = _anchor(model, linear.a)
-        return _continue(model, linear, v, per.lambda_p)
-    return equilibrium_homotopy(model)
+    linear = _linear_setup(model, validate(model))
+    per, v = _anchor(model, linear.a)
+    run = _stage_one if isinstance(inter, Perturbed) else _pseudo_transient
+    return _continue(model, linear, v, per.lambda_p, run)
 
 
 def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -271,7 +277,7 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
             return v
         g_norm = _sup(g)
         t = 1.0
-        for _ in range(60):
+        for _ in range(_MAX_HALVINGS):
             cand = v + t * step
             if (_in_box(cand, system.box_lo, system.box_hi)
                     and _sup(_stationarity(system, big_k, s, cand)[1]) < g_norm):
@@ -285,15 +291,21 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
     raise InnerNoConvergence(s)
 
 
+def _system(model: Model, linear: _Linear) -> _System:
+    """The _System of a solve on model, given linear = _linear_setup(model,
+    validate(model)): the a-priori box, Psi and its gradient bound once."""
+    return _System(linear.a, *_apriori_box(model, linear.extremes),
+                   _pressure_values(model), _gradient(model))
+
+
 def _run_stages(model: Model, linear: _Linear, v: np.ndarray, stages: list) -> list:
     """The (s, v, ||G_1(v)||_inf) checkpoints of solving each stage s in turn
     by _newton from v, given linear = _linear_setup(model, validate(model)).
 
-    The a-priori box, Psi and its gradient are bound once. A start outside
-    the box raises LeftAprioriBox(stages[0]), like a Newton run that leaves it.
+    A start outside the box raises LeftAprioriBox(stages[0]), like a Newton
+    run that leaves it.
     """
-    system = _System(linear.a, *_apriori_box(model, linear.extremes),
-                     _pressure_values(model), _gradient(model))
+    system = _system(model, linear)
     if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(stages[0])
     path = []
@@ -301,6 +313,61 @@ def _run_stages(model: Model, linear: _Linear, v: np.ndarray, stages: list) -> l
         v = _newton(model, system, s, v)
         path.append((s, v.copy(), _sup(_stationarity(system, model.big_k, 1.0, v)[1])))
     return path
+
+
+def _stage_one(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v_bar and ||G_1(v_bar)||_inf of one s = 1 stage run from v, under the
+    homotopy's checks, box and stop."""
+    ((_, v_bar, res),) = _run_stages(model, linear, v, [1.0])
+    return v_bar, res
+
+
+def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v_bar and ||G_1(v_bar)||_inf by pseudo-transient continuation from v > 0.
+
+    Linearly implicit Euler on the flow dv/dt = G_1(v) with a pseudo-time
+    step delta: each step solves (I/delta - J_1(v)) x = G_1(v) and sets
+    v <- v + x (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998). delta starts
+    at 1/||J_1(v)||_inf and after each step grows by max(2, ||G_old||_inf /
+    ||G_new||_inf), switched evolution relaxation never below doubling
+    (Mulder & van Leer, J. Comput. Phys. 59, 1985), so the step becomes
+    Newton's. A candidate with a component <= 0, or with a residual that is
+    not finite, halves delta and solves again, at most _MAX_HALVINGS times
+    per step. Once delta >= _PTC_NEWTON the run stops by _newton's test,
+    ||x||_inf <= _NEWTON_TOL max(1, ||v||_inf), and returns v without that
+    last correction; v must then lie in the a-priori box. Raises
+    InnerNoConvergence after _MAX_INNER steps or _MAX_HALVINGS halvings,
+    SingularMatrix from the solve and LeftAprioriBox for a result outside
+    the box.
+    """
+    system = _system(model, linear)
+    big_k = model.big_k
+    eye = np.eye(len(v))
+    psi, g = _stationarity(system, big_k, 1.0, v)
+    g_norm = _sup(g)
+    jac = _jacobian(system.a, big_k, 1.0, v, psi, system.gradient(v))
+    j_norm = _sup(np.abs(jac).sum(axis=1))
+    delta = 1.0 / j_norm if j_norm > 0.0 else math.inf
+    for _ in range(_MAX_INNER):
+        for _ in range(_MAX_HALVINGS):
+            step = _guarded_solve(eye / delta - jac, g)
+            if delta >= _PTC_NEWTON and _sup(step) <= _NEWTON_TOL * max(1.0, _sup(v)):
+                if not _in_box(v, system.box_lo, system.box_hi):
+                    raise LeftAprioriBox(1.0)
+                return v, g_norm
+            cand = v + step
+            if np.min(cand) > 0.0:
+                cand_psi, cand_g = _stationarity(system, big_k, 1.0, cand)
+                cand_norm = _sup(cand_g)
+                if math.isfinite(cand_norm):
+                    break
+            delta *= 0.5
+        else:
+            raise InnerNoConvergence(1.0)
+        delta *= max(2.0, g_norm / cand_norm if cand_norm > 0.0 else math.inf)
+        v, psi, g, g_norm = cand, cand_psi, cand_g, cand_norm
+        jac = _jacobian(system.a, big_k, 1.0, v, psi, system.gradient(v))
+    raise InnerNoConvergence(1.0)
 
 
 def equilibrium_homotopy(model: Model) -> EquilibriumResult:
@@ -328,14 +395,16 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     )
 
 
-def _continue(model: Model, linear: _Linear, v: np.ndarray, lambda_p: float) -> EquilibriumResult:
-    """The stationary state by one s = 1 stage run from v, under the
-    homotopy's checks, box and stop, given linear = _linear_setup(model,
-    validate(model)) and lambda_p, the Perron root of R+M;
-    equilibrium_homotopy(model) when that run leaves the box, does not
-    converge or meets a singular Jacobian."""
+def _continue(model: Model, linear: _Linear, v: np.ndarray, lambda_p: float,
+              run: Callable = _stage_one) -> EquilibriumResult:
+    """The stationary state by one run from v, given linear =
+    _linear_setup(model, validate(model)) and lambda_p, the Perron root of
+    R+M. run(model, linear, v) returns v_bar and ||G_1(v_bar)||_inf: one
+    s = 1 stage (_stage_one) or pseudo-transient continuation
+    (_pseudo_transient). equilibrium_homotopy(model) when that run leaves
+    the box, does not converge or meets a singular Jacobian."""
     try:
-        ((_, v_bar, res),) = _run_stages(model, linear, v, [1.0])
+        v_bar, res = run(model, linear, v)
     except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
         return equilibrium_homotopy(model)
     return EquilibriumResult(
