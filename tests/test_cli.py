@@ -85,13 +85,15 @@ def test_equilibrium_method_mismatch(capsys):
     assert json.loads(err)["error"] == "WrongInteractionKind"
 
 
-def test_equilibrium_auto_picks_homotopy(capsys):
+def test_equilibrium_auto_continues_a_crowding_model(capsys):
+    # named test_equilibrium_auto_picks_homotopy, with method "homotopy" and
+    # its 21 checkpoints, until crowding took pseudo-transient continuation
     code, out, _ = _run(capsys, "equilibrium", "--preset", "crowd3")
     assert code == 0
     payload = json.loads(out)
-    assert payload["method"] == "homotopy"
+    assert payload["method"] == "continuation"
     assert payload["alpha_bar"] is None
-    assert len(payload["path"]) == 21
+    assert payload["path"] == []
 
 
 def test_equilibrium_auto_continues_a_perturbed_model(capsys):
@@ -530,9 +532,10 @@ _WIDE_BOX = {"interaction": {"kind": "crowding", "alpha": [[1.0, 0.0], [0.5, 1.0
 
 
 def test_library_warning_is_one_warning_line(capsys, tmp_path):
+    # the method read "homotopy" until crowding took pseudo-transient continuation
     code, out, err = _run(capsys, "equilibrium", "--scenario", _scenario(tmp_path, _WIDE_BOX))
     assert code == 0
-    assert json.loads(out)["method"] == "homotopy"
+    assert json.loads(out)["method"] == "continuation"
     assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
 
 
@@ -769,7 +772,8 @@ def test_successive_calls_share_no_flags_or_defaults(capsys, tmp_path):
     assert code == 2
     code, out, _ = _run(capsys, "equilibrium", "--preset", "crowd3")
     assert code == 0
-    assert json.loads(out)["method"] == "homotopy"
+    # "homotopy" until crowding took pseudo-transient continuation
+    assert json.loads(out)["method"] == "continuation"
     # an option's default comes back after a call that set it, or failed on it
     rates = ("rates", "--preset", "sym2", "--record-every", "0.1")
     code, default_out, _ = _run(capsys, *rates)
