@@ -416,8 +416,9 @@ def test_sweep_solve_counts_on_pert2(monkeypatch, grid, solves):
 
 def test_r_plus_m_builds_per_solve(monkeypatch):
     # the residuals come from the solve's own R+M, not from a rebuilt field:
-    # a Perron scaling builds it once, for its pair and its residual, and the
-    # sweep's rows share one more after its base row
+    # a Perron scaling builds it once, for its pair and its residual, a
+    # pseudo-transient run (crowd3's equilibrium_auto) once, and the sweep's
+    # rows share one more after its base row
     builds = []
     build = model_module.growth_mutation_matrix
 
@@ -430,13 +431,14 @@ def test_r_plus_m_builds_per_solve(monkeypatch):
     base, amp, w = _sweep_inputs("sym2")
     counts = []
     for solve in (lambda: equilibrium_homotopy(get_preset("crowd3").model),
+                  lambda: equilibrium_auto(get_preset("crowd3").model),
                   lambda: equilibrium_auto(get_preset("pert2").model),
                   lambda: equilibrium_uniform(base),
                   lambda: perturbation_sweep(base, amp, w, _SWEEP_GRIDS["cli"])):
         builds.clear()
         solve()
         counts.append(len(builds))
-    assert counts == [1, 1, 1, 2]
+    assert counts == [1, 1, 1, 1, 2]
 
 
 def _failing_newton(monkeypatch, exc, times):

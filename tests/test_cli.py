@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lvmut import cli, errors
+from lvmut import cli, equilibrium, errors
 from lvmut.cli import main
 from lvmut.dynamics import integrate
 from lvmut.model import interaction_values
@@ -536,6 +536,22 @@ def test_library_warning_is_one_warning_line(capsys, tmp_path):
     code, out, err = _run(capsys, "equilibrium", "--scenario", _scenario(tmp_path, _WIDE_BOX))
     assert code == 0
     assert json.loads(out)["method"] == "continuation"
+    assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
+
+
+def test_library_warning_is_one_warning_line_after_a_fallback(capsys, tmp_path, monkeypatch):
+    # the pseudo-transient run binds the wide box, warns and fails; the
+    # homotopy binds the box again, and the same warning stays one line
+    relax = equilibrium._pseudo_transient
+
+    def failing(model, linear, v):
+        relax(model, linear, v)
+        raise errors.InnerNoConvergence(1.0)
+
+    monkeypatch.setattr(equilibrium, "_pseudo_transient", failing)
+    code, out, err = _run(capsys, "equilibrium", "--scenario", _scenario(tmp_path, _WIDE_BOX))
+    assert code == 0
+    assert json.loads(out)["method"] == "homotopy"
     assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
 
 

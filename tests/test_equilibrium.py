@@ -22,6 +22,7 @@ from lvmut.errors import (
     Hypothesis3Violated,
     InnerNoConvergence,
     LeftAprioriBox,
+    LvmutError,
     SingularMatrix,
     WrongInteractionKind,
 )
@@ -168,24 +169,45 @@ def test_perturbed_equilibrium_is_continued_from_its_base(monkeypatch, name):
     "exc", [LeftAprioriBox(1.0), InnerNoConvergence(1.0), SingularMatrix("singular")]
 )
 def test_failed_continuation_falls_back_to_the_homotopy(monkeypatch, exc):
-    model = get_preset("pert2").model
-    ref = equilibrium_homotopy(model)
+    # pert2's s = 1 Newton run and crowd3's pseudo-transient run each raise exc
+    refs = {name: equilibrium_homotopy(get_preset(name).model) for name in ("pert2", "crowd3")}
     newton = equilibrium._newton
     raised = []
 
-    def failing(model, system, s, v):
+    def failing_newton(model, system, s, v):
         # the first s = 1 run is the continuation; the homotopy's comes last
         if s == 1.0 and not raised:
-            raised.append(s)
+            raised.append("pert2")
             raise exc
         return newton(model, system, s, v)
 
-    monkeypatch.setattr(equilibrium, "_newton", failing)
+    def failing_relaxation(model, linear, v):
+        raised.append("crowd3")
+        raise exc
+
+    monkeypatch.setattr(equilibrium, "_newton", failing_newton)
+    monkeypatch.setattr(equilibrium, "_pseudo_transient", failing_relaxation)
+    for name, ref in refs.items():
+        eq = equilibrium_auto(get_preset(name).model)
+        assert eq.method is Method.Homotopy
+        assert len(eq.homotopy_path) == HomotopyConfig.s_steps
+        assert eq.v_bar.tobytes() == ref.v_bar.tobytes()
+    assert raised == ["pert2", "crowd3"]
+
+
+def test_crowding_equilibrium_is_solved_by_pseudo_transient_continuation(monkeypatch):
+    # the 21-stage homotopy takes 81 solves on crowd3
+    model = get_preset("crowd3").model
+    ref = equilibrium_homotopy(model)
+    solves = _spy_on_solves(monkeypatch)
     eq = equilibrium_auto(model)
-    assert raised == [1.0]
-    assert eq.method is Method.Homotopy
-    assert len(eq.homotopy_path) == HomotopyConfig.s_steps
-    assert eq.v_bar.tobytes() == ref.v_bar.tobytes()
+    assert len(solves) <= 12
+    assert eq.method is Method.Continuation
+    assert eq.homotopy_path == []
+    assert eq.alpha_bar is None
+    assert eq.lambda_p == ref.lambda_p
+    assert np.max(np.abs(eq.v_bar - ref.v_bar)) <= 1e-13 * np.max(ref.v_bar)
+    assert eq.residual == residual(model, eq.v_bar) <= 1e-13 * np.max(eq.v_bar)
 
 
 def test_trivial_crowding_matches_uniform():
@@ -388,6 +410,25 @@ def test_newton_residual_at_s_1_is_the_field(kind, n, big_k, seed):
         assert g.tobytes() == rhs(model, v).tobytes()
 
 
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1.0, max_value=100.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_crowding_equilibrium_is_positive_and_stationary_or_a_solver_error(n, big_k, seed):
+    # pseudo-transient continuation, or the homotopy after it fails; either
+    # may reach any positive equilibrium of a multistable model
+    model = _in_scope_model("crowding", n, big_k, np.random.default_rng(seed))
+    try:
+        eq = equilibrium_auto(model)
+    except LvmutError:
+        return
+    v_bar = eq.v_bar
+    assert np.all(v_bar > 0.0)
+    assert eq.residual == residual(model, v_bar) <= 1e-12 * max(1.0, np.max(v_bar))
+    lo, hi = equilibrium._apriori_box(model)
+    assert lo <= np.sum(v_bar) <= hi
+
+
 def test_newton_raises_left_apriori_box_when_every_damped_step_leaves_it():
     # a box that holds only the start's total: every damped candidate, and
     # the 1e-8 probe along the step, change the total
@@ -414,6 +455,49 @@ def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_resid
     with pytest.raises(InnerNoConvergence) as info:
         equilibrium._newton(model, system, 0.5, v)
     assert info.value.s == 0.5
+
+
+def _crowd3_start():
+    """crowd3, its _linear_setup and _anchor's point, where Psi-tc starts."""
+    model = get_preset("crowd3").model
+    linear = equilibrium._linear_setup(model, validate(model))
+    return model, linear, equilibrium._anchor(model, linear.a)[1]
+
+
+def test_pseudo_transient_raises_inner_no_convergence_when_every_residual_off_the_start_is_nan(
+    monkeypatch,
+):
+    # each candidate's residual is NaN and halves delta, unless the step is
+    # so short that the candidate is the start, which moves nothing; the run
+    # ends within its caps either way
+    model, linear, v = _crowd3_start()
+    pressure = model_module._pressure_values(model)
+
+    def nan_off_v(x):
+        out = pressure(x)
+        return out if np.array_equal(x, v) else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(equilibrium, "_pressure_values", lambda model: nan_off_v)
+    solves = _spy_on_solves(monkeypatch)
+    with pytest.raises(InnerNoConvergence) as info:
+        equilibrium._pseudo_transient(model, linear, v)
+    assert info.value.s == 1.0
+    assert len(solves) <= equilibrium._MAX_INNER * equilibrium._MAX_HALVINGS
+
+
+def test_pseudo_transient_raises_inner_no_convergence_when_every_candidate_leaves_the_orthant(
+    monkeypatch,
+):
+    # a start with a negative component: every candidate, however short
+    # the pseudo-time step, keeps a component <= 0
+    model, linear, v = _crowd3_start()
+    start = v.copy()
+    start[0] = -v[0]
+    solves = _spy_on_solves(monkeypatch)
+    with pytest.raises(InnerNoConvergence) as info:
+        equilibrium._pseudo_transient(model, linear, start)
+    assert info.value.s == 1.0
+    assert len(solves) == equilibrium._MAX_HALVINGS
 
 
 def test_stage_run_from_a_start_outside_the_box_leaves_it():
