@@ -346,8 +346,7 @@ def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.
     psi, g = _stationarity(system, big_k, 1.0, v)
     g_norm = _sup(g)
     jac = _jacobian(system.a, big_k, 1.0, v, psi, system.gradient(v))
-    j_norm = _sup(np.abs(jac).sum(axis=1))
-    delta = 1.0 / j_norm if j_norm > 0.0 else math.inf
+    delta = 1.0 / _sup(np.abs(jac).sum(axis=1))
     for _ in range(_MAX_INNER):
         for _ in range(_MAX_HALVINGS):
             step = _guarded_solve(eye / delta - jac, g)
@@ -364,6 +363,7 @@ def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.
             delta *= 0.5
         else:
             raise InnerNoConvergence(1.0)
+        # a candidate can solve G_1 exactly (all-ones crowding, say)
         delta *= max(2.0, g_norm / cand_norm if cand_norm > 0.0 else math.inf)
         v, psi, g, g_norm = cand, cand_psi, cand_g, cand_norm
         jac = _jacobian(system.a, big_k, 1.0, v, psi, system.gradient(v))

@@ -211,6 +211,13 @@ def test_crowding_equilibrium_is_solved_by_pseudo_transient_continuation(monkeyp
 
 
 def test_trivial_crowding_matches_uniform():
+    # sym2 under all-ones crowding: a pseudo-transient step lands on an
+    # exactly zero residual
+    sym = get_preset("sym2").model
+    eq = equilibrium_auto(build_model(2, sym.r, sym.big_k, sym.mu, crowding_linear(np.ones((2, 2)))))
+    assert eq.method is Method.Continuation
+    assert eq.residual == 0.0
+    assert np.max(np.abs(eq.v_bar - 5.0)) < 1e-12
     rng = np.random.default_rng(7)
     for _ in range(5):
         n = 3
@@ -222,9 +229,9 @@ def test_trivial_crowding_matches_uniform():
                 mu[i, j] = mu[j, i] = rng.uniform(0.01, 0.05)
         crowd = build_model(n, r, big_k, mu, crowding_linear(np.ones((n, n))))
         flat = build_model(n, r, big_k, mu, uniform_linear(r))
-        eq_c = equilibrium_homotopy(crowd)
         eq_u = equilibrium_uniform(flat)
-        assert np.max(np.abs(eq_c.v_bar - eq_u.v_bar)) < 1e-8 * big_k
+        for eq_c in (equilibrium_homotopy(crowd), equilibrium_auto(crowd)):
+            assert np.max(np.abs(eq_c.v_bar - eq_u.v_bar)) < 1e-8 * big_k
 
 
 def test_perturbed_equilibrium():
