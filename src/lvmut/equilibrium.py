@@ -70,7 +70,7 @@ class Method(Enum):
 
 
 _NEWTON_TOL = 1e-13  # bound on the Newton correction, relative to max(1, ||v||_inf)
-_MAX_INNER = 100     # Newton steps per stage (the ladder rungs take at most 26)
+_MAX_INNER = 100     # Newton steps per stage (the ladder rungs take at most 26), Psi-tc steps per run
 _DAMPING = 0.5       # backtracking factor of a damped Newton step
 _MAX_HALVINGS = 60   # step cuts per Newton or Psi-tc step
 _PTC_NEWTON = 1e14   # pseudo-time step from which Psi-tc stops on Newton's test
