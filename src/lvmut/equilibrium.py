@@ -337,8 +337,9 @@ def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.
     ||x||_inf <= _NEWTON_TOL max(1, ||v||_inf), and returns v without that
     last correction; v must then lie in the a-priori box. Raises
     InnerNoConvergence after _MAX_INNER steps or _MAX_HALVINGS halvings,
-    SingularMatrix from the solve and LeftAprioriBox for a result outside
-    the box.
+    or at once when an accepted candidate equals v while G_1(v) is not 0
+    (a step below rounding), SingularMatrix from the solve and
+    LeftAprioriBox for a result outside the box.
     """
     system = _system(model, linear)
     big_k = model.big_k
@@ -362,6 +363,9 @@ def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.
                     break
             delta *= 0.5
         else:
+            raise InnerNoConvergence(1.0)
+        if g_norm > 0.0 and np.array_equal(cand, v):
+            # a step below rounding moves nothing, and so would every later one
             raise InnerNoConvergence(1.0)
         # a candidate can solve G_1 exactly (all-ones crowding, say)
         delta *= max(2.0, g_norm / cand_norm if cand_norm > 0.0 else math.inf)
