@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _stability_experiments,
     convergence_rate,
     global_stability_experiment,
     perturbation_sweep,
@@ -328,18 +329,16 @@ def _c12_perturbation_bound() -> tuple[bool, str]:
     ratios = [row.ratio for row in table.rows if row.ratio is not None]
     spread = max(ratios) / min(ratios) if ratios else math.inf
 
-    stable = True
-    worst_gap = 0.0
-    for eps in eps_grid:
-        model = build_model(
-            sym.model.n, sym.model.r, sym.model.big_k, sym.model.mu,
-            perturbed(uniform_linear(sym.model.r), eps, amp, w),
-        )
-        rep = global_stability_experiment(
-            model, n_samples=5, seed=1200 + int(eps * 1e6), t_end=120.0, tol=1e-5
-        )
-        stable = stable and rep.converged
-        worst_gap = max(worst_gap, rep.max_equilibrium_gap)
+    # the four perturbed models' starts run as one lockstep batch
+    runs = [
+        (build_model(sym.model.n, sym.model.r, sym.model.big_k, sym.model.mu,
+                     perturbed(uniform_linear(sym.model.r), eps, amp, w)),
+         1200 + int(eps * 1e6))
+        for eps in eps_grid
+    ]
+    reports = _stability_experiments(runs, n_samples=5, t_end=120.0, tol=1e-5)
+    stable = all(rep.converged for rep in reports)
+    worst_gap = max(rep.max_equilibrium_gap for rep in reports)
 
     ok = not failed and positive and spread <= 10.0 and stable
     return ok, (

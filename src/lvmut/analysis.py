@@ -217,47 +217,72 @@ def global_stability_experiment(
     atol = 1e-2 rtol, so the integration error stays far below tol and
     tol = 0 integrates at rtol 1e-10, atol 1e-12. The report's tol_used
     is the pair used, (0, 0) for the exact flow. n_samples is at most
-    _MAX_STARTS, which bounds the work of one call."""
+    _MAX_STARTS, which bounds the work of one call. The one-model call of
+    _stability_experiments."""
+    return _stability_experiments([(model, seed)], n_samples, t_end, tol, force)[0]
+
+
+def _stability_experiments(
+    runs: list[tuple[Model, int]],
+    n_samples: int,
+    t_end: float,
+    tol: float,
+    force: bool = False,
+) -> list[StabilityReport]:
+    """global_stability_experiment of each (model, seed) in runs, with the
+    starts of every run integrated in one lockstep batch, one model per
+    row (a single _flow_batch call). Each report equals its one-model
+    experiment's: a row of the batch equals its one-start run bit for bit.
+    The models share n and the interaction kind."""
     if not 1 <= n_samples <= _MAX_STARTS:
         raise ValueError(f"n_samples must be between 1 and {_MAX_STARTS}, got {n_samples!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    for _, seed in runs:
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    in_scope = _theorem_scope(model)
-    if not in_scope and not force:
+    in_scope = [_theorem_scope(model) for model, _ in runs]
+    if not all(in_scope) and not force:
         raise OutOfTheoremScope(
             "heterogeneous pressures are outside the convergence statements; "
             "pass force to run anyway"
         )
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(n_samples, model.n))
-    for i in range(n_samples):
-        while not np.any(starts[i] > 0.0):
-            starts[i] = rng.uniform(0.0, 2.0 * model.big_k, size=model.n)
+    starts = []
+    for model, seed in runs:
+        rng = np.random.default_rng(seed)
+        drawn = rng.uniform(0.0, 2.0 * model.big_k, size=(n_samples, model.n))
+        for i in range(n_samples):
+            while not np.any(drawn[i] > 0.0):
+                drawn[i] = rng.uniform(0.0, 2.0 * model.big_k, size=model.n)
+        starts.append(drawn)
 
-    eq = equilibrium_auto(model)
+    attractors = [equilibrium_auto(model).v_bar for model, _ in runs]
     rtol = min(1e-8, max(1e-3 * tol, 1e-10))
-    trajs = _flow_batch(model, starts, t_end, rtol=rtol, atol=1e-2 * rtol, record_every=t_end)
-    endpoints = np.array([traj.states[-1] for traj in trajs])
-
-    # the largest pairwise gap of each component is its range: rounding is
-    # monotone, so this equals the max over pairs of |e_i - e_j| exactly
-    max_pair = float(np.max(np.ptp(endpoints, axis=0)))
-    max_eq = float(np.max(np.abs(endpoints - eq.v_bar[None, :])))
-    return StabilityReport(
-        converged=bool(max_pair <= tol and max_eq <= tol),
-        max_pairwise_gap=max_pair,
-        max_equilibrium_gap=max_eq,
-        attractor=eq.v_bar,
-        endpoints=endpoints,
-        n_samples=n_samples,
-        t_end=float(t_end),
-        tol=float(tol),
-        tol_used=trajs[0].tol_used,
-        seed=int(seed),
-        in_scope=in_scope,
-    )
+    rows = runs[0][0] if len(runs) == 1 else [model for model, _ in runs for _ in range(n_samples)]
+    trajs = _flow_batch(rows, np.concatenate(starts), t_end, rtol=rtol, atol=1e-2 * rtol,
+                        record_every=t_end)
+    reports = []
+    for k, ((_, seed), v_bar) in enumerate(zip(runs, attractors)):
+        mine = trajs[k * n_samples:(k + 1) * n_samples]
+        endpoints = np.array([traj.states[-1] for traj in mine])
+        # the largest pairwise gap of each component is its range: rounding
+        # is monotone, so this equals the max over pairs of |e_i - e_j| exactly
+        max_pair = float(np.max(np.ptp(endpoints, axis=0)))
+        max_eq = float(np.max(np.abs(endpoints - v_bar[None, :])))
+        reports.append(StabilityReport(
+            converged=bool(max_pair <= tol and max_eq <= tol),
+            max_pairwise_gap=max_pair,
+            max_equilibrium_gap=max_eq,
+            attractor=v_bar,
+            endpoints=endpoints,
+            n_samples=n_samples,
+            t_end=float(t_end),
+            tol=float(tol),
+            tol_used=mine[0].tol_used,
+            seed=int(seed),
+            in_scope=in_scope[k],
+        ))
+    return reports
 
 
 def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .linalg import symmetric_spectrum
 from .model import (
     Model,
     UniformLinear,
+    _row_parameters,
     _vector_field,
     coercivity_params,
     growth_mutation_matrix,
@@ -216,16 +218,40 @@ def _checked_grid(t_end: float, rtol: float, atol: float,
     return _record_grid(t_end, record_every)
 
 
-def _checked_run(model: Model, starts, t_end: float, rtol: float, atol: float,
-                 record_every: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _model_size(model: Model | Sequence[Model]) -> int:
+    """n of one model, or of a sequence of models, one per row of a stack,
+    once they pass their checks: at least one model, all of one n and one
+    interaction kind."""
+    if isinstance(model, Model):
+        return model.n
+    if not model:
+        raise ValueError("model must be a model or a nonempty sequence of models")
+    sizes = sorted({row.n for row in model})
+    if len(sizes) > 1:
+        raise ValueError(f"the models of a batch's rows must share n, got n in {sizes}")
+    kinds = sorted({type(row.interaction).__name__ for row in model})
+    if len(kinds) > 1:
+        raise ValueError(
+            f"the models of a batch's rows must share one interaction kind, got {kinds}"
+        )
+    return sizes[0]
+
+
+def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: float,
+                 atol: float, record_every: float | None) -> tuple[np.ndarray, np.ndarray]:
     """The starts (B, n) as floats and the recording grid of a run from
     them, once both pass their checks: B >= 1 finite, nonnegative rows of
-    the model's size, and the settings of _checked_grid. A start that is
-    identically zero gets a warning: the flow stays at zero."""
+    the model's size, and the settings of _checked_grid. model is one
+    model, or B models of one n and one interaction kind, one per row. A
+    start that is identically zero gets a warning: the flow stays at zero."""
     starts = np.asarray(starts, dtype=float)
-    n = model.n
+    n = _model_size(model)
     if starts.ndim != 2 or starts.shape[1] != n or len(starts) == 0:
         raise ValueError(f"starts must have shape (B, {n}) with B >= 1")
+    if not isinstance(model, Model) and len(model) != len(starts):
+        raise ValueError(
+            f"model holds {len(model)} models for the {len(starts)} rows of starts"
+        )
     if not np.isfinite(starts).all():
         raise NonFiniteState("initial state contains non-finite entries")
     if np.any(starts < 0.0):
@@ -324,7 +350,7 @@ def integrate(
 
 
 def integrate_batch(
-    model: Model,
+    model: Model | Sequence[Model],
     starts,
     t_end: float,
     rtol: float = 1e-8,
@@ -332,6 +358,14 @@ def integrate_batch(
     record_every: float | None = None,
 ) -> list[Trajectory]:
     """Integrate the model flow from each row of starts (B, n) over [0, t_end].
+
+    model is one model for every row, or a sequence of B models, one per
+    row, that share n and the interaction kind (else a ValueError naming
+    model). A stack with one model per row evaluates the field on each
+    row's own parameters (model._row_parameters), which shrink to the rows
+    still running as rows leave; a row's one-state calls (the extension's
+    stages, the refresh of a clipped state, and every call once it runs
+    alone) take its own model's field.
 
     Each attempt is one DOP853 step: a power-iteration probe of the
     Jacobian and twelve stages, that is thirteen field calls, of which the
@@ -344,10 +378,10 @@ def integrate_batch(
     rows still running, and each stage's arguments one batched product with
     every row's own h. Every row keeps its own time, step size, controller
     memory, power-iteration vector, grid position and counters, so each
-    trajectory equals its one-start run bit for bit. An accepted step that
-    holds grid times evaluates the continuous extension's three extra
-    stages for that row and records those times from it, and records its
-    own y at a grid time it ends on. A row leaves the batch when it reaches
+    trajectory equals its one-start run on its model bit for bit. An
+    accepted step that holds grid times evaluates the continuous
+    extension's three extra stages for that row and records those times
+    from it, and records its own y at a grid time it ends on. A row leaves the batch when it reaches
     t_end. Once one row runs (from the start, or when the others have
     finished), its buffer is (17, n) and its step size a Python float: the
     same products as on a stack of one, at a fraction of the call cost.
@@ -365,11 +399,28 @@ def integrate_batch(
     steps raises StepBudgetExceeded. The first row to fail aborts the call.
     """
     starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
-    n = model.n
+    n_rows, n = starts.shape
     t_end = float(t_end)
-    n_rows = len(starts)
 
-    f = _vector_field(model)
+    if isinstance(model, Model):
+        f = _vector_field(model)
+        row_params = None
+
+        def row_field(b: int):
+            return f
+    else:
+        # the stack's field reads each row's own parameters, and a row's
+        # one-state calls take its own model's field
+        models = list(model)
+        fields = {}
+
+        def row_field(b: int):
+            if b not in fields:
+                fields[b] = _vector_field(models[b])
+            return fields[b]
+
+        row_params = _row_parameters(models) if n_rows > 1 else None
+        f = _vector_field(row_params) if n_rows > 1 else row_field(0)
     times = np.concatenate(([0.0], grid))  # every recorded time is a grid point
     grid = grid.tolist()
     n_grid = len(grid)
@@ -459,8 +510,9 @@ def integrate_batch(
                 # the continuous extension's three stages, then the grid
                 # times inside the step in one product
                 hcj = hc[j]
+                f_b = row_field(b)
                 for s in range(13, 16):
-                    zj[s + 1] = f(hcj[s, :s + 1].dot(zj[:s + 1]))
+                    zj[s + 1] = f_b(hcj[s, :s + 1].dot(zj[:s + 1]))
                 sigma = (times[lo + 1:inner + 1] - t[b]) / h
                 weights = np.empty((sigma.size, 7))
                 weights[:, 0::2] = sigma[:, None]
@@ -482,7 +534,7 @@ def integrate_batch(
         if grid_idx[b] == n_grid:
             return True
         # FSAL: stage 12 is f at the new state, unless it was clipped
-        zj[1] = f(y[j]) if y_min < 0.0 else zj[13]
+        zj[1] = row_field(b)(y[j]) if y_min < 0.0 else zj[13]
         return False
 
     def plan(z, hc):
@@ -492,10 +544,11 @@ def integrate_batch(
         # stage s, z[..., s+1, :]; the error estimates weigh stages 0..11
         # by _E. One row takes ndarray.dot of (s+1,) and (s+1, n); a stack
         # takes one @ of (B, 1, s+1) and (B, s+1, n) into (B, 1, n), the
-        # same vector-matrix product per row, at a fraction of the call cost.
+        # same vector-matrix product per row, at a fraction of the call
+        # cost, and the field sees its (B, n) view.
         if z.ndim == 2:
             return [(hc[s, :s + 1].dot, z[:s + 1], z[s + 1]) for s in range(1, 13)], _E.dot
-        stages = [(hc[:, s:s + 1, :s + 1].__matmul__, z[:, :s + 1], z[:, s + 1:s + 2])
+        stages = [(hc[:, s:s + 1, :s + 1].__matmul__, z[:, :s + 1], z[:, s + 1])
                   for s in range(1, 13)]
         return stages, _E.__matmul__
 
@@ -548,9 +601,9 @@ def integrate_batch(
 
             for weigh, z_s, out in stages:
                 y = weigh(z_s)
+                if not lone:
+                    y = y[:, 0]
                 out[...] = f(y)
-            if not lone:
-                y = y[:, 0]
             finite = _finite_rows(ks[..., :13, :], y)
             err_est = weigh_err(ks[..., :12, :])
             # v >= 0, so |v| is v (up to a start's -0.0, whose sign the sum
@@ -576,6 +629,12 @@ def integrate_batch(
             if finished:
                 keep = [j for j in range(len(rows)) if j not in finished]
                 rows = [rows[j] for j in keep]
+                if row_params is not None and len(keep) > 1:
+                    # the parameters shrink to the rows still running
+                    row_params = row_params.take(keep)
+                    f = _vector_field(row_params)
+                elif row_params is not None and keep:
+                    f = row_field(rows[0])
                 if len(keep) == 1:
                     keep = keep[0]
                 z = z[keep]
@@ -676,8 +735,13 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     )
 
 
+def _has_closed_form(model: Model) -> bool:
+    """Does closed_form_uniform_linear apply: uniform linear, symmetric mutation."""
+    return isinstance(model.interaction, UniformLinear) and mutation_symmetric(model)
+
+
 def _flow_batch(
-    model: Model,
+    model: Model | Sequence[Model],
     starts,
     t_end: float,
     rtol: float = 1e-8,
@@ -685,17 +749,27 @@ def _flow_batch(
     record_every: float | None = None,
 ) -> list[Trajectory]:
     """The flow from each row of starts (B, n) over [0, t_end], on the
-    recording grid and after the checks of integrate_batch.
+    recording grid and after the checks of integrate_batch. model is one
+    model, or one per row as integrate_batch takes them.
 
+    Each row gets what _flow_batch of its model and its start alone gives.
     A uniform linear model with symmetric mutation takes the exact
-    closed_form_uniform_linear from each start, so rtol and atol are
-    checked but unused and each trajectory reports tol_used (0, 0). Any
-    other model is integrated by integrate_batch.
+    closed_form_uniform_linear, so rtol and atol are checked but unused and
+    the trajectory reports tol_used (0, 0). The other rows are integrated
+    by one integrate_batch call, in row order.
     """
-    if not (isinstance(model.interaction, UniformLinear) and mutation_symmetric(model)):
+    if isinstance(model, Model) and not _has_closed_form(model):
         return integrate_batch(model, starts, t_end, rtol, atol, record_every)
     starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
-    return [closed_form_uniform_linear(model, v0, grid) for v0 in starts]
+    if isinstance(model, Model):
+        return [closed_form_uniform_linear(model, v0, grid) for v0 in starts]
+    models = list(model)
+    exact = [_has_closed_form(row) for row in models]
+    rows = [b for b, closed in enumerate(exact) if not closed]
+    integrated = iter(integrate_batch([models[b] for b in rows], starts[rows], t_end, rtol,
+                                      atol, record_every) if rows else ())
+    return [closed_form_uniform_linear(row, v0, grid) if closed else next(integrated)
+            for row, v0, closed in zip(models, starts, exact)]
 
 
 def logistic_envelopes(model: Model, n0: float, times) -> EnvelopePair:

@@ -10,6 +10,7 @@ governing vector field is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,37 +219,48 @@ def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (matrix @ v[..., None])[..., 0]
 
 
-def _pressure(model: Model):
-    """Psi with the interaction kind dispatched once: the one place each
-    kind's pressure is written.
+def _pressure_parameters(model: Model) -> tuple[np.ndarray, ...]:
+    """The arrays _pressure reads for one model, in its order: a as a row
+    (1, n) for a uniform kind; alpha and r for crowding; the base's a as a
+    row, w and eps * amp for a perturbed kind."""
+    inter = model.interaction
+    if isinstance(inter, UniformLinear):
+        return (inter.a[None, :],)
+    if isinstance(inter, CrowdingLinear):
+        return inter.alpha, model.r
+    if isinstance(inter, Perturbed):
+        return inter.base.a[None, :], inter.w, inter.eps * inter.amp
+    raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
+
+
+def _pressure(kind: type, params: tuple):
+    """Psi of the interaction kind `kind` with its parameters bound once: the
+    one place each kind's pressure is written.
 
     Returns a pair: the form for one state (n,), through ndarray.dot at about
     half the call cost of @, and the form for a stack (..., n), which takes
     the same product per state, so each row matches the one-state result bit
     for bit. A uniform pressure is one value per state: a scalar for one
-    state, (..., 1) for a stack.
+    state, (..., 1) for a stack. params is _pressure_parameters(model); the
+    stack form also takes the same arrays of B models stacked on a leading
+    row axis (_row_parameters), one model per row of a stack (B, n), where
+    the one-state form does not apply.
     """
-    inter = model.interaction
-    if isinstance(inter, UniformLinear):
-        a = inter.a
-        return a.dot, lambda v: v[..., None, :] @ a
-    if isinstance(inter, CrowdingLinear):
-        alpha = inter.alpha
+    if kind is UniformLinear:
+        (a,) = params
+        return a[0].dot, lambda v: _matvec(a, v)
+    if kind is CrowdingLinear:
+        alpha, r = params
         alpha_dot = alpha.dot
-        r = model.r
         return lambda v: alpha_dot(r * v), lambda v: _matvec(alpha, r * v)
-    if isinstance(inter, Perturbed):
-        a = inter.base.a
-        a_dot = a.dot
-        w = inter.w
-        w_dot = w.dot
-        eps_amp = inter.eps * inter.amp
-        tanh = np.tanh
-        return (
-            lambda v: a_dot(v) + eps_amp * tanh(w_dot(v)),
-            lambda v: v[..., None, :] @ a + eps_amp * tanh(_matvec(w, v)),
-        )
-    raise WrongInteractionKind(f"unknown interaction {type(inter).__name__}")
+    a, w, eps_amp = params
+    a_dot = a[0].dot
+    w_dot = w.dot
+    tanh = np.tanh
+    return (
+        lambda v: a_dot(v) + eps_amp * tanh(w_dot(v)),
+        lambda v: _matvec(a, v) + eps_amp * tanh(_matvec(w, v)),
+    )
 
 
 def _pressure_values(model: Model):
@@ -257,7 +269,7 @@ def _pressure_values(model: Model):
     A solver that evaluates the pressures many times (Newton)
     binds them here once instead of calling interaction_values each time.
     """
-    one, stack = _pressure(model)
+    one, stack = _pressure(type(model.interaction), _pressure_parameters(model))
 
     def values(v: np.ndarray) -> np.ndarray:
         p = one(v) if v.ndim == 1 else stack(v)
@@ -305,7 +317,41 @@ def interaction_gradient(model: Model, v: np.ndarray) -> np.ndarray:
     return _gradient(model)(v)
 
 
-def _vector_field(model: Model):
+class _FieldParameters(NamedTuple):
+    """What the vector field reads: the interaction kind, R+M, K and
+    _pressure_parameters, for one model (_field_parameters) or stacked on a
+    leading row axis for B models (_row_parameters): R+M (B, n, n), K (B, 1)."""
+
+    kind: type
+    a: np.ndarray
+    big_k: float | np.ndarray
+    pressure: tuple
+
+    def take(self, keep: list[int]) -> _FieldParameters:
+        """The stacked parameters of the rows keep, in that order."""
+        return _FieldParameters(self.kind, self.a[keep], self.big_k[keep],
+                                tuple(p[keep] for p in self.pressure))
+
+
+def _field_parameters(model: Model) -> _FieldParameters:
+    return _FieldParameters(type(model.interaction), growth_mutation_matrix(model),
+                            model.big_k, _pressure_parameters(model))
+
+
+def _row_parameters(models) -> _FieldParameters:
+    """The field's parameters for a stack (B, n) with one model per row:
+    each model's, stacked in row order. The models share n and the
+    interaction kind (the callers check)."""
+    rows = [_field_parameters(model) for model in models]
+    return _FieldParameters(
+        rows[0].kind,
+        np.stack([row.a for row in rows]),
+        np.array([[row.big_k] for row in rows]),
+        tuple(np.stack(arrays) for arrays in zip(*(row.pressure for row in rows))),
+    )
+
+
+def _vector_field(model: Model | _FieldParameters):
     """The vector field (R+M) v - (Psi(v) / K) v as a function of one state
     (n,) or a stack of states (..., n), written once.
 
@@ -313,11 +359,14 @@ def _vector_field(model: Model):
     a caller that evaluates the field many times (the integrator) pays for
     them once. One state takes (R+M).dot and _pressure's one-state form; a
     stack takes one product per state and the stack form, so each row of a
-    stack matches its one-state result bit for bit.
+    stack matches its one-state result bit for bit. Given _row_parameters in
+    place of a model, the field takes stacks (B, n) with one model per row,
+    and each row matches its own model's one-state result.
     """
-    a = growth_mutation_matrix(model)
-    big_k = model.big_k
-    psi_one, psi_stack = _pressure(model)
+    if isinstance(model, Model):
+        model = _field_parameters(model)
+    kind, a, big_k, params = model
+    psi_one, psi_stack = _pressure(kind, params)
     one = psi_one, a.dot
     stack = psi_stack, lambda v: _matvec(a, v)
 

@@ -8,6 +8,7 @@ import pytest
 from lvmut import analysis, equilibrium
 from lvmut import model as model_module
 from lvmut.analysis import (
+    StabilityReport,
     convergence_rate,
     global_stability_experiment,
     perturbation_sweep,
@@ -275,6 +276,35 @@ def test_stability_endpoints_of_criterion_12_meet_a_tight_reference(eps, t_end):
     ref = integrate_batch(model, starts, t_end, rtol=1e-13, atol=1e-15, record_every=t_end)
     ref_ends = np.array([traj.states[-1] for traj in ref])
     assert np.max(np.abs(rep.endpoints - ref_ends)) <= 1e-5 / 1000
+
+
+def test_stability_experiments_of_criterion_12_equal_their_one_model_experiments(monkeypatch):
+    # one batch of the four models' 20 starts, each report equal to its
+    # one-model experiment field for field, endpoints bit for bit
+    sym = get_preset("sym2").model
+    inter = get_preset("pert2").model.interaction
+    runs = [(_row_model(sym, inter.amp, inter.w, eps), 1200 + int(eps * 1e6))
+            for eps in (1e-4, 4e-4, 1.6e-3, 6.4e-3)]
+    calls = []
+    real_flow = analysis._flow_batch
+
+    def spy(model, starts, *args, **kwargs):
+        calls.append(len(starts))
+        return real_flow(model, starts, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_flow_batch", spy)
+    reports = analysis._stability_experiments(runs, n_samples=5, t_end=120.0, tol=1e-5)
+    assert calls == [20]
+    for (model, seed), rep in zip(runs, reports):
+        alone = global_stability_experiment(model, n_samples=5, seed=seed, t_end=120.0,
+                                            tol=1e-5)
+        for name in StabilityReport.__dataclass_fields__:
+            got, want = getattr(rep, name), getattr(alone, name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
+        assert rep.converged
 
 
 def test_integrator_meets_the_exact_endpoints_of_criterion_04():

@@ -34,6 +34,7 @@ from lvmut.linalg import perron_eigenpair
 from lvmut.model import (
     build_model,
     growth_mutation_matrix,
+    perturbed,
     point_mutation_matrix,
     rhs,
     uniform_linear,
@@ -842,29 +843,32 @@ def test_batch_rows_equal_their_single_runs(name):
     assert len({traj.accepted_steps for traj in batch}) > 1
 
 
-@settings(deadline=None, derandomize=True, max_examples=120)
-@given(st.sampled_from(["uniform", "crowding", "perturbed"]),
-       st.integers(min_value=2, max_value=8),
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(min_value=2, max_value=8),
        st.floats(min_value=1.0, max_value=100.0),
        st.integers(min_value=2, max_value=4),
+       st.integers(min_value=1, max_value=3),
        st.floats(min_value=0.5, max_value=4.0),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_batch_rows_equal_their_single_runs_on_in_scope_models(kind, n, big_k, rows, t_end,
+def test_batch_rows_equal_their_single_runs_on_in_scope_models(n, big_k, rows, n_models, t_end,
                                                                 seed):
-    # every row of a lockstep stack, on any in-scope model and from any
-    # nonnegative start (exact zeros, and whole rows of them, included), is
-    # its one-start run bit for bit
-    rng = np.random.default_rng(seed)
-    model = _in_scope_model(kind, n, big_k, rng)
-    starts = rng.uniform(0.0, 2.0 * big_k, size=(rows, n))
-    starts[rng.random(starts.shape) < 0.3] = 0.0
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "initial state.* is identically zero", UserWarning)
-        batch = integrate_batch(model, starts, t_end)
-        for v0, traj in zip(starts, batch):
-            single = integrate(model, v0, t_end)
-            _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
-                                    single.rejected_steps))
+    # every row of a lockstep stack, on in-scope models of each kind and
+    # from any nonnegative start (exact zeros, and whole rows of them,
+    # included), is its one-start run bit for bit; with n_models > 1 the
+    # stack holds one model per row, row b running model b % n_models
+    for kind in ("uniform", "crowding", "perturbed"):
+        rng = np.random.default_rng(seed)
+        models = [_in_scope_model(kind, n, big_k * (1.0 + k), rng) for k in range(n_models)]
+        row_models = [models[b % n_models] for b in range(rows)]
+        starts = rng.uniform(0.0, 2.0 * big_k, size=(rows, n))
+        starts[rng.random(starts.shape) < 0.3] = 0.0
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "initial state.* is identically zero", UserWarning)
+            batch = integrate_batch(models[0] if n_models == 1 else row_models, starts, t_end)
+            for model, v0, traj in zip(row_models, starts, batch):
+                single = integrate(model, v0, t_end)
+                _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
+                                        single.rejected_steps))
 
 
 def test_batch_rows_equal_the_reference_loop():
@@ -924,6 +928,90 @@ def test_batch_bad_rows_rejected(starts, error):
     model = get_preset("sym2").model
     with pytest.raises(error):
         integrate_batch(model, starts, 1.0)
+
+
+def _c12_models():
+    """Criterion 12's four perturbed models: sym2 with pert2's bump at each eps."""
+    sym = get_preset("sym2").model
+    inter = get_preset("pert2").model.interaction
+    return [build_model(sym.n, sym.r, sym.big_k, sym.mu,
+                        perturbed(uniform_linear(sym.r), eps, inter.amp, inter.w))
+            for eps in (1e-4, 4e-4, 1.6e-3, 6.4e-3)]
+
+
+def test_batch_with_one_model_per_row_equals_the_batches_of_each_model():
+    # criterion 12's set-up: five starts per model, the rows of all four
+    # models in one stack, at the derived tolerances of tol = 1e-5
+    models = _c12_models()
+    rng = np.random.default_rng(12)
+    starts = rng.uniform(0.0, 20.0, size=(20, 2))
+    kwargs = {"rtol": 1e-8, "atol": 1e-10, "record_every": 120.0}
+    batch = integrate_batch([m for m in models for _ in range(5)], starts, 120.0, **kwargs)
+    for k, model in enumerate(models):
+        alone = integrate_batch(model, starts[5 * k:5 * k + 5], 120.0, **kwargs)
+        for traj, ref in zip(batch[5 * k:5 * k + 5], alone):
+            _assert_same_run(traj, (ref.times, ref.states, ref.accepted_steps,
+                                    ref.rejected_steps))
+
+
+def test_batch_with_one_model_per_row_records_dense_output_from_each_rows_field():
+    # a fine grid: the extension's stages of a stack row, and a lone last
+    # row, run on that row's own model
+    models = _c12_models()[::3]
+    starts = np.array([[1.0, 9.0], [6.0, 0.5], [3.0, 3.0]])
+    row_models = [models[0], models[1], models[1]]
+    kwargs = {"rtol": 1e-9, "record_every": 0.5}
+    batch = integrate_batch(row_models, starts, 20.0, **kwargs)
+    assert len({traj.accepted_steps for traj in batch}) > 1
+    for model, v0, traj in zip(row_models, starts, batch):
+        single = integrate(model, v0, 20.0, **kwargs)
+        _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
+                                single.rejected_steps))
+
+
+def test_flow_batch_gives_each_row_its_own_models_flow(monkeypatch):
+    # sym2 has a closed form and, with asymmetric mutation, its twin asym
+    # none: one integrate_batch call takes the asym rows, in row order
+    sym2 = get_preset("sym2").model
+    asym = build_model(2, sym2.r, sym2.big_k, [[0.0, 0.1], [0.3, 0.0]], sym2.interaction)
+    row_models = [sym2, asym, sym2, asym, asym]
+    starts = np.random.default_rng(7).uniform(0.0, 20.0, size=(5, 2))
+    calls = []
+    real_batch = dynamics.integrate_batch
+
+    def spy(model, rows, *args, **kwargs):
+        calls.append((list(model), rows.copy()))
+        return real_batch(model, rows, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_batch", spy)
+    flows = dynamics._flow_batch(row_models, starts, 10.0, record_every=2.0)
+    assert len(calls) == 1
+    assert calls[0][0] == [asym] * 3
+    assert np.array_equal(calls[0][1], starts[[1, 3, 4]])
+    monkeypatch.undo()
+    for model, v0, traj in zip(row_models, starts, flows):
+        (alone,) = dynamics._flow_batch(model, v0[None], 10.0, record_every=2.0)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.states, alone.states)
+        assert traj.tol_used == alone.tol_used
+        assert (traj.accepted_steps, traj.rejected_steps) == (
+            alone.accepted_steps, alone.rejected_steps)
+
+
+@pytest.mark.parametrize("run", [integrate_batch, dynamics._flow_batch],
+                         ids=["integrate_batch", "_flow_batch"])
+@pytest.mark.parametrize("models, match", [
+    (lambda: [get_preset("sym2").model], "1 models for the 2 rows"),
+    (lambda: [get_preset("sym2").model] * 3, "3 models for the 2 rows"),
+    (lambda: [], "nonempty sequence"),
+    (lambda: [get_preset("sym2").model, get_preset("crowd3").model], "share n"),
+    (lambda: [get_preset("sym2").model, get_preset("pert2").model], "share one interaction kind"),
+])
+def test_batch_rejects_models_that_do_not_fit_its_rows(run, models, match):
+    starts = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match=match) as info:
+        run(models(), starts, 1.0)
+    assert "model" in str(info.value)
 
 
 def test_batch_step_budget_is_per_row(monkeypatch):
