@@ -114,11 +114,12 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     assert [res.number for res in results] == list(range(1, 13))
     assert [res.number for res in results if not res.passed] == [6]
     # criterion 09 integrates sym2 and mut4 from one start each; criterion
-    # 12 integrates five starts on each of its four perturbed models
-    assert calls == [(9, 1), (9, 1)] + [(12, 5)] * 4
+    # 12 integrates five starts on each of its four perturbed models, all
+    # 20 in one lockstep batch with one model per row
+    assert calls == [(9, 1), (9, 1), (12, 20)]
     # the battery's work: the calls of the field that dynamics binds (the
     # closed form's check of each exact start included) and the steps its
     # trajectories accepted and rejected
     accepted = sum(traj.accepted_steps for traj in trajs)
     rejected = sum(traj.rejected_steps for traj in trajs)
-    assert (len(field_calls), accepted, rejected) == (3657, 1128, 0)
+    assert (len(field_calls), accepted, rejected) == (1366, 1128, 0)
