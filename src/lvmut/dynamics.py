@@ -250,7 +250,7 @@ def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: flo
         raise ValueError(f"starts must have shape (B, {n}) with B >= 1")
     if not isinstance(model, Model) and len(model) != len(starts):
         raise ValueError(
-            f"model holds {len(model)} models for the {len(starts)} rows of starts"
+            f"model must hold one model per row of starts: got {len(model)} for {len(starts)} rows"
         )
     if not np.isfinite(starts).all():
         raise NonFiniteState("initial state contains non-finite entries")
@@ -381,9 +381,9 @@ def integrate_batch(
     trajectory equals its one-start run on its model bit for bit. An
     accepted step that holds grid times evaluates the continuous
     extension's three extra stages for that row and records those times
-    from it, and records its own y at a grid time it ends on. A row leaves the batch when it reaches
-    t_end. Once one row runs (from the start, or when the others have
-    finished), its buffer is (17, n) and its step size a Python float: the
+    from it, and records its own y at a grid time it ends on. A row leaves
+    the batch when it reaches t_end. Once one row runs (from the start, or
+    when the others have finished), its buffer is (17, n) and its step size a Python float: the
     same products as on a stack of one, at a fraction of the call cost.
 
     The error of a step is dop853.f's norm h |e5|^2 / sqrt((|e5|^2 +
@@ -419,7 +419,7 @@ def integrate_batch(
                 fields[b] = _vector_field(models[b])
             return fields[b]
 
-        row_params = _row_parameters(models) if n_rows > 1 else None
+        row_params = _row_parameters(models)
         f = _vector_field(row_params) if n_rows > 1 else row_field(0)
     times = np.concatenate(([0.0], grid))  # every recorded time is a grid point
     grid = grid.tolist()
@@ -629,12 +629,10 @@ def integrate_batch(
             if finished:
                 keep = [j for j in range(len(rows)) if j not in finished]
                 rows = [rows[j] for j in keep]
-                if row_params is not None and len(keep) > 1:
+                if row_params is not None and keep:
                     # the parameters shrink to the rows still running
                     row_params = row_params.take(keep)
-                    f = _vector_field(row_params)
-                elif row_params is not None and keep:
-                    f = row_field(rows[0])
+                    f = _vector_field(row_params) if len(keep) > 1 else row_field(rows[0])
                 if len(keep) == 1:
                     keep = keep[0]
                 z = z[keep]

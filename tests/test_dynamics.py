@@ -1001,8 +1001,8 @@ def test_flow_batch_gives_each_row_its_own_models_flow(monkeypatch):
 @pytest.mark.parametrize("run", [integrate_batch, dynamics._flow_batch],
                          ids=["integrate_batch", "_flow_batch"])
 @pytest.mark.parametrize("models, match", [
-    (lambda: [get_preset("sym2").model], "1 models for the 2 rows"),
-    (lambda: [get_preset("sym2").model] * 3, "3 models for the 2 rows"),
+    (lambda: [get_preset("sym2").model], "got 1 for 2 rows"),
+    (lambda: [get_preset("sym2").model] * 3, "got 3 for 2 rows"),
     (lambda: [], "nonempty sequence"),
     (lambda: [get_preset("sym2").model, get_preset("crowd3").model], "share n"),
     (lambda: [get_preset("sym2").model, get_preset("pert2").model], "share one interaction kind"),
