@@ -296,8 +296,8 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
     order in the eps increment. The checks and set-up that involve only r
     and mu (the outflow hypothesis, R+M nonsingular, its symmetric
     spectrum) run once per sweep. A row whose run leaves the a-priori box,
-    does not converge or meets a singular Jacobian is solved by
-    equilibrium_homotopy instead. Each row records the l1 displacement, its
+    does not converge or meets a singular Jacobian is solved by Psi-tc from
+    the same start instead. Each row records the l1 displacement, its
     ratio to sqrt(eps), and the uniform pressure shift sigma; a row that
     fails records its error and leaves the next row's start unchanged.
     """

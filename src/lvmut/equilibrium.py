@@ -4,11 +4,11 @@ Four routes: exact scaling of the dominant eigenvector when every genotype
 feels the same pressure (uniform linear family); for a perturbed kind, one
 Newton run on the full system started at its uniform base's equilibrium,
 which that scaling gives exactly (the implicit function theorem's branch
-for small eps); for crowding, pseudo-transient continuation (Psi-tc) on the
-full system from the anchor, linearly implicit Euler on the flow itself
-with a pseudo-time step that grows until the iteration is Newton's; and
-the homotopy from that anchor (equilibrium_homotopy), which solves the
-model when either run fails (_continue).
+for small eps); pseudo-transient continuation (Psi-tc) on the full system,
+linearly implicit Euler on the flow itself with a pseudo-time step that
+grows until the iteration is Newton's, which solves a crowding model from
+the anchor and a perturbed one from the same start when its Newton run
+fails (_continue); and the homotopy from the anchor (equilibrium_homotopy).
 Stationarity means (R+M) v = diag(Psi(v)) v / K.
 
 One runner (_run_stages) solves every continuation stage, the last one
@@ -134,18 +134,15 @@ def equilibrium_uniform(model: Model) -> EquilibriumResult:
 
 
 def equilibrium_auto(model: Model) -> EquilibriumResult:
-    """Eigenvector scaling for uniform pressures. Otherwise one run from
-    _anchor's point (_continue, with the homotopy if that run fails): for a
-    perturbed kind one s = 1 Newton run, since that point is its base's exact
-    equilibrium (the perturbed kind's C is its base's); for crowding,
-    pseudo-transient continuation (_pseudo_transient)."""
-    inter = model.interaction
-    if isinstance(inter, UniformLinear):
+    """Eigenvector scaling for uniform pressures. Otherwise _continue from
+    _anchor's point: for a perturbed kind one s = 1 Newton run, since that
+    point is its base's exact equilibrium (the perturbed kind's C is its
+    base's), and Psi-tc if that run fails; for crowding, Psi-tc alone."""
+    if isinstance(model.interaction, UniformLinear):
         return equilibrium_uniform(model)
     linear = _linear_setup(model, validate(model))
     per, v = _anchor(model, linear.a)
-    run = _stage_one if isinstance(inter, Perturbed) else _pseudo_transient
-    return _continue(model, linear, v, per.lambda_p, run)
+    return _continue(model, linear, v, per.lambda_p)
 
 
 def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -298,14 +295,13 @@ def _system(model: Model, linear: _Linear) -> _System:
                    _pressure_values(model), _gradient(model))
 
 
-def _run_stages(model: Model, linear: _Linear, v: np.ndarray, stages: list) -> list:
+def _run_stages(model: Model, system: _System, v: np.ndarray, stages: list) -> list:
     """The (s, v, ||G_1(v)||_inf) checkpoints of solving each stage s in turn
-    by _newton from v, given linear = _linear_setup(model, validate(model)).
+    by _newton from v, given the solve's _system (its box, Psi and Psi').
 
     A start outside the box raises LeftAprioriBox(stages[0]), like a Newton
     run that leaves it.
     """
-    system = _system(model, linear)
     if not _in_box(v, system.box_lo, system.box_hi):
         raise LeftAprioriBox(stages[0])
     path = []
@@ -315,14 +311,14 @@ def _run_stages(model: Model, linear: _Linear, v: np.ndarray, stages: list) -> l
     return path
 
 
-def _stage_one(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _stage_one(model: Model, system: _System, v: np.ndarray) -> tuple[np.ndarray, float]:
     """v_bar and ||G_1(v_bar)||_inf of one s = 1 stage run from v, under the
     homotopy's checks, box and stop."""
-    ((_, v_bar, res),) = _run_stages(model, linear, v, [1.0])
+    ((_, v_bar, res),) = _run_stages(model, system, v, [1.0])
     return v_bar, res
 
 
-def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _pseudo_transient(model: Model, system: _System, v: np.ndarray) -> tuple[np.ndarray, float]:
     """v_bar and ||G_1(v_bar)||_inf by pseudo-transient continuation from v > 0.
 
     Linearly implicit Euler on the flow dv/dt = G_1(v) with a pseudo-time
@@ -341,7 +337,6 @@ def _pseudo_transient(model: Model, linear: _Linear, v: np.ndarray) -> tuple[np.
     (a step below rounding), SingularMatrix from the solve and
     LeftAprioriBox for a result outside the box.
     """
-    system = _system(model, linear)
     big_k = model.big_k
     eye = np.eye(len(v))
     psi, g = _stationarity(system, big_k, 1.0, v)
@@ -388,7 +383,8 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     """
     linear = _linear_setup(model, validate(model))
     per, v = _anchor(model, linear.a)
-    path = _run_stages(model, linear, v, np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
+    path = _run_stages(model, _system(model, linear), v,
+                       np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
     return EquilibriumResult(
         v_bar=path[-1][1],
         alpha_bar=None,
@@ -399,18 +395,22 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     )
 
 
-def _continue(model: Model, linear: _Linear, v: np.ndarray, lambda_p: float,
-              run: Callable = _stage_one) -> EquilibriumResult:
-    """The stationary state by one run from v, given linear =
-    _linear_setup(model, validate(model)) and lambda_p, the Perron root of
-    R+M. run(model, linear, v) returns v_bar and ||G_1(v_bar)||_inf: one
-    s = 1 stage (_stage_one) or pseudo-transient continuation
-    (_pseudo_transient). equilibrium_homotopy(model) when that run leaves
-    the box, does not converge or meets a singular Jacobian."""
-    try:
-        v_bar, res = run(model, linear, v)
-    except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
-        return equilibrium_homotopy(model)
+def _continue(model: Model, linear: _Linear, v: np.ndarray,
+              lambda_p: float) -> EquilibriumResult:
+    """The stationary state from v, given linear = _linear_setup(model,
+    validate(model)) and lambda_p, the Perron root of R+M, with the box, Psi
+    and its gradient bound once (_system). A perturbed kind runs one s = 1
+    stage (_stage_one) and, when that run leaves the box, does not converge
+    or meets a singular Jacobian, _pseudo_transient from the same v; a
+    crowding model runs _pseudo_transient alone and raises its error."""
+    system = _system(model, linear)
+    solved = None
+    if isinstance(model.interaction, Perturbed):
+        try:
+            solved = _stage_one(model, system, v)
+        except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
+            pass
+    v_bar, res = solved or _pseudo_transient(model, system, v)
     return EquilibriumResult(
         v_bar=v_bar,
         alpha_bar=None,

@@ -485,12 +485,21 @@ def _failing_newton(monkeypatch, exc, times):
     monkeypatch.setattr(equilibrium, "_newton", failing)
 
 
+def _row_system(base, amp, w, eps):
+    """A sweep row's model at eps and the _System its solve binds."""
+    model = _row_model(base, amp, w, eps)
+    linear = equilibrium._linear_setup(model, model_module.validate(model))
+    return model, equilibrium._system(model, linear)
+
+
 @pytest.mark.parametrize(
     "exc", [LeftAprioriBox(1.0), InnerNoConvergence(1.0), SingularMatrix("singular")]
 )
-def test_sweep_row_falls_back_to_the_homotopy(monkeypatch, exc):
+def test_sweep_row_falls_back_to_pseudo_transient_continuation(monkeypatch, exc):
+    # Psi-tc from the row's start, the base's equilibrium
     base, amp, w = _sweep_inputs("pert2")
-    ref = equilibrium_homotopy(_row_model(base, amp, w, 1e-4)).v_bar
+    model, system = _row_system(base, amp, w, 1e-4)
+    ref = equilibrium._pseudo_transient(model, system, equilibrium_uniform(base).v_bar)[0]
     _failing_newton(monkeypatch, exc, times=1)
     row = perturbation_sweep(base, amp, w, [1e-4]).rows[1]
     assert not row.failed
@@ -498,10 +507,14 @@ def test_sweep_row_falls_back_to_the_homotopy(monkeypatch, exc):
 
 
 def test_sweep_row_that_fails_in_the_fallback_keeps_the_homotopy_error(monkeypatch):
+    # (named when the homotopy was the fallback) the row keeps the error of
+    # Psi-tc, cut to one step here, not the Newton run's LeftAprioriBox
     base, amp, w = _sweep_inputs("pert2")
-    _failing_newton(monkeypatch, InnerNoConvergence(1.0), times=math.inf)
+    model, system = _row_system(base, amp, w, 1e-4)
+    _failing_newton(monkeypatch, LeftAprioriBox(1.0), times=math.inf)
+    monkeypatch.setattr(equilibrium, "_MAX_INNER", 1)
     with pytest.raises(InnerNoConvergence) as info:
-        equilibrium_homotopy(_row_model(base, amp, w, 1e-4))
+        equilibrium._pseudo_transient(model, system, equilibrium_uniform(base).v_bar)
     row = perturbation_sweep(base, amp, w, [1e-4]).rows[1]
     assert row.failed
     assert row.error == f"InnerNoConvergence: {info.value}"
@@ -512,11 +525,11 @@ def test_sweep_row_after_a_failed_row_starts_from_the_last_solved_row(monkeypatc
     run_stages = equilibrium._run_stages
     starts = []
 
-    def spy(model, linear, v, stages):
+    def spy(model, system, v, stages):
         starts.append(v.copy())
         if len(starts) == 2:
             raise Hypothesis3Violated("row 2 fails")
-        return run_stages(model, linear, v, stages)
+        return run_stages(model, system, v, stages)
 
     monkeypatch.setattr(equilibrium, "_run_stages", spy)
     rows = perturbation_sweep(base, amp, w, [1e-4, 4e-4, 1.6e-3]).rows

@@ -539,19 +539,26 @@ def test_library_warning_is_one_warning_line(capsys, tmp_path):
     assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
 
 
-def test_library_warning_is_one_warning_line_after_a_fallback(capsys, tmp_path, monkeypatch):
-    # the pseudo-transient run binds the wide box, warns and fails; the
-    # homotopy binds the box again, and the same warning stays one line
-    relax = equilibrium._pseudo_transient
+# sym2's base under eps = 1, amp (10, -10) and w = 0.01 I: K lambda_min = 8
+# <= eps max|amp| = 10, so the perturbed model has no computable box either
+_WIDE_BOX_PERTURBED = {"interaction": {"kind": "perturbed", "a": [1.0, 1.0], "eps": 1.0,
+                                       "amp": [10.0, -10.0], "w": [[0.01, 0.0], [0.0, 0.01]]}}
 
-    def failing(model, linear, v):
-        relax(model, linear, v)
+
+def test_library_warning_is_one_warning_line_after_a_fallback(capsys, tmp_path, monkeypatch):
+    # the s = 1 Newton run binds the wide box, warns and fails; Psi-tc runs
+    # in the same box, and the warning stays one line
+    stage_one = equilibrium._stage_one
+
+    def failing(model, system, v):
+        stage_one(model, system, v)
         raise errors.InnerNoConvergence(1.0)
 
-    monkeypatch.setattr(equilibrium, "_pseudo_transient", failing)
-    code, out, err = _run(capsys, "equilibrium", "--scenario", _scenario(tmp_path, _WIDE_BOX))
+    monkeypatch.setattr(equilibrium, "_stage_one", failing)
+    path = _scenario(tmp_path, _WIDE_BOX_PERTURBED)
+    code, out, err = _run(capsys, "equilibrium", "--scenario", path)
     assert code == 0
-    assert json.loads(out)["method"] == "homotopy"
+    assert json.loads(out)["method"] == "continuation"
     assert err == "WARNING: no computable population bounds; using the wide fallback box\n"
 
 

@@ -1,6 +1,7 @@
 """Equilibrium solvers against closed-form oracles and cross-checks."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lvmut import equilibrium
 from lvmut import model as model_module
+from lvmut.analysis import perturbation_sweep
 from lvmut.equilibrium import (
     HomotopyConfig,
     Method,
@@ -165,34 +167,48 @@ def test_perturbed_equilibrium_is_continued_from_its_base(monkeypatch, name):
     assert eq.residual == residual(model, eq.v_bar) <= 1e-13 * np.max(eq.v_bar)
 
 
+def _relaxed(model):
+    """_pseudo_transient's v_bar and residual on model from _anchor's point,
+    with the solve's _System built as _continue builds it."""
+    linear = equilibrium._linear_setup(model, validate(model))
+    anchor = equilibrium._anchor(model, linear.a)[1]
+    return equilibrium._pseudo_transient(model, equilibrium._system(model, linear), anchor)
+
+
 @pytest.mark.parametrize(
     "exc", [LeftAprioriBox(1.0), InnerNoConvergence(1.0), SingularMatrix("singular")]
 )
 def test_failed_continuation_falls_back_to_the_homotopy(monkeypatch, exc):
-    # pert2's s = 1 Newton run and crowd3's pseudo-transient run each raise exc
-    refs = {name: equilibrium_homotopy(get_preset(name).model) for name in ("pert2", "crowd3")}
-    newton = equilibrium._newton
-    raised = []
+    # (named when the homotopy was the fallback) pert2's s = 1 Newton run
+    # raises exc and Psi-tc solves it from the same start; crowd3's Psi-tc
+    # run raises exc, and no second run follows
+    pert2, crowd3 = get_preset("pert2").model, get_preset("crowd3").model
+    v_ref, res_ref = _relaxed(pert2)
+    relax = equilibrium._pseudo_transient
+    runs = []
 
     def failing_newton(model, system, s, v):
-        # the first s = 1 run is the continuation; the homotopy's comes last
-        if s == 1.0 and not raised:
-            raised.append("pert2")
-            raise exc
-        return newton(model, system, s, v)
-
-    def failing_relaxation(model, linear, v):
-        raised.append("crowd3")
+        runs.append("newton")
         raise exc
 
+    def relaxation(model, system, v):
+        runs.append("psi-tc")
+        if model is crowd3:
+            raise exc
+        return relax(model, system, v)
+
     monkeypatch.setattr(equilibrium, "_newton", failing_newton)
-    monkeypatch.setattr(equilibrium, "_pseudo_transient", failing_relaxation)
-    for name, ref in refs.items():
-        eq = equilibrium_auto(get_preset(name).model)
-        assert eq.method is Method.Homotopy
-        assert len(eq.homotopy_path) == HomotopyConfig.s_steps
-        assert eq.v_bar.tobytes() == ref.v_bar.tobytes()
-    assert raised == ["pert2", "crowd3"]
+    monkeypatch.setattr(equilibrium, "_pseudo_transient", relaxation)
+    eq = equilibrium_auto(pert2)
+    assert eq.method is Method.Continuation
+    assert eq.homotopy_path == []
+    assert (eq.v_bar.tobytes(), eq.residual) == (v_ref.tobytes(), res_ref)
+    assert runs == ["newton", "psi-tc"]
+    runs.clear()
+    with pytest.raises(type(exc)) as info:
+        equilibrium_auto(crowd3)
+    assert info.value is exc
+    assert runs == ["psi-tc"]
 
 
 def test_crowding_equilibrium_is_solved_by_pseudo_transient_continuation(monkeypatch):
@@ -422,7 +438,7 @@ def test_newton_residual_at_s_1_is_the_field(kind, n, big_k, seed):
        st.floats(min_value=1.0, max_value=100.0),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_crowding_equilibrium_is_positive_and_stationary_or_a_solver_error(n, big_k, seed):
-    # pseudo-transient continuation, or the homotopy after it fails; either
+    # pseudo-transient continuation, with no fallback after it fails; it
     # may reach any positive equilibrium of a multistable model
     model = _in_scope_model("crowding", n, big_k, np.random.default_rng(seed))
     try:
@@ -434,6 +450,114 @@ def test_crowding_equilibrium_is_positive_and_stationary_or_a_solver_error(n, bi
     assert eq.residual == residual(model, v_bar) <= 1e-12 * max(1.0, np.max(v_bar))
     lo, hi = equilibrium._apriori_box(model)
     assert lo <= np.sum(v_bar) <= hi
+
+
+@pytest.mark.filterwarnings("ignore:no computable population bounds")
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1.0, max_value=100.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_perturbed_equilibrium_is_positive_and_stationary_or_a_solver_error(n, big_k, seed):
+    # one s = 1 Newton run from the base's equilibrium, or Psi-tc from the
+    # same start after it fails
+    model = _in_scope_model("perturbed", n, big_k, np.random.default_rng(seed))
+    try:
+        eq = equilibrium_auto(model)
+    except LvmutError:
+        return
+    v_bar = eq.v_bar
+    assert np.all(v_bar > 0.0)
+    assert eq.residual == residual(model, v_bar) <= 1e-12 * max(1.0, np.max(v_bar))
+    lo, hi = equilibrium._apriori_box(model)
+    assert lo <= np.sum(v_bar) <= hi
+
+
+def _census_model(kind, seed):
+    """The solver census's model of this kind and seed: n and K drawn from
+    the seed's generator, then _in_scope_model from the same generator."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    big_k = float(rng.uniform(1.0, 100.0))
+    return _in_scope_model(kind, n, big_k, rng)
+
+
+# the perturbed census models (seeds 0-1999) whose s = 1 Newton run fails;
+# the homotopy raised InnerNoConvergence on 23 and 166
+_NEWTON_FAILURES = (23, 166, 872, 1131)
+
+
+@pytest.mark.filterwarnings("ignore:no computable population bounds")
+@pytest.mark.parametrize("seed", _NEWTON_FAILURES)
+def test_perturbed_census_models_whose_newton_run_fails_are_solved_by_psi_tc(monkeypatch, seed):
+    model = _census_model("perturbed", seed)
+    relax = equilibrium._pseudo_transient
+    runs = []
+
+    def relaxation(*args):
+        runs.append(None)
+        return relax(*args)
+
+    monkeypatch.setattr(equilibrium, "_pseudo_transient", relaxation)
+    eq = equilibrium_auto(model)
+    assert len(runs) == 1
+    assert eq.method is Method.Continuation
+    assert np.all(eq.v_bar > 0.0)
+    assert eq.residual == residual(model, eq.v_bar) <= 1e-12 * max(1.0, np.max(eq.v_bar))
+
+
+@pytest.mark.filterwarnings("ignore:no computable population bounds")
+def test_no_automatic_solve_calls_the_homotopy(monkeypatch):
+    # the presets, the census models whose Newton run fails, and a pert2
+    # sweep whose first row's Newton run fails
+    calls = []
+    monkeypatch.setattr(equilibrium, "equilibrium_homotopy", lambda *args: calls.append(args))
+    for name in preset_names():
+        equilibrium_auto(get_preset(name).model)
+    for seed in _NEWTON_FAILURES:
+        equilibrium_auto(_census_model("perturbed", seed))
+    newton = equilibrium._newton
+    failed = []
+
+    def failing_newton(model, system, s, v):
+        if not failed:
+            failed.append(s)
+            raise InnerNoConvergence(s)
+        return newton(model, system, s, v)
+
+    monkeypatch.setattr(equilibrium, "_newton", failing_newton)
+    pert2 = get_preset("pert2").model
+    inter = pert2.interaction
+    base = build_model(pert2.n, pert2.r, pert2.big_k, pert2.mu, inter.base)
+    rows = perturbation_sweep(base, inter.amp, inter.w, [1e-4, 4e-4, 1.6e-3, 6.4e-3]).rows
+    assert failed == [1.0]
+    assert not any(row.failed for row in rows)
+    assert calls == []
+
+
+def _wide_box_perturbed():
+    """sym2's base under eps = 1, amp (10, -10) and w = 0.01 I, where
+    K lambda_min = 8 <= eps max|amp| = 10 leaves no computable box."""
+    sym = get_preset("sym2").model
+    return build_model(2, sym.r, sym.big_k, sym.mu,
+                       perturbed(sym.interaction, 1.0, [10.0, -10.0], 0.01 * np.eye(2)))
+
+
+def test_a_wide_box_model_whose_newton_run_fails_warns_once(monkeypatch):
+    # the s = 1 run and Psi-tc share the solve's one box
+    stage_one = equilibrium._stage_one
+
+    def failing(model, system, v):
+        stage_one(model, system, v)
+        raise InnerNoConvergence(1.0)
+
+    monkeypatch.setattr(equilibrium, "_stage_one", failing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eq = equilibrium_auto(_wide_box_perturbed())
+    assert [str(w.message) for w in caught] == [
+        "no computable population bounds; using the wide fallback box"
+    ]
+    assert eq.method is Method.Continuation
 
 
 def test_newton_raises_left_apriori_box_when_every_damped_step_leaves_it():
@@ -465,10 +589,10 @@ def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_resid
 
 
 def _crowd3_start():
-    """crowd3, its _linear_setup and _anchor's point, where Psi-tc starts."""
+    """crowd3, its _System and _anchor's point, where Psi-tc starts."""
     model = get_preset("crowd3").model
     linear = equilibrium._linear_setup(model, validate(model))
-    return model, linear, equilibrium._anchor(model, linear.a)[1]
+    return model, equilibrium._system(model, linear), equilibrium._anchor(model, linear.a)[1]
 
 
 def test_pseudo_transient_raises_inner_no_convergence_when_every_residual_off_the_start_is_nan(
@@ -477,17 +601,15 @@ def test_pseudo_transient_raises_inner_no_convergence_when_every_residual_off_th
     # each candidate's residual is NaN and halves delta until the step is
     # so short that the candidate is the start: a step that moves nothing
     # ends the run within the first step's halvings
-    model, linear, v = _crowd3_start()
-    pressure = model_module._pressure_values(model)
+    model, system, v = _crowd3_start()
 
     def nan_off_v(x):
-        out = pressure(x)
+        out = system.pressure(x)
         return out if np.array_equal(x, v) else np.full_like(out, np.nan)
 
-    monkeypatch.setattr(equilibrium, "_pressure_values", lambda model: nan_off_v)
     solves = _spy_on_solves(monkeypatch)
     with pytest.raises(InnerNoConvergence) as info:
-        equilibrium._pseudo_transient(model, linear, v)
+        equilibrium._pseudo_transient(model, system._replace(pressure=nan_off_v), v)
     assert info.value.s == 1.0
     assert len(solves) <= equilibrium._MAX_HALVINGS
 
@@ -497,21 +619,20 @@ def test_pseudo_transient_raises_inner_no_convergence_when_every_candidate_leave
 ):
     # a start with a negative component: every candidate, however short
     # the pseudo-time step, keeps a component <= 0
-    model, linear, v = _crowd3_start()
+    model, system, v = _crowd3_start()
     start = v.copy()
     start[0] = -v[0]
     solves = _spy_on_solves(monkeypatch)
     with pytest.raises(InnerNoConvergence) as info:
-        equilibrium._pseudo_transient(model, linear, start)
+        equilibrium._pseudo_transient(model, system, start)
     assert info.value.s == 1.0
     assert len(solves) == equilibrium._MAX_HALVINGS
 
 
 def test_stage_run_from_a_start_outside_the_box_leaves_it():
-    model = get_preset("crowd3").model
-    linear = equilibrium._linear_setup(model, model_module.validate(model))
+    model, system, _ = _crowd3_start()
     with pytest.raises(LeftAprioriBox) as info:
-        equilibrium._run_stages(model, linear, np.full(model.n, 1e12), [1.0])
+        equilibrium._run_stages(model, system, np.full(model.n, 1e12), [1.0])
     assert info.value.s == 1.0
 
 
