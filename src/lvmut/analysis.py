@@ -258,8 +258,7 @@ def _stability_experiments(
 
     attractors = [equilibrium_auto(model).v_bar for model, _ in runs]
     rtol = min(1e-8, max(1e-3 * tol, 1e-10))
-    # one model runs as the batch's shared model, several as one per row
-    rows = runs[0][0] if len(runs) == 1 else [model for model, _ in runs for _ in range(n_samples)]
+    rows = [model for model, _ in runs for _ in range(n_samples)]
     trajs = _flow_batch(rows, np.concatenate(starts), t_end, rtol=rtol, atol=1e-2 * rtol,
                         record_every=t_end)
     reports = []

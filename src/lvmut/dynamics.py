@@ -17,6 +17,10 @@ A running state and its 16 stages share one buffer [v; k_0..k_15], and an
 attempt of size h weighs it by [1, h a_s] (a row of _AH times h, with the
 state's weight 1): each stage's argument v + h a_s @ k, and the step's
 result y, is one matrix-vector product.
+
+A batch is a list of one model per row: _checked_run checks a call once,
+and each distinct model's work (R+M, field, closed-form spectrum) is done
+once per call, however many rows it has.
 """
 from __future__ import annotations
 
@@ -40,10 +44,11 @@ from .linalg import symmetric_spectrum
 from .model import (
     Model,
     UniformLinear,
+    _field_parameters,
+    _matvec,
     _row_parameters,
     _vector_field,
     coercivity_params,
-    growth_mutation_matrix,
     is_fitness_weighted,
     mutation_symmetric,
 )
@@ -218,39 +223,34 @@ def _checked_grid(t_end: float, rtol: float, atol: float,
     return _record_grid(t_end, record_every)
 
 
-def _model_size(model: Model | Sequence[Model]) -> int:
-    """n of one model, or of a sequence of models, one per row of a stack,
-    once they pass their checks: at least one model, all of one n and one
-    interaction kind."""
-    if isinstance(model, Model):
-        return model.n
-    if not model:
+def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: float,
+                 atol: float, record_every: float | None
+                 ) -> tuple[list[Model], np.ndarray, np.ndarray]:
+    """The batch's one model per row, its starts (B, n) as floats and its
+    recording grid, once the call passes its checks, the only ones of a
+    batch: model is one model for every row or B models of one n and one
+    interaction kind; the starts are B >= 1 finite, nonnegative rows of
+    that n; and the settings pass _checked_grid. A start that is
+    identically zero gets one warning: the flow stays at zero."""
+    starts = np.asarray(starts, dtype=float)
+    models = [model] if isinstance(model, Model) else list(model)
+    if not models:
         raise ValueError("model must be a model or a nonempty sequence of models")
-    sizes = sorted({row.n for row in model})
+    sizes = sorted({row.n for row in models})
     if len(sizes) > 1:
         raise ValueError(f"the models of a batch's rows must share n, got n in {sizes}")
-    kinds = sorted({type(row.interaction).__name__ for row in model})
+    kinds = sorted({type(row.interaction).__name__ for row in models})
     if len(kinds) > 1:
         raise ValueError(
             f"the models of a batch's rows must share one interaction kind, got {kinds}"
         )
-    return sizes[0]
-
-
-def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: float,
-                 atol: float, record_every: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """The starts (B, n) as floats and the recording grid of a run from
-    them, once both pass their checks: B >= 1 finite, nonnegative rows of
-    the model's size, and the settings of _checked_grid. model is one
-    model, or B models of one n and one interaction kind, one per row. A
-    start that is identically zero gets a warning: the flow stays at zero."""
-    starts = np.asarray(starts, dtype=float)
-    n = _model_size(model)
-    if starts.ndim != 2 or starts.shape[1] != n or len(starts) == 0:
-        raise ValueError(f"starts must have shape (B, {n}) with B >= 1")
-    if not isinstance(model, Model) and len(model) != len(starts):
+    if starts.ndim != 2 or starts.shape[1] != sizes[0] or len(starts) == 0:
+        raise ValueError(f"starts must have shape (B, {sizes[0]}) with B >= 1")
+    if isinstance(model, Model):
+        models *= len(starts)
+    elif len(models) != len(starts):
         raise ValueError(
-            f"model must hold one model per row of starts: got {len(model)} for {len(starts)} rows"
+            f"model must hold one model per row of starts: got {len(models)} for {len(starts)} rows"
         )
     if not np.isfinite(starts).all():
         raise NonFiniteState("initial state contains non-finite entries")
@@ -260,7 +260,15 @@ def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: flo
     for b in np.flatnonzero(~np.any(starts > 0.0, axis=1)):
         row = f" (row {b})" if len(starts) > 1 else ""
         warnings.warn(f"initial state{row} is identically zero; the flow stays at zero")
-    return starts, grid
+    return models, starts, grid
+
+
+def _distinct(models: list[Model]) -> tuple[list[Model], list[int]]:
+    """The distinct model objects of a batch's rows, in order of first row,
+    and each row's index into them: the per-model work is done once."""
+    keys: dict[int, int] = {}
+    index = [keys.setdefault(id(model), len(keys)) for model in models]
+    return list({id(model): model for model in models}.values()), index
 
 
 def _finite_rows(ks: np.ndarray, y: np.ndarray) -> list[bool] | bool | None:
@@ -361,11 +369,14 @@ def integrate_batch(
 
     model is one model for every row, or a sequence of B models, one per
     row, that share n and the interaction kind (else a ValueError naming
-    model). A stack with one model per row evaluates the field on each
-    row's own parameters (model._row_parameters), which shrink to the rows
-    still running as rows leave; a row's one-state calls (the extension's
-    stages, the refresh of a clipped state, and every call once it runs
-    alone) take its own model's field.
+    model). _checked_run checks the call once and makes it one model per
+    row, and _integrate_rows runs it. Each distinct model builds R+M and
+    its field once. With one, the stack takes that model's broadcasting
+    field; with several, each row's own parameters (model._row_parameters,
+    each model's stacked once), which shrink to the rows still running as
+    rows leave. A row's one-state calls (the extension's stages, the
+    refresh of a clipped state, and every call once it runs alone) take
+    its own model's field.
 
     Each attempt is one DOP853 step: a power-iteration probe of the
     Jacobian and twelve stages, that is thirteen field calls, of which the
@@ -398,29 +409,20 @@ def integrate_batch(
     is a ValueError, and a row that needs more than _MAX_STEPS attempted
     steps raises StepBudgetExceeded. The first row to fail aborts the call.
     """
-    starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
+    models, starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
+    return _integrate_rows(models, starts, grid, float(t_end), rtol, atol)
+
+
+def _integrate_rows(models: list[Model], starts: np.ndarray, grid: np.ndarray, t_end: float,
+                    rtol: float, atol: float) -> list[Trajectory]:
+    """integrate_batch's run on the rows that _checked_run returned."""
     n_rows, n = starts.shape
-    t_end = float(t_end)
-
-    if isinstance(model, Model):
-        f = _vector_field(model)
-        row_params = None
-
-        def row_field(b: int):
-            return f
-    else:
-        # the stack's field reads each row's own parameters, and a row's
-        # one-state calls take its own model's field
-        models = list(model)
-        fields = {}
-
-        def row_field(b: int):
-            if b not in fields:
-                fields[b] = _vector_field(models[b])
-            return fields[b]
-
-        row_params = _row_parameters(models)
-        f = _vector_field(row_params) if n_rows > 1 else row_field(0)
+    distinct, index = _distinct(models)
+    params = [_field_parameters(model) for model in distinct]
+    fields = [_vector_field(p) for p in params]
+    row_fields = [fields[k] for k in index]
+    row_params = _row_parameters(params).take(index) if len(params) > 1 else None
+    f = fields[0] if row_params is None else _vector_field(row_params)
     times = np.concatenate(([0.0], grid))  # every recorded time is a grid point
     grid = grid.tolist()
     n_grid = len(grid)
@@ -510,7 +512,7 @@ def integrate_batch(
                 # the continuous extension's three stages, then the grid
                 # times inside the step in one product
                 hcj = hc[j]
-                f_b = row_field(b)
+                f_b = row_fields[b]
                 for s in range(13, 16):
                     zj[s + 1] = f_b(hcj[s, :s + 1].dot(zj[:s + 1]))
                 sigma = (times[lo + 1:inner + 1] - t[b]) / h
@@ -534,7 +536,7 @@ def integrate_batch(
         if grid_idx[b] == n_grid:
             return True
         # FSAL: stage 12 is f at the new state, unless it was clipped
-        zj[1] = row_field(b)(y[j]) if y_min < 0.0 else zj[13]
+        zj[1] = row_fields[b](y[j]) if y_min < 0.0 else zj[13]
         return False
 
     def plan(z, hc):
@@ -632,7 +634,7 @@ def integrate_batch(
                 if row_params is not None and keep:
                     # the parameters shrink to the rows still running
                     row_params = row_params.take(keep)
-                    f = _vector_field(row_params) if len(keep) > 1 else row_field(rows[0])
+                    f = _vector_field(row_params) if len(keep) > 1 else row_fields[rows[0]]
                 if len(keep) == 1:
                     keep = keep[0]
                 z = z[keep]
@@ -672,6 +674,9 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     States are clamped at 0, as the integrator clamps them. A start at
     which the vector field is not finite, or a state that is not, raises
     NonFiniteState, as integrate does.
+
+    The one-start call of _exact_flow, once model, v0 and times pass
+    their checks.
     """
     if not isinstance(model.interaction, UniformLinear):
         raise WrongInteractionKind("closed form applies to uniform linear interactions")
@@ -687,50 +692,54 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
         raise ValueError("times must be a nonempty vector")
     if np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
         raise ValueError("times must be strictly increasing and nonnegative")
+    return _exact_flow(model, v0[None], times)[0]
+
+
+def _exact_flow(model: Model, starts: np.ndarray, times: np.ndarray) -> list[Trajectory]:
+    """closed_form_uniform_linear from each row of starts (B, n) at times
+    (0 is prepended when missing), all checked, in one pass: one R+M, one
+    spectrum and one check of the field, at every start before the
+    spectrum. Each row's products are the one-start call's (model._matvec
+    for its modal coefficients, one (T, n) @ (n, n) per row), so a row
+    equals its one-start trajectory bit for bit."""
     if times[0] > 0.0:
         times = np.concatenate(([0.0], times))
-
+    params = _field_parameters(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        field_finite = np.isfinite(_vector_field(model)(v0)).all()
+        field_finite = np.isfinite(_vector_field(params)(starts)).all()
     if not field_finite:
         raise NonFiniteState("vector field is non-finite at the initial state")
 
-    spec = symmetric_spectrum(growth_mutation_matrix(model))
+    spec = symmetric_spectrum(params.a)
     lam = spec.eigenvalues
     basis = spec.eigenvectors
     shift = max(float(lam.max()), 0.0)
     t = times[:, None]
     mag = np.abs(lam)
     zero = mag == 0.0
-    # the start enters as v0 / c with c = 2^k, k = min(0, exponent of max v0),
+    # a start enters as v0 / c with c = 2^k, k = min(0, exponent of max v0),
     # so the modes of a tiny start do not underflow; the flow is then
     # P / (exp(-s t) / c + I) for the scaled numerator P and integral term I
-    k = min(0, math.frexp(float(v0.max()))[1])
+    k = np.minimum(0, np.frexp(starts.max(axis=1))[1])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeff = basis.T @ np.ldexp(v0, -k)
+        coeff = _matvec(basis.T, np.ldexp(starts, -k[:, 0]))[:, None, :]
         psi = np.where(zero, t, -np.expm1(-mag * t) / np.where(zero, 1.0, mag))
         propagated = (np.exp((lam - shift) * t) * coeff) @ basis.T
         integral = (np.exp((np.maximum(lam, 0.0) - shift) * t) * psi * coeff) @ basis.T
         pressure = integral @ (model.interaction.a / model.big_k)
         # where exp(-s t) / c overflows, the state is below about 1e-308 and
         # its quotient 0
-        denominator = np.ldexp(np.exp(-shift * t), -k) + pressure[:, None]
+        denominator = np.ldexp(np.exp(-shift * t), -k) + pressure[..., None]
         # a component that is exactly 0 stays 0, also where the denominator
         # underflows to 0
         states = np.divide(propagated, denominator, out=np.zeros_like(propagated),
                            where=propagated != 0.0)
     np.maximum(states, 0.0, out=states)
-    states[0] = v0
+    states[:, 0] = starts
     if not np.isfinite(states).all():
         raise NonFiniteState("closed-form state is non-finite")
-
-    return Trajectory(
-        times=times.copy(),
-        states=states,
-        accepted_steps=0,
-        rejected_steps=0,
-        tol_used=(0.0, 0.0),
-    )
+    return [Trajectory(times=times.copy(), states=row, accepted_steps=0, rejected_steps=0,
+                       tol_used=(0.0, 0.0)) for row in states]
 
 
 def _has_closed_form(model: Model) -> bool:
@@ -747,27 +756,31 @@ def _flow_batch(
     record_every: float | None = None,
 ) -> list[Trajectory]:
     """The flow from each row of starts (B, n) over [0, t_end], on the
-    recording grid and after the checks of integrate_batch. model is one
-    model, or one per row as integrate_batch takes them.
+    recording grid and after the one check of integrate_batch
+    (_checked_run). model is one model, or one per row as integrate_batch
+    takes them.
 
     Each row gets what _flow_batch of its model and its start alone gives.
-    A uniform linear model with symmetric mutation takes the exact
-    closed_form_uniform_linear, so rtol and atol are checked but unused and
-    the trajectory reports tol_used (0, 0). The other rows are integrated
-    by one integrate_batch call, in row order.
+    The rows of a uniform linear model with symmetric mutation take the
+    exact closed form, one _exact_flow pass per model, so rtol and atol are
+    checked but unused and the trajectory reports tol_used (0, 0). The
+    other rows are integrated by one _integrate_rows run, in row order.
     """
-    if isinstance(model, Model) and not _has_closed_form(model):
-        return integrate_batch(model, starts, t_end, rtol, atol, record_every)
-    starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
-    if isinstance(model, Model):
-        return [closed_form_uniform_linear(model, v0, grid) for v0 in starts]
-    models = list(model)
-    exact = [_has_closed_form(row) for row in models]
-    rows = [b for b, closed in enumerate(exact) if not closed]
-    integrated = iter(integrate_batch([models[b] for b in rows], starts[rows], t_end, rtol,
-                                      atol, record_every) if rows else ())
-    return [closed_form_uniform_linear(row, v0, grid) if closed else next(integrated)
-            for row, v0, closed in zip(models, starts, exact)]
+    models, starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
+    distinct, index = _distinct(models)
+    exact = [_has_closed_form(row) for row in distinct]
+    integrated = [b for b, k in enumerate(index) if not exact[k]]
+    parts = [(integrated, _integrate_rows([models[b] for b in integrated], starts[integrated],
+                                          grid, float(t_end), rtol, atol))] if integrated else []
+    for k, row in enumerate(distinct):
+        if exact[k]:
+            rows = [b for b, j in enumerate(index) if j == k]
+            parts.append((rows, _exact_flow(row, starts[rows], grid)))
+    flows = [None] * len(models)
+    for rows, trajs in parts:
+        for b, traj in zip(rows, trajs):
+            flows[b] = traj
+    return flows
 
 
 def logistic_envelopes(model: Model, n0: float, times) -> EnvelopePair:

@@ -338,11 +338,10 @@ def _field_parameters(model: Model) -> _FieldParameters:
                             model.big_k, _pressure_parameters(model))
 
 
-def _row_parameters(models) -> _FieldParameters:
-    """The field's parameters for a stack (B, n) with one model per row:
-    each model's, stacked in row order. The models share n and the
-    interaction kind (the callers check)."""
-    rows = [_field_parameters(model) for model in models]
+def _row_parameters(rows: list[_FieldParameters]) -> _FieldParameters:
+    """The _field_parameters of models of one n and interaction kind (the
+    callers check), stacked in order on a leading axis; take then gives a
+    stack (B, n) with one model per row each row's model's."""
     return _FieldParameters(
         rows[0].kind,
         np.stack([row.a for row in rows]),

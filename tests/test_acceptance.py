@@ -79,16 +79,16 @@ def test_integrator_keeps_the_lines_of_the_exact_criteria(number, monkeypatch):
 
 
 def test_only_criteria_09_and_12_integrate(monkeypatch):
-    real_batch, bind = dynamics.integrate_batch, dynamics._vector_field
+    real_rows, bind = dynamics._integrate_rows, dynamics._vector_field
     real_run = acceptance.run_criterion
     running = []
     calls = []
     trajs = []
     field_calls = []
 
-    def spy(model, starts, *args, **kwargs):
+    def spy(models, starts, *args):
         calls.append((running[-1], len(starts)))
-        out = real_batch(model, starts, *args, **kwargs)
+        out = real_rows(models, starts, *args)
         trajs.extend(out)
         return out
 
@@ -107,7 +107,7 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
 
     # a name bound in acceptance itself would run past the spy
     assert not hasattr(acceptance, "integrate_batch")
-    monkeypatch.setattr(dynamics, "integrate_batch", spy)
+    monkeypatch.setattr(dynamics, "_integrate_rows", spy)
     monkeypatch.setattr(dynamics, "_vector_field", counted_bind)
     monkeypatch.setattr(acceptance, "run_criterion", run)
     results = acceptance.run_all()

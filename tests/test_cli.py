@@ -209,14 +209,14 @@ def test_stability_converges_on_preset(capsys):
 def test_stability_integrates_only_without_a_closed_form(capsys, monkeypatch, preset, calls):
     from lvmut import dynamics
 
-    original = dynamics.integrate_batch
+    original = dynamics._integrate_rows
     seen = []
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         seen.append(args[0])
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(dynamics, "integrate_batch", spy)
+    monkeypatch.setattr(dynamics, "_integrate_rows", spy)
     code, _, err = _run(capsys, "stability", "--preset", preset, "--samples", "5",
                         "--seed", "1")
     assert (code, err) == (0, "")

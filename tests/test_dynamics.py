@@ -767,8 +767,9 @@ def test_batch_builds_r_plus_m_once(monkeypatch):
 
         return counted
 
+    # dynamics builds R+M only through model._field_parameters
+    assert not hasattr(dynamics, "growth_mutation_matrix")
     monkeypatch.setattr(model_module, "growth_mutation_matrix", counted_build)
-    monkeypatch.setattr(dynamics, "growth_mutation_matrix", counted_build)
     monkeypatch.setattr(dynamics, "_vector_field", counted_bind)
     batch = integrate_batch(model, starts, 200.0, rtol=1e-10, atol=1e-12)
     lockstep = max(traj.accepted_steps + traj.rejected_steps for traj in batch)
@@ -971,19 +972,19 @@ def test_batch_with_one_model_per_row_records_dense_output_from_each_rows_field(
 
 def test_flow_batch_gives_each_row_its_own_models_flow(monkeypatch):
     # sym2 has a closed form and, with asymmetric mutation, its twin asym
-    # none: one integrate_batch call takes the asym rows, in row order
+    # none: one integrator run takes the asym rows, in row order
     sym2 = get_preset("sym2").model
     asym = build_model(2, sym2.r, sym2.big_k, [[0.0, 0.1], [0.3, 0.0]], sym2.interaction)
     row_models = [sym2, asym, sym2, asym, asym]
     starts = np.random.default_rng(7).uniform(0.0, 20.0, size=(5, 2))
     calls = []
-    real_batch = dynamics.integrate_batch
+    real_run = dynamics._integrate_rows
 
-    def spy(model, rows, *args, **kwargs):
-        calls.append((list(model), rows.copy()))
-        return real_batch(model, rows, *args, **kwargs)
+    def spy(models, rows, *args):
+        calls.append((models, rows.copy()))
+        return real_run(models, rows, *args)
 
-    monkeypatch.setattr(dynamics, "integrate_batch", spy)
+    monkeypatch.setattr(dynamics, "_integrate_rows", spy)
     flows = dynamics._flow_batch(row_models, starts, 10.0, record_every=2.0)
     assert len(calls) == 1
     assert calls[0][0] == [asym] * 3
