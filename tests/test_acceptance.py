@@ -118,8 +118,8 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     # 20 in one lockstep batch with one model per row
     assert calls == [(9, 1), (9, 1), (12, 20)]
     # the battery's work: the calls of the field that dynamics binds (the
-    # closed form's check of each exact start included) and the steps its
-    # trajectories accepted and rejected
+    # closed form's one check of each exact model's starts per call
+    # included) and the steps its trajectories accepted and rejected
     accepted = sum(traj.accepted_steps for traj in trajs)
     rejected = sum(traj.rejected_steps for traj in trajs)
-    assert (len(field_calls), accepted, rejected) == (1366, 1128, 0)
+    assert (len(field_calls), accepted, rejected) == (1320, 1128, 0)
