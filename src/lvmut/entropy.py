@@ -28,7 +28,7 @@ from .model import Model, UniformLinear, interaction_values, mutation_symmetric
 from .dynamics import Trajectory
 from .equilibrium import residual
 
-_STATIONARY_TOL = 1e-8
+_STATIONARY_TOL = 1e-8  # the reference's residual, relative to max(1, ||v_bar||_inf)
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,15 @@ def dissipation(model: Model, v, v_bar, kernel: EntropyKernel) -> EntropyReport:
 
     v is one state (n,), which gives scalar fields, or a stack of states
     (T, n), which gives one value per state in each field. The reference
-    is checked once: strictly positive, symmetric mutation, stationary.
+    is checked once: strictly positive, symmetric mutation, stationary
+    (residual within _STATIONARY_TOL max(1, ||v_bar||_inf), the solver's scale).
     """
     v = np.asarray(v, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
     _check_reference(v_bar)
     if not mutation_symmetric(model):
         raise AsymmetricMutation("the entropy identity needs symmetric mutation rates")
-    if residual(model, v_bar) > _STATIONARY_TOL:
+    if residual(model, v_bar) > _STATIONARY_TOL * max(1.0, float(np.max(v_bar))):
         raise NotStationaryReference("reference state is not stationary")
 
     s = v / v_bar

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 
-_SYM_ATOL = 1e-12
+_SYM_RTOL = 1e-12  # asymmetry bound, relative to max(1, max |entry|)
 _PIVOT_REL = 1e-14
 _PERRON_TOL = 1e-13
 
@@ -107,14 +107,20 @@ def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     return PerronResult(lambda_p=lambda_p, v_p=x, iterations=1, residual=residual)
 
 
+def _is_symmetric(mat: np.ndarray) -> bool:
+    """The one symmetry rule: |mat - mat^T| <= _SYM_RTOL max(1, max |mat|) entrywise."""
+    scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)))
+    return float(np.max(np.abs(mat - mat.T), initial=0.0)) <= _SYM_RTOL * scale
+
+
 def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    """Full eigendecomposition of a symmetric matrix (_is_symmetric), eigenvalues descending."""
     s = np.asarray(mat, dtype=float)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError("matrix must be square")
-    if np.max(np.abs(s - s.T), initial=0.0) > _SYM_ATOL:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    if not _is_symmetric(s):
+        raise NotSymmetric("matrix is not symmetric within 1e-12 of its largest entry")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (s + s.T))
     except np.linalg.LinAlgError as exc:

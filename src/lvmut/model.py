@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveRate,
     WrongInteractionKind,
 )
-from .linalg import is_irreducible
+from .linalg import _is_symmetric, is_irreducible
 
 _ROWSUM_ZERO_ATOL = 1e-12
 
@@ -391,9 +391,7 @@ def growth_mutation_matrix(model: Model) -> np.ndarray:
 
 
 def mutation_symmetric(model: Model) -> bool:
-    mu = model.mu
-    scale = max(1.0, float(np.max(np.abs(mu), initial=0.0)))
-    return float(np.max(np.abs(mu - mu.T), initial=0.0)) <= 1e-12 * scale
+    return _is_symmetric(model.mu)
 
 
 def is_fitness_weighted(model: Model) -> bool:

@@ -818,3 +818,77 @@ def test_scenario_model_round_trips_through_cli(capsys, tmp_path):
     assert np.all(v_bar > 0)
     vals = interaction_values(model, v_bar)
     assert vals.shape == (3,)
+
+
+def _vector_flag(values) -> str:
+    return ",".join(repr(float(x)) for x in values)
+
+
+def _in_units(tmp_path, model: dict, v0, t_end, time=1.0, population=1.0):
+    """The scenario of model (model_to_dict's keys), v0 and t_end in other
+    units: time divided by `time` (r, mu, a and amp times it, t_end over
+    it) and populations times `population` (K and v0 times it, amp times it
+    and w over it), with the flags that carry v0 and a sweep's amp and w."""
+    model = json.loads(dumps_json(model))
+    inter = model["interaction"]
+    model["r"] = (np.array(model["r"]) * time).tolist()
+    model["mu"] = (np.array(model["mu"]) * time).tolist()
+    model["K"] *= population
+    if "a" in inter:
+        inter["a"] = (np.array(inter["a"]) * time).tolist()
+    if "amp" in inter:
+        inter["amp"] = (np.array(inter["amp"]) * time * population).tolist()
+        inter["w"] = (np.array(inter["w"]) / population).tolist()
+    path = tmp_path / f"{time:g}-{population:g}.json"
+    path.write_text(json.dumps({"model": model, "t_end": t_end / time}))
+    flags = {"v0": ["--v0", _vector_flag(np.asarray(v0) * population)], "sweep": []}
+    if inter["kind"] == "uniform":
+        # pert2's bump on each pair of genotypes
+        bump = get_preset("pert2").model.interaction
+        n = model["n"]
+        amp = np.tile(bump.amp, n // 2) * time * population
+        w = np.kron(np.eye(n // 2), bump.w) / population
+        flags["sweep"] = ["--amp", _vector_flag(amp),
+                          "--w", ";".join(_vector_flag(row) for row in w)]
+    return str(path), flags
+
+
+def _exit_codes(capsys, path, flags, commands):
+    extra = {"simulate": flags["v0"], "entropy": [*flags["v0"], "--kernel", "quadratic"],
+             "rates": flags["v0"], "stability": ["--samples", "2", "--seed", "3"],
+             "sweep": flags["sweep"]}
+    return {command: _run(capsys, command, "--scenario", path, *extra.get(command, []))[0]
+            for command in commands}
+
+
+_MODEL_COMMANDS = ("validate", "simulate", "equilibrium", "spectrum", "entropy", "rates",
+                   "stability", "sweep")
+
+
+@pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4", "pert2", "crowd3"])
+def test_every_command_keeps_its_exit_code_in_other_units(capsys, tmp_path, name):
+    # time in thousandths, and populations in units of 1e-9: the flow is
+    # the same up to the change of units, so no command may pass or fail
+    # by the units alone (entropy's stationarity test was absolute, and
+    # exited 1 on the solver's own reference at population x 1e9)
+    preset = get_preset(name)
+    codes = [
+        _exit_codes(capsys, *_in_units(tmp_path, model_to_dict(preset.model), preset.v0,
+                                       preset.t_end, time, population), _MODEL_COMMANDS)
+        for time, population in ((1.0, 1.0), (1e3, 1.0), (1.0, 1e9))
+    ]
+    assert codes[1] == codes[0]
+    assert codes[2] == codes[0]
+    assert codes[0]["entropy"] == 0
+
+
+@pytest.mark.parametrize("time", [1.0, 1e3, 1e5])
+def test_a_symmetric_model_stays_symmetric_in_other_time_units(capsys, tmp_path, time):
+    # mu is symmetric within 1e-12 of its largest entry in any time unit;
+    # R+M's spectrum used an absolute 1e-12 and took it for asymmetric at x 1e3
+    r = [1.0, 1.5]
+    model = {"n": 2, "r": r, "K": 10.0, "mu": [[0.0, 0.1], [0.1 * (1.0 + 4e-13), 0.0]],
+             "interaction": {"kind": "uniform", "a": r}}
+    path, flags = _in_units(tmp_path, model, [8.0, 2.0], 50.0, time)
+    commands = ("validate", "simulate", "spectrum", "entropy", "rates", "stability")
+    assert _exit_codes(capsys, path, flags, commands) == dict.fromkeys(commands, 0)

@@ -133,6 +133,16 @@ def test_jacobi_rejects_asymmetric():
         symmetric_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_symmetry_is_judged_relative_to_the_largest_entry():
+    # the rule mutation_symmetric applies to mu: an asymmetry of 4e-11 passes
+    # on entries of 1e3 and is rejected on entries of 1
+    skew = np.array([[1.0, 0.1], [0.1 * (1.0 + 4e-13), 1.5]])
+    assert np.allclose(symmetric_spectrum(1e3 * skew).eigenvalues,
+                       1e3 * symmetric_spectrum(skew).eigenvalues)
+    with pytest.raises(NotSymmetric):
+        symmetric_spectrum(skew + [[0.0, 0.0], [4e-11, 0.0]])
+
+
 def test_solve_linear_cramer_oracle():
     a = np.array([[0.9, 0.1], [0.1, 1.9]])
     x = solve_linear(a, np.array([1.0, 2.0]))
