@@ -18,9 +18,8 @@ attempt of size h weighs it by [1, h a_s] (a row of _AH times h, with the
 state's weight 1): each stage's argument v + h a_s @ k, and the step's
 result y, is one matrix-vector product.
 
-A batch is a list of one model per row: _checked_run checks a call once,
-and each distinct model's work (R+M, field, closed-form spectrum) is done
-once per call, however many rows it has.
+A batch is a list of one model per row: _checked_run checks a call once, and
+each distinct model's work (R+M, field, closed-form spectrum) is done once.
 """
 from __future__ import annotations
 
@@ -223,15 +222,13 @@ def _checked_grid(t_end: float, rtol: float, atol: float,
     return _record_grid(t_end, record_every)
 
 
-def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: float,
-                 atol: float, record_every: float | None
-                 ) -> tuple[list[Model], np.ndarray, np.ndarray]:
-    """The batch's one model per row, its starts (B, n) as floats and its
-    recording grid, once the call passes its checks, the only ones of a
-    batch: model is one model for every row or B models of one n and one
-    interaction kind; the starts are B >= 1 finite, nonnegative rows of
-    that n; and the settings pass _checked_grid. A start that is
-    identically zero gets one warning: the flow stays at zero."""
+def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: float, atol: float,
+                 record_every: float | None) -> tuple[list[Model], np.ndarray, np.ndarray]:
+    """A batch's one model per row, starts (B, n) as floats and recording
+    grid, once the call passes a batch's only checks: model is one model or
+    B models of one n and interaction kind; the starts B >= 1 finite,
+    nonnegative rows of that n; the settings those of _checked_grid. A
+    start that is identically zero gets one warning: the flow stays at 0."""
     starts = np.asarray(starts, dtype=float)
     models = [model] if isinstance(model, Model) else list(model)
     if not models:
@@ -264,8 +261,7 @@ def _checked_run(model: Model | Sequence[Model], starts, t_end: float, rtol: flo
 
 
 def _distinct(models: list[Model]) -> tuple[list[Model], list[int]]:
-    """The distinct model objects of a batch's rows, in order of first row,
-    and each row's index into them: the per-model work is done once."""
+    """A batch's distinct model objects, by first row, and each row's index into them."""
     keys: dict[int, int] = {}
     index = [keys.setdefault(id(model), len(keys)) for model in models]
     return list({id(model): model for model in models}.values()), index
@@ -369,14 +365,12 @@ def integrate_batch(
 
     model is one model for every row, or a sequence of B models, one per
     row, that share n and the interaction kind (else a ValueError naming
-    model). _checked_run checks the call once and makes it one model per
-    row, and _integrate_rows runs it. Each distinct model builds R+M and
-    its field once. With one, the stack takes that model's broadcasting
-    field; with several, each row's own parameters (model._row_parameters,
-    each model's stacked once), which shrink to the rows still running as
-    rows leave. A row's one-state calls (the extension's stages, the
-    refresh of a clipped state, and every call once it runs alone) take
-    its own model's field.
+    model); _checked_run checks the call once. Each distinct model builds
+    R+M and its field once: one model's stack takes its broadcasting field,
+    several models' rows their own stacked parameters (model._row_parameters),
+    which shrink to the rows still running as rows leave. A row's one-state
+    calls (the extension's stages, the refresh of a clipped state, and every
+    call once it runs alone) take its own model's field.
 
     Each attempt is one DOP853 step: a power-iteration probe of the
     Jacobian and twelve stages, that is thirteen field calls, of which the
@@ -673,10 +667,7 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
     of two, exactly, so that a subnormal one still reaches the attractor.
     States are clamped at 0, as the integrator clamps them. A start at
     which the vector field is not finite, or a state that is not, raises
-    NonFiniteState, as integrate does.
-
-    The one-start call of _exact_flow, once model, v0 and times pass
-    their checks.
+    NonFiniteState, as integrate does. The one-start call of _exact_flow.
     """
     if not isinstance(model.interaction, UniformLinear):
         raise WrongInteractionKind("closed form applies to uniform linear interactions")
@@ -696,32 +687,28 @@ def closed_form_uniform_linear(model: Model, v0, times) -> Trajectory:
 
 
 def _exact_flow(model: Model, starts: np.ndarray, times: np.ndarray) -> list[Trajectory]:
-    """closed_form_uniform_linear from each row of starts (B, n) at times
-    (0 is prepended when missing), all checked, in one pass: one R+M, one
-    spectrum and one check of the field, at every start before the
-    spectrum. Each row's products are the one-start call's (model._matvec
-    for its modal coefficients, one (T, n) @ (n, n) per row), so a row
-    equals its one-start trajectory bit for bit."""
+    """closed_form_uniform_linear from each checked row of starts (B, n) at
+    the checked times (0 prepended), with one R+M, one spectrum and, before
+    it, one field check at every start. Each row's products are the
+    one-start call's (model._matvec for its modal coefficients, one
+    (T, n) @ (n, n) per row), so each row equals it bit for bit."""
     if times[0] > 0.0:
         times = np.concatenate(([0.0], times))
     params = _field_parameters(model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        field_finite = np.isfinite(_vector_field(params)(starts)).all()
-    if not field_finite:
-        raise NonFiniteState("vector field is non-finite at the initial state")
-
-    spec = symmetric_spectrum(params.a)
-    lam = spec.eigenvalues
-    basis = spec.eigenvectors
-    shift = max(float(lam.max()), 0.0)
-    t = times[:, None]
-    mag = np.abs(lam)
-    zero = mag == 0.0
-    # a start enters as v0 / c with c = 2^k, k = min(0, exponent of max v0),
-    # so the modes of a tiny start do not underflow; the flow is then
-    # P / (exp(-s t) / c + I) for the scaled numerator P and integral term I
-    k = np.minimum(0, np.frexp(starts.max(axis=1))[1])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not np.isfinite(_vector_field(params)(starts)).all():
+            raise NonFiniteState("vector field is non-finite at the initial state")
+        spec = symmetric_spectrum(params.a)
+        lam = spec.eigenvalues
+        basis = spec.eigenvectors
+        shift = max(float(lam.max()), 0.0)
+        t = times[:, None]
+        mag = np.abs(lam)
+        zero = mag == 0.0
+        # a start enters as v0 / c with c = 2^k, k = min(0, exponent of max
+        # v0), so the modes of a tiny start do not underflow; the flow is then
+        # P / (exp(-s t) / c + I) for the scaled numerator P and integral term I
+        k = np.minimum(0, np.frexp(starts.max(axis=1))[1])[:, None, None]
         coeff = _matvec(basis.T, np.ldexp(starts, -k[:, 0]))[:, None, :]
         psi = np.where(zero, t, -np.expm1(-mag * t) / np.where(zero, 1.0, mag))
         propagated = (np.exp((lam - shift) * t) * coeff) @ basis.T
@@ -755,32 +742,28 @@ def _flow_batch(
     atol: float = 1e-10,
     record_every: float | None = None,
 ) -> list[Trajectory]:
-    """The flow from each row of starts (B, n) over [0, t_end], on the
-    recording grid and after the one check of integrate_batch
-    (_checked_run). model is one model, or one per row as integrate_batch
-    takes them.
-
-    Each row gets what _flow_batch of its model and its start alone gives.
-    The rows of a uniform linear model with symmetric mutation take the
-    exact closed form, one _exact_flow pass per model, so rtol and atol are
-    checked but unused and the trajectory reports tol_used (0, 0). The
-    other rows are integrated by one _integrate_rows run, in row order.
+    """The flow from each row of starts (B, n) over [0, t_end] on the
+    recording grid, after integrate_batch's one check (_checked_run); model
+    is one model, or one per row. Each row gets what _flow_batch of its
+    model and its start alone gives. The rows of each uniform linear model
+    with symmetric mutation take one _exact_flow pass, so rtol and atol are
+    checked but unused and tol_used is (0, 0); one _integrate_rows run
+    integrates the others, in row order.
     """
     models, starts, grid = _checked_run(model, starts, t_end, rtol, atol, record_every)
     distinct, index = _distinct(models)
     exact = [_has_closed_form(row) for row in distinct]
+    flows = {}
     integrated = [b for b, k in enumerate(index) if not exact[k]]
-    parts = [(integrated, _integrate_rows([models[b] for b in integrated], starts[integrated],
-                                          grid, float(t_end), rtol, atol))] if integrated else []
+    if integrated:
+        flows.update(zip(integrated, _integrate_rows([models[b] for b in integrated],
+                                                     starts[integrated], grid, float(t_end),
+                                                     rtol, atol)))
     for k, row in enumerate(distinct):
         if exact[k]:
             rows = [b for b, j in enumerate(index) if j == k]
-            parts.append((rows, _exact_flow(row, starts[rows], grid)))
-    flows = [None] * len(models)
-    for rows, trajs in parts:
-        for b, traj in zip(rows, trajs):
-            flows[b] = traj
-    return flows
+            flows.update(zip(rows, _exact_flow(row, starts[rows], grid)))
+    return [flows[b] for b in range(len(models))]
 
 
 def logistic_envelopes(model: Model, n0: float, times) -> EnvelopePair:
