@@ -999,6 +999,68 @@ def test_flow_batch_gives_each_row_its_own_models_flow(monkeypatch):
             alone.accepted_steps, alone.rejected_steps)
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from here on."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_batch_builds_each_models_r_plus_m_once(monkeypatch):
+    # criterion 12's four models, five rows each: one R+M per model, not per row
+    row_models = [m for m in _c12_models() for _ in range(5)]
+    starts = np.random.default_rng(12).uniform(0.0, 20.0, size=(20, 2))
+    builds = _count_calls(monkeypatch, model_module, "growth_mutation_matrix")
+    dynamics._flow_batch(row_models, starts, 120.0, rtol=1e-8, atol=1e-10, record_every=120.0)
+    assert len(builds) == 4
+
+
+def test_exact_rows_of_one_model_take_one_spectrum(monkeypatch):
+    model, starts = _c04_starts()
+    spectra = _count_calls(monkeypatch, dynamics, "symmetric_spectrum")
+    builds = _count_calls(monkeypatch, model_module, "growth_mutation_matrix")
+    flows = dynamics._flow_batch(model, starts, 200.0, record_every=20.0)
+    assert (len(spectra), len(builds)) == (1, 1)
+    assert [traj.tol_used for traj in flows] == [(0.0, 0.0)] * 20
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.integers(min_value=2, max_value=8),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_exact_flow_rows_equal_their_one_start_closed_form(n, rows, samples, seed):
+    # exact zeros, and a subnormal row, included
+    rng = np.random.default_rng(seed)
+    model = _in_scope_model("uniform", n, rng.uniform(1.0, 100.0), rng)
+    starts = rng.uniform(0.0, 2.0 * model.big_k, size=(rows, n))
+    starts[rng.random(starts.shape) < 0.3] = 0.0
+    starts[rng.integers(rows)] = rng.choice([0.0, 5e-324, 1e-310], size=n)
+    times = np.cumsum(rng.uniform(0.01, 1.0, size=samples))
+    for v0, traj in zip(starts, dynamics._exact_flow(model, starts, times)):
+        alone = closed_form_uniform_linear(model, v0, times)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.states, alone.states)
+        assert not np.signbit(traj.states).any()
+
+
+def test_flow_batch_warns_once_for_a_zero_start_naming_the_callers_row():
+    sym2 = get_preset("sym2").model
+    asym = build_model(2, sym2.r, sym2.big_k, [[0.0, 0.1], [0.3, 0.0]], sym2.interaction)
+    starts = np.array([[8.0, 2.0], [0.0, 0.0], [1.0, 3.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        flows = dynamics._flow_batch([sym2, asym, asym], starts, 5.0)
+    assert [str(w.message) for w in caught] == [
+        "initial state (row 1) is identically zero; the flow stays at zero"]
+    assert np.all(flows[1].states == 0.0)
+
+
 @pytest.mark.parametrize("run", [integrate_batch, dynamics._flow_batch],
                          ids=["integrate_batch", "_flow_batch"])
 @pytest.mark.parametrize("models, match", [
