@@ -38,6 +38,7 @@ from .errors import (
     Hypothesis3Violated,
     InnerNoConvergence,
     LeftAprioriBox,
+    NoConvergence,
     NonPositivePerron,
     SingularMatrix,
     WrongInteractionKind,
@@ -45,6 +46,7 @@ from .errors import (
 from .linalg import (
     _PIVOT_REL,
     PerronResult,
+    _perron_pair,
     _symmetric_extremes,
     perron_eigenpair,
     require_nonsingular,
@@ -101,11 +103,14 @@ def residual(model: Model, v) -> float:
     return _sup(rhs(model, np.asarray(v, dtype=float)))
 
 
-def _anchor(model: Model, a: np.ndarray) -> tuple[PerronResult, np.ndarray]:
+def _anchor(model: Model, a: np.ndarray,
+            top: np.ndarray | None = None) -> tuple[PerronResult, np.ndarray]:
     """The Perron pair of a = R+M and the m v_p where Psi_1's linear part
     C[0] @ v (C = _linear_coefficients) equals K lambda_p: exact for the linear
-    kinds. A slope C[0] @ v_p <= 0 means no scale reaches K lambda_p."""
-    per = perron_eigenpair(a)
+    kinds. A slope C[0] @ v_p <= 0 means no scale reaches K lambda_p. top,
+    a's top eigenvector from the set-up's eigh (_Linear.top), saves a second
+    factorization; the pair is perron_eigenpair(a)'s either way."""
+    per = perron_eigenpair(a) if top is None else _perron_pair(a, top)
     if per.lambda_p <= 0.0:
         raise NonPositivePerron(f"dominant growth exponent {per.lambda_p:g} is not positive")
     slope = float(_linear_coefficients(model)[0] @ per.v_p)
@@ -141,7 +146,7 @@ def equilibrium_auto(model: Model) -> EquilibriumResult:
     if isinstance(model.interaction, UniformLinear):
         return equilibrium_uniform(model)
     linear = _linear_setup(model, validate(model))
-    per, v = _anchor(model, linear.a)
+    per, v = _anchor(model, linear.a, linear.top)
     return _continue(model, linear, v, per.lambda_p)
 
 
@@ -175,8 +180,9 @@ def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> t
 
 
 def _in_box(v: np.ndarray, lo: float, hi: float) -> bool:
-    total = float(v.sum())
-    return bool(np.min(v) > 0.0 and lo <= total <= hi)
+    # most rejected candidates have a component <= 0, so v is summed only
+    # when it is positive; np.minimum.reduce skips np.min's wrapper
+    return bool(np.minimum.reduce(v) > 0.0 and lo <= float(v.sum()) <= hi)
 
 
 def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,12 +237,19 @@ class _Linear(NamedTuple):
 
     a: np.ndarray  # R + M, checked nonsingular
     extremes: tuple[float, float]  # _symmetric_extremes(a), for the box
+    top: np.ndarray | None  # a's top eigenvector when a is symmetric, for _anchor
 
 
 def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
     """The checks of every continuation that do not involve Psi, given
     validate(model): the outflow hypothesis (h3 for symmetric mutation, h4
-    otherwise) and R+M nonsingular."""
+    otherwise) and R+M nonsingular.
+
+    An exactly symmetric R+M (symmetric mu) is factorized once by eigh: its
+    eigenvalues give the box's extremes and prove it nonsingular, and its
+    top eigenvector is kept, as a copy, for _anchor. Otherwise R+M takes
+    the SVD check and eigvalsh of its symmetric part.
+    """
     if report.h1_symmetry:
         if not report.h3_half:
             raise Hypothesis3Violated("mutation outflow must stay within r/2")
@@ -245,8 +258,16 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
             "asymmetric mutation requires symmetrized outflow within r/3"
         )
     a = growth_mutation_matrix(model)
-    require_nonsingular(a)
-    return _Linear(a, _symmetric_extremes(a))
+    if not np.array_equal(a, a.T):
+        require_nonsingular(a)
+        return _Linear(a, _symmetric_extremes(a), None)
+    try:
+        w, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        require_nonsingular(a)  # a singular a still raises SingularMatrix first
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    require_nonsingular(a, w)
+    return _Linear(a, (float(w[0]), float(w[-1])), vectors[:, -1].copy())
 
 
 def _stationarity(system: _System, big_k: float, s: float, v: np.ndarray):
@@ -351,7 +372,7 @@ def _pseudo_transient(model: Model, system: _System, v: np.ndarray) -> tuple[np.
                     raise LeftAprioriBox(1.0)
                 return v, g_norm
             cand = v + step
-            if np.min(cand) > 0.0:
+            if np.minimum.reduce(cand) > 0.0:
                 cand_psi, cand_g = _stationarity(system, big_k, 1.0, cand)
                 cand_norm = _sup(cand_g)
                 if math.isfinite(cand_norm):
@@ -382,7 +403,7 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     stationarity equation.
     """
     linear = _linear_setup(model, validate(model))
-    per, v = _anchor(model, linear.a)
+    per, v = _anchor(model, linear.a, linear.top)
     path = _run_stages(model, _system(model, linear), v,
                        np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
     return EquilibriumResult(

@@ -5,7 +5,10 @@ error contracts the rest of the package relies on. Symmetric spectra come
 from eigh in descending order. The dominant eigenpair of a Metzler matrix
 is the eigh or eig eigenvector after one shifted nonnegative step, checked
 by its residual relative to ||A||. Linear solves reject numerically singular
-matrices by their smallest singular value before the LU solve.
+matrices by their smallest singular value before the LU solve; the SVD is
+the only judge of failure, but it runs only when an exactly symmetric
+matrix's eigenvalues (eigvalsh's, or a solve set-up's eigh) do not prove
+it nonsingular by a wide margin, or for an asymmetric matrix.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 
 _SYM_RTOL = 1e-12  # asymmetry bound, relative to max(1, max |entry|)
 _PIVOT_REL = 1e-14
+_EIG_MARGIN = 1e-8  # min |lambda| proving a symmetric matrix nonsingular, relative to ||A||_inf
 _PERRON_TOL = 1e-13
 
 
@@ -56,18 +60,16 @@ def is_irreducible(mat: np.ndarray) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
-def _dominant_eigenvector(mat: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the eigenvalue with the largest real part, with a positive sum."""
+def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
+    """LAPACK's eigenvector of the eigenvalue with the largest real part:
+    eigh's last column when mat is exactly symmetric, eig's otherwise."""
     try:
         if np.array_equal(mat, mat.T):
-            x = np.linalg.eigh(mat)[1][:, -1]
-        else:
-            values, vectors = np.linalg.eig(mat)
-            x = vectors[:, int(np.argmax(values.real))].real
+            return np.linalg.eigh(mat)[1][:, -1]
+        values, vectors = np.linalg.eig(mat)
+        return vectors[:, int(np.argmax(values.real))].real
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    x = x / np.linalg.norm(x)
-    return x if x.sum() > 0.0 else -x
 
 
 def perron_eigenpair(mat: np.ndarray) -> PerronResult:
@@ -80,7 +82,12 @@ def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     shift mu_bar is the largest off-diagonal row sum, raised to the minimal
     shift making every entry nonnegative if it falls short.
     """
-    mat = np.asarray(mat, dtype=float)
+    return _perron_pair(np.asarray(mat, dtype=float), None)
+
+
+def _perron_pair(mat: np.ndarray, top: np.ndarray | None) -> PerronResult:
+    """perron_eigenpair(mat), given top = _top_eigenvector(mat) when the
+    caller already has it (a solve set-up's eigh), computed here otherwise."""
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -94,7 +101,12 @@ def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     mu_bar = max(mu_bar, -float(np.min(np.diag(mat))), 0.0)
     shifted = mat + mu_bar * np.eye(n)
 
-    z = shifted @ _dominant_eigenvector(mat)
+    if top is None:
+        top = _top_eigenvector(mat)
+    x = top / np.linalg.norm(top)
+    if not x.sum() > 0.0:
+        x = -x
+    z = shifted @ x
     with np.errstate(invalid="ignore"):  # z = 0 (n = 1, mat <= 0): nan fails the bound
         x = z / float(np.linalg.norm(z))
     lambda_p = float(x @ (shifted @ x)) - mu_bar
@@ -129,10 +141,28 @@ def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:
                              eigenvectors=eigenvectors[:, ::-1].copy())
 
 
-def require_nonsingular(mat: np.ndarray) -> None:
+def require_nonsingular(mat: np.ndarray, eigenvalues: np.ndarray | None = None) -> None:
     """Raise SingularMatrix unless the smallest singular value of mat is at
-    least 1e-14 times its largest absolute row sum."""
+    least 1e-14 times its largest absolute row sum.
+
+    The SVD is the only judge of failure, but an exactly symmetric mat is
+    first proved nonsingular from its eigenvalues (eigenvalues, eigh's of
+    mat, when the caller has them; eigvalsh's otherwise), and then no SVD
+    runs. For symmetric mat sigma_i = |lambda_i| (Golub & Van Loan, Matrix
+    Computations, 8.6), and backward-stable eigenvalue and singular value
+    kernels each miss them by O(n eps ||mat||_2) (Weyl), so
+    min |lambda| >= _EIG_MARGIN ||mat||_inf, six orders above the
+    threshold, leaves the SVD's sigma_min above it too.
+    """
     scale = float(np.max(np.abs(mat).sum(axis=1), initial=0.0))
+    if eigenvalues is None and np.array_equal(mat, mat.T):
+        try:
+            eigenvalues = np.linalg.eigvalsh(mat)
+        except np.linalg.LinAlgError:
+            pass  # the SVD decides
+    if (eigenvalues is not None
+            and float(np.minimum.reduce(np.abs(eigenvalues))) >= _EIG_MARGIN * max(scale, 1e-300)):
+        return
     try:
         sigma_min = float(np.linalg.svd(mat, compute_uv=False)[-1])
     except np.linalg.LinAlgError as exc:
