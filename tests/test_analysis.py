@@ -29,7 +29,14 @@ from lvmut.errors import (
     OutOfTheoremScope,
     SingularMatrix,
 )
-from lvmut.model import Perturbed, build_model, perturbed, uniform_linear
+from lvmut.model import (
+    Perturbed,
+    build_model,
+    crowding_linear,
+    perturbed,
+    point_mutation_matrix,
+    uniform_linear,
+)
 from lvmut.presets import get_preset
 
 _SYM2_VBAR = np.array([5.0, 5.0])
@@ -469,6 +476,74 @@ def test_r_plus_m_builds_per_solve(monkeypatch):
         solve()
         counts.append(len(builds))
     assert counts == [1, 1, 1, 1, 2]
+
+
+def _lapack_counts(monkeypatch):
+    """Spy on numpy's dense eigen- and singular-value kernels: returns the
+    dict of calls per kernel, counted from here on."""
+    counts = {}
+    for kernel in ("eigh", "eigvalsh", "svd", "eig"):
+        def counted(*args, _kernel=kernel, _original=getattr(np.linalg, kernel), **kwargs):
+            counts[_kernel] = counts.get(_kernel, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kernel, counted)
+    return counts
+
+
+def _self_crowding_hypercube(loci):
+    """The ladder's self-crowding model on 2**loci genotypes, at growth rates
+    drawn from seed 0."""
+    n = 2 ** loci
+    r = np.random.default_rng(0).uniform(0.5, 2.0, size=n)
+    alpha = 0.8 * np.ones((n, n)) + 0.2 * np.eye(n)
+    return build_model(n, r, 10.0, point_mutation_matrix(loci, 0.01), crowding_linear(alpha))
+
+
+def _homotopy_or_its_error(model):
+    try:
+        equilibrium_homotopy(model)
+    except LeftAprioriBox:
+        pass  # the n = 32 model leaves its box, after the set-up
+
+
+def test_symmetric_set_up_factorizes_r_plus_m_once(monkeypatch):
+    # a symmetric R+M takes one eigh per solve set-up, for its box, its
+    # nonsingularity and the anchor's Perron vector; the sweep's other eigh
+    # is its base row's Perron pair. Before, a set-up ran an SVD, eigvalsh
+    # and eigh on the same matrix.
+    base, amp, w = _sweep_inputs("sym2")
+    solves = {
+        "homotopy crowd3": lambda: equilibrium_homotopy(get_preset("crowd3").model),
+        "auto crowd3": lambda: equilibrium_auto(get_preset("crowd3").model),
+        "auto pert2": lambda: equilibrium_auto(get_preset("pert2").model),
+        "sweep sym2": lambda: perturbation_sweep(base, amp, w, _SWEEP_GRIDS["cli"]),
+        "homotopy n32": lambda: _homotopy_or_its_error(_self_crowding_hypercube(5)),
+    }
+    counts = _lapack_counts(monkeypatch)
+    seen = {}
+    for name, solve in solves.items():
+        counts.clear()
+        solve()
+        seen[name] = dict(counts)
+    assert seen == {
+        "homotopy crowd3": {"eigh": 1},
+        "auto crowd3": {"eigh": 1},
+        "auto pert2": {"eigh": 1},
+        "sweep sym2": {"eigh": 2},
+        "homotopy n32": {"eigh": 1},
+    }
+
+
+def test_asymmetric_set_up_keeps_the_svd_eigvalsh_and_eig(monkeypatch):
+    # crowd3 with mu[0][1] raised to 0.06, within h4
+    crowd3 = get_preset("crowd3").model
+    mu = crowd3.mu.copy()
+    mu[0, 1] = 0.06
+    model = build_model(3, crowd3.r, crowd3.big_k, mu, crowd3.interaction)
+    counts = _lapack_counts(monkeypatch)
+    equilibrium_auto(model)
+    assert counts == {"svd": 1, "eigvalsh": 1, "eig": 1}
 
 
 def _failing_newton(monkeypatch, exc, times):

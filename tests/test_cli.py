@@ -614,11 +614,31 @@ def test_every_error_class_keeps_its_exit_code(capsys, monkeypatch):
 
 
 def test_failed_dense_kernel_is_a_solver_error(capsys, monkeypatch):
+    # crowd3's symmetric R+M takes one eigh at set-up, named as the
+    # eigensolver's failure
     def failing(mat):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     code, out, err = _run(capsys, "equilibrium", "--preset", "crowd3")
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "NoConvergence"
+    assert payload["message"] == "eigensolver failed: Eigenvalues did not converge"
+
+
+def test_failed_eigvalsh_on_an_asymmetric_model_is_a_solver_error(capsys, monkeypatch, tmp_path):
+    # crowd3 with mu[0][1] raised from 0.05 to 0.06 (asymmetric, within h4):
+    # its set-up takes eigvalsh of R+M's symmetric part for the box
+    def failing(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    model = json.loads(dumps_json(model_to_dict(get_preset("crowd3").model)))
+    model["mu"][0][1] = 0.06
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"model": model}))
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    code, out, err = _run(capsys, "equilibrium", "--scenario", str(path))
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["error"] == "LinAlgError"

@@ -1,6 +1,7 @@
 """Equilibrium solvers against closed-form oracles and cross-checks."""
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,10 +26,11 @@ from lvmut.errors import (
     InnerNoConvergence,
     LeftAprioriBox,
     LvmutError,
+    NotIrreducible,
     SingularMatrix,
     WrongInteractionKind,
 )
-from lvmut.linalg import perron_eigenpair, require_nonsingular
+from lvmut.linalg import _perron_pair, _symmetric_extremes, perron_eigenpair, require_nonsingular
 from lvmut.model import (
     CrowdingLinear,
     _linear_coefficients,
@@ -470,6 +472,49 @@ def test_perturbed_equilibrium_is_positive_and_stationary_or_a_solver_error(n, b
     assert eq.residual == residual(model, v_bar) <= 1e-12 * max(1.0, np.max(v_bar))
     lo, hi = equilibrium._apriori_box(model)
     assert lo <= np.sum(v_bar) <= hi
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.sampled_from(["uniform", "crowding", "perturbed"]),
+       st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1.0, max_value=100.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_set_up_perron_pair_and_extremes_are_the_separate_kernels(kind, n, big_k, seed):
+    # the set-up's one eigh gives perron_eigenpair's pair bit for bit (the
+    # same LAPACK call on the same R+M) and eigvalsh's extremes to rounding
+    model = _in_scope_model(kind, n, big_k, np.random.default_rng(seed))
+    linear = equilibrium._linear_setup(model, validate(model))
+    assert linear.top.shape == (n,) and linear.top.base is None
+    lo, hi = _symmetric_extremes(linear.a)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert abs(linear.extremes[0] - lo) <= tol and abs(linear.extremes[1] - hi) <= tol
+    try:
+        ref = perron_eigenpair(linear.a)
+    except LvmutError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _perron_pair(linear.a, linear.top)
+        return
+    got = _perron_pair(linear.a, linear.top)
+    assert got.v_p.tobytes() == ref.v_p.tobytes()
+    assert (got.lambda_p, got.residual) == (ref.lambda_p, ref.residual)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1.0, max_value=100.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_uniform_equilibrium_is_positive_and_stationary(n, big_k, seed):
+    # the paper's unique positive equilibrium of the uniform kind, for an
+    # irreducible mu; a reducible one is outside its hypotheses and refused
+    model = _in_scope_model("uniform", n, big_k, np.random.default_rng(seed))
+    if not validate(model).h1_irreducible:
+        with pytest.raises(NotIrreducible):
+            equilibrium_uniform(model)
+        return
+    eq = equilibrium_uniform(model)
+    v_bar = eq.v_bar
+    assert np.all(v_bar > 0.0)
+    assert eq.residual == residual(model, v_bar) <= 1e-12 * max(1.0, np.max(v_bar))
 
 
 def _census_model(kind, seed):

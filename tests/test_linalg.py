@@ -11,6 +11,7 @@ from lvmut.linalg import (
     is_irreducible,
     is_positive_definite,
     perron_eigenpair,
+    require_nonsingular,
     solve_linear,
     symmetric_spectrum,
 )
@@ -163,6 +164,77 @@ def test_solve_linear_matches_numpy(n, seed):
 def test_solve_linear_singular():
     with pytest.raises(SingularMatrix):
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+
+def _svd_verdict(a):
+    """require_nonsingular's SVD rule, written out: the message it raises, or None."""
+    scale = float(np.max(np.abs(a).sum(axis=1)))
+    sigma_min = float(np.linalg.svd(a, compute_uv=False)[-1])
+    if sigma_min >= 1e-14 * max(scale, 1e-300):
+        return None
+    return f"smallest singular value {sigma_min:g} below threshold"
+
+
+def _symmetric_with_sigma_min(n, rel, rng):
+    """An exactly symmetric, indefinite Q diag(lambda) Q^T whose smallest
+    |lambda| is about rel times its largest absolute row sum."""
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    lam = np.geomspace(1.0, rel, n) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+    def build():
+        a = (q * lam) @ q.T
+        return 0.5 * (a + a.T)
+
+    lam[-1] *= np.max(np.abs(build()).sum(axis=1))
+    return build()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+def test_symmetric_nonsingularity_verdict_is_the_svd_rule(monkeypatch, n):
+    # the eigenvalue proof only skips the SVD where the SVD would pass; below
+    # its margin the SVD decides, with the same message
+    rng = np.random.default_rng(n)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svd_calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    skipped = 0
+    for rel in np.geomspace(1e-16, 1e-6, 21):
+        a = _symmetric_with_sigma_min(n, rel, rng)
+        assert np.array_equal(a, a.T)
+        expected = _svd_verdict(a)
+        svd_calls.clear()
+        if expected is None:
+            require_nonsingular(a)
+        else:
+            with pytest.raises(SingularMatrix) as info:
+                require_nonsingular(a)
+            assert str(info.value) == expected
+        skipped += not svd_calls
+    # both sides of the margin are exercised: rel >= 1e-8 skips the SVD
+    assert 0 < skipped < 21
+
+
+def test_solve_linear_proves_a_symmetric_matrix_nonsingular_without_the_svd(monkeypatch):
+    calls = []
+    for kernel in ("eigvalsh", "svd"):
+        def counted(*args, _kernel=kernel, _original=getattr(np.linalg, kernel), **kwargs):
+            calls.append(_kernel)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kernel, counted)
+    a = point_mutation_matrix(5, 0.01) + np.diag(np.linspace(0.5, 2.0, 32))
+    x = solve_linear(a, np.ones(32))
+    assert calls == ["eigvalsh"]
+    assert np.max(np.abs(a @ x - 1.0)) < 1e-12
+    calls.clear()
+    a[0, 1] += 1e-3  # asymmetric: the SVD alone
+    solve_linear(a, np.ones(32))
+    assert calls == ["svd"]
 
 
 def test_positive_definiteness():
