@@ -27,6 +27,7 @@ same test once its step is Newton's.
 from __future__ import annotations
 
 import math
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,6 +39,7 @@ from .errors import (
     Hypothesis3Violated,
     InnerNoConvergence,
     LeftAprioriBox,
+    LvmutError,
     NoConvergence,
     NonPositivePerron,
     SingularMatrix,
@@ -46,7 +48,7 @@ from .errors import (
 from .linalg import (
     _PIVOT_REL,
     PerronResult,
-    _perron_pair,
+    _symmetric_eigh,
     _symmetric_extremes,
     perron_eigenpair,
     require_nonsingular,
@@ -103,14 +105,12 @@ def residual(model: Model, v) -> float:
     return _sup(rhs(model, np.asarray(v, dtype=float)))
 
 
-def _anchor(model: Model, a: np.ndarray,
-            top: np.ndarray | None = None) -> tuple[PerronResult, np.ndarray]:
+def _anchor(model: Model, a: np.ndarray) -> tuple[PerronResult, np.ndarray]:
     """The Perron pair of a = R+M and the m v_p where Psi_1's linear part
     C[0] @ v (C = _linear_coefficients) equals K lambda_p: exact for the linear
-    kinds. A slope C[0] @ v_p <= 0 means no scale reaches K lambda_p. top,
-    a's top eigenvector from the set-up's eigh (_Linear.top), saves a second
-    factorization; the pair is perron_eigenpair(a)'s either way."""
-    per = perron_eigenpair(a) if top is None else _perron_pair(a, top)
+    kinds. A slope C[0] @ v_p <= 0 means no scale reaches K lambda_p. A
+    symmetric a that the set-up factorized costs no second eigh."""
+    per = perron_eigenpair(a)
     if per.lambda_p <= 0.0:
         raise NonPositivePerron(f"dominant growth exponent {per.lambda_p:g} is not positive")
     slope = float(_linear_coefficients(model)[0] @ per.v_p)
@@ -146,7 +146,7 @@ def equilibrium_auto(model: Model) -> EquilibriumResult:
     if isinstance(model.interaction, UniformLinear):
         return equilibrium_uniform(model)
     linear = _linear_setup(model, validate(model))
-    per, v = _anchor(model, linear.a, linear.top)
+    per, v = _anchor(model, linear.a)
     return _continue(model, linear, v, per.lambda_p)
 
 
@@ -217,8 +217,16 @@ def _jacobian(
 ) -> np.ndarray:
     """J_s = a - diag(Psi^s)/K - (v outer grad Psi^s)/K, the Jacobian of
     _stationarity's G_s at v, given psi_s = Psi^s(v) and grad = Psi'(v)."""
-    grad_s = s * grad + (1.0 - s) * grad[0]
-    return a - np.diag(psi_s / big_k) - (v[:, None] * grad_s) / big_k
+    # one n x n temporary for the outer term, each entry rounded as in
+    # a - diag(psi_s / K) - (v[:, None] * grad_s) / K
+    outer = s * grad
+    outer += (1.0 - s) * grad[0]
+    outer *= v[:, None]
+    outer /= big_k
+    jac = a.copy()
+    jac.flat[::len(v) + 1] -= psi_s / big_k
+    jac -= outer
+    return jac
 
 
 class _System(NamedTuple):
@@ -237,7 +245,6 @@ class _Linear(NamedTuple):
 
     a: np.ndarray  # R + M, checked nonsingular
     extremes: tuple[float, float]  # _symmetric_extremes(a), for the box
-    top: np.ndarray | None  # a's top eigenvector when a is symmetric, for _anchor
 
 
 def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
@@ -245,10 +252,11 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
     validate(model): the outflow hypothesis (h3 for symmetric mutation, h4
     otherwise) and R+M nonsingular.
 
-    An exactly symmetric R+M (symmetric mu) is factorized once by eigh: its
-    eigenvalues give the box's extremes and prove it nonsingular, and its
-    top eigenvector is kept, as a copy, for _anchor. Otherwise R+M takes
-    the SVD check and eigvalsh of its symmetric part.
+    An exactly symmetric R+M (symmetric mu) is factorized by
+    _symmetric_eigh, which keeps the result: its eigenvalues give the box's
+    extremes and prove it nonsingular, and _anchor's Perron pair reuses its
+    top eigenvector. Otherwise R+M takes the SVD check and eigvalsh of its
+    symmetric part.
     """
     if report.h1_symmetry:
         if not report.h3_half:
@@ -260,14 +268,14 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
     a = growth_mutation_matrix(model)
     if not np.array_equal(a, a.T):
         require_nonsingular(a)
-        return _Linear(a, _symmetric_extremes(a), None)
+        return _Linear(a, _symmetric_extremes(a))
     try:
-        w, vectors = np.linalg.eigh(a)
+        w = _symmetric_eigh(a)[0]
     except np.linalg.LinAlgError as exc:
         require_nonsingular(a)  # a singular a still raises SingularMatrix first
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    require_nonsingular(a, w)
-    return _Linear(a, (float(w[0]), float(w[-1])), vectors[:, -1].copy())
+    require_nonsingular(a)
+    return _Linear(a, (float(w[0]), float(w[-1])))
 
 
 def _stationarity(system: _System, big_k: float, s: float, v: np.ndarray):
@@ -284,23 +292,26 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
     Each iteration solves J_s x = -G_s(v) once. The stage is done, and v
     returned as it is, when the correction obeys
     ||x||_inf <= _NEWTON_TOL max(1, ||v||_inf). Otherwise the step is halved
-    until the candidate stays in the box and lowers ||G_s||_inf.
+    until the candidate stays in the box and lowers ||G_s||_inf; the
+    accepted candidate's Psi^s and G_s serve the next iteration.
     """
     big_k = model.big_k
+    psi_s, g = _stationarity(system, big_k, s, v)
+    g_norm = _sup(g)
     for _ in range(_MAX_INNER):
-        psi_s, g = _stationarity(system, big_k, s, v)
         jac = _jacobian(system.a, big_k, s, v, psi_s, system.gradient(v))
         step = _guarded_solve(jac, -g)
         if _sup(step) <= _NEWTON_TOL * max(1.0, _sup(v)):
             return v
-        g_norm = _sup(g)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = v + t * step
-            if (_in_box(cand, system.box_lo, system.box_hi)
-                    and _sup(_stationarity(system, big_k, s, cand)[1]) < g_norm):
-                v = cand
-                break
+            if _in_box(cand, system.box_lo, system.box_hi):
+                cand_psi, cand_g = _stationarity(system, big_k, s, cand)
+                cand_norm = _sup(cand_g)
+                if cand_norm < g_norm:
+                    v, psi_s, g, g_norm = cand, cand_psi, cand_g, cand_norm
+                    break
             t *= _DAMPING
         else:
             if not _in_box(v + 1e-8 * step, system.box_lo, system.box_hi):
@@ -401,11 +412,20 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     _NEWTON_TOL max(1, ||v||_inf); so a perturbed kind's tanh offset is
     absorbed by the s = 0 stage, and the s = 1 stage solves the full
     stationarity equation.
+
+    A failed run clears the locals of its finished inner frames and drops
+    its set-up before the error propagates, so a held error (a box exit,
+    say) keeps no Jacobian, R+M or bound C alive.
     """
     linear = _linear_setup(model, validate(model))
-    per, v = _anchor(model, linear.a, linear.top)
-    path = _run_stages(model, _system(model, linear), v,
-                       np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
+    per, v = _anchor(model, linear.a)
+    try:
+        path = _run_stages(model, _system(model, linear), v,
+                           np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
+    except LvmutError as exc:
+        traceback.clear_frames(exc.__traceback__)
+        del linear
+        raise
     return EquilibriumResult(
         v_bar=path[-1][1],
         alpha_bar=None,

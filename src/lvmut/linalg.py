@@ -1,14 +1,17 @@
 """Dense linear algebra for small genotype systems: thin wrappers over LAPACK.
 
 numpy's LAPACK routines do the arithmetic; the wrappers keep the checks and
-error contracts the rest of the package relies on. Symmetric spectra come
+error contracts the rest of the package relies on. Every eigh runs in
+_symmetric_eigh, which keeps the factorizations of the two most recently
+used matrices, so a symmetric matrix (R+M, D - M~) is factorized once
+however many solvers ask for it in turn. Symmetric spectra come
 from eigh in descending order. The dominant eigenpair of a Metzler matrix
 is the eigh or eig eigenvector after one shifted nonnegative step, checked
 by its residual relative to ||A||. Linear solves reject numerically singular
 matrices by their smallest singular value before the LU solve; the SVD is
 the only judge of failure, but it runs only when an exactly symmetric
-matrix's eigenvalues (eigvalsh's, or a solve set-up's eigh) do not prove
-it nonsingular by a wide margin, or for an asymmetric matrix.
+matrix's eigenvalues (the memoized eigh's, or eigvalsh's) do not prove it
+nonsingular by a wide margin, or for an asymmetric matrix.
 """
 from __future__ import annotations
 
@@ -60,12 +63,52 @@ def is_irreducible(mat: np.ndarray) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
+# (key, (eigenvalues, eigenvectors)) of the two most recently used matrices,
+# least recently used first; the key is _eigh_key's
+_EIGH_MEMO: list[tuple[tuple, tuple[np.ndarray, np.ndarray]]] = []
+
+
+def _eigh_key(mat: np.ndarray) -> tuple:
+    return mat.dtype.str, mat.shape, mat.tobytes()
+
+
+def _memoized_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """_symmetric_eigh(mat) when mat is in the memo (and now its most
+    recently used entry), None otherwise."""
+    key = _eigh_key(mat)
+    for i, (known, result) in enumerate(_EIGH_MEMO):
+        if known == key:
+            _EIGH_MEMO.append(_EIGH_MEMO.pop(i))
+            return result
+    return None
+
+
+def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(mat) as read-only arrays, computed only when mat is
+    not one of the two most recently used matrices.
+
+    Two entries let a ladder rung's R+M survive the one D - M~ factorization
+    between its uses; none survives from the n = 128 rung to the next
+    pass's n = 4. The key holds mat's dtype, shape and bytes, so a hit
+    returns the very arrays eigh gave for those bits. A LinAlgError passes
+    through and is not cached. np.linalg.eigh is looked up at each call.
+    """
+    result = _memoized_eigh(mat)
+    if result is None:
+        result = tuple(np.linalg.eigh(mat))
+        for array in result:
+            array.flags.writeable = False
+        _EIGH_MEMO.append((_eigh_key(mat), result))
+        del _EIGH_MEMO[:-2]
+    return result
+
+
 def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
     """LAPACK's eigenvector of the eigenvalue with the largest real part:
     eigh's last column when mat is exactly symmetric, eig's otherwise."""
     try:
         if np.array_equal(mat, mat.T):
-            return np.linalg.eigh(mat)[1][:, -1]
+            return _symmetric_eigh(mat)[1][:, -1]
         values, vectors = np.linalg.eig(mat)
         return vectors[:, int(np.argmax(values.real))].real
     except np.linalg.LinAlgError as exc:
@@ -82,12 +125,7 @@ def perron_eigenpair(mat: np.ndarray) -> PerronResult:
     shift mu_bar is the largest off-diagonal row sum, raised to the minimal
     shift making every entry nonnegative if it falls short.
     """
-    return _perron_pair(np.asarray(mat, dtype=float), None)
-
-
-def _perron_pair(mat: np.ndarray, top: np.ndarray | None) -> PerronResult:
-    """perron_eigenpair(mat), given top = _top_eigenvector(mat) when the
-    caller already has it (a solve set-up's eigh), computed here otherwise."""
+    mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -101,8 +139,7 @@ def _perron_pair(mat: np.ndarray, top: np.ndarray | None) -> PerronResult:
     mu_bar = max(mu_bar, -float(np.min(np.diag(mat))), 0.0)
     shifted = mat + mu_bar * np.eye(n)
 
-    if top is None:
-        top = _top_eigenvector(mat)
+    top = _top_eigenvector(mat)
     x = top / np.linalg.norm(top)
     if not x.sum() > 0.0:
         x = -x
@@ -134,30 +171,32 @@ def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:
     if not _is_symmetric(s):
         raise NotSymmetric("matrix is not symmetric within 1e-12 of its largest entry")
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (s + s.T))
+        eigenvalues, eigenvectors = _symmetric_eigh(0.5 * (s + s.T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SymmetricSpectrum(eigenvalues=eigenvalues[::-1].copy(),
                              eigenvectors=eigenvectors[:, ::-1].copy())
 
 
-def require_nonsingular(mat: np.ndarray, eigenvalues: np.ndarray | None = None) -> None:
+def require_nonsingular(mat: np.ndarray) -> None:
     """Raise SingularMatrix unless the smallest singular value of mat is at
     least 1e-14 times its largest absolute row sum.
 
     The SVD is the only judge of failure, but an exactly symmetric mat is
-    first proved nonsingular from its eigenvalues (eigenvalues, eigh's of
-    mat, when the caller has them; eigvalsh's otherwise), and then no SVD
-    runs. For symmetric mat sigma_i = |lambda_i| (Golub & Van Loan, Matrix
-    Computations, 8.6), and backward-stable eigenvalue and singular value
-    kernels each miss them by O(n eps ||mat||_2) (Weyl), so
+    first proved nonsingular from its eigenvalues (the memoized eigh's when
+    _symmetric_eigh has factorized mat, eigvalsh's otherwise), and then no
+    SVD runs. For symmetric mat sigma_i = |lambda_i| (Golub & Van Loan,
+    Matrix Computations, 8.6), and backward-stable eigenvalue and singular
+    value kernels each miss them by O(n eps ||mat||_2) (Weyl), so
     min |lambda| >= _EIG_MARGIN ||mat||_inf, six orders above the
     threshold, leaves the SVD's sigma_min above it too.
     """
     scale = float(np.max(np.abs(mat).sum(axis=1), initial=0.0))
-    if eigenvalues is None and np.array_equal(mat, mat.T):
+    eigenvalues = None
+    if np.array_equal(mat, mat.T):
+        memoized = _memoized_eigh(mat)
         try:
-            eigenvalues = np.linalg.eigvalsh(mat)
+            eigenvalues = np.linalg.eigvalsh(mat) if memoized is None else memoized[0]
         except np.linalg.LinAlgError:
             pass  # the SVD decides
     if (eigenvalues is not None

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lvmut import cli, equilibrium, errors
+from lvmut import acceptance, cli, equilibrium, errors, linalg
 from lvmut.cli import main
 from lvmut.dynamics import integrate
 from lvmut.model import interaction_values
@@ -613,7 +613,7 @@ def test_every_error_class_keeps_its_exit_code(capsys, monkeypatch):
         assert json.loads(err)["error"] == name
 
 
-def test_failed_dense_kernel_is_a_solver_error(capsys, monkeypatch):
+def _failed_eigh_on_crowd3(capsys, monkeypatch):
     # crowd3's symmetric R+M takes one eigh at set-up, named as the
     # eigensolver's failure
     def failing(mat):
@@ -625,6 +625,19 @@ def test_failed_dense_kernel_is_a_solver_error(capsys, monkeypatch):
     payload = json.loads(err)
     assert payload["error"] == "NoConvergence"
     assert payload["message"] == "eigensolver failed: Eigenvalues did not converge"
+
+
+def test_failed_dense_kernel_is_a_solver_error(capsys, monkeypatch):
+    _failed_eigh_on_crowd3(capsys, monkeypatch)
+
+
+def test_failed_dense_kernel_is_a_solver_error_after_the_battery(capsys, monkeypatch):
+    # the battery leaves other matrices in the eigh memo; crowd3's R+M
+    # still meets the patched kernel
+    acceptance.run_all()
+    capsys.readouterr()
+    assert linalg._EIGH_MEMO
+    _failed_eigh_on_crowd3(capsys, monkeypatch)
 
 
 def test_failed_eigvalsh_on_an_asymmetric_model_is_a_solver_error(capsys, monkeypatch, tmp_path):

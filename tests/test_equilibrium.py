@@ -1,8 +1,9 @@
 """Equilibrium solvers against closed-form oracles and cross-checks."""
+import gc
 import hashlib
 import math
-import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from lvmut.errors import (
     SingularMatrix,
     WrongInteractionKind,
 )
-from lvmut.linalg import _perron_pair, _symmetric_extremes, perron_eigenpair, require_nonsingular
+from lvmut import linalg
+from lvmut.linalg import _symmetric_extremes, perron_eigenpair, require_nonsingular
 from lvmut.model import (
     CrowdingLinear,
     _linear_coefficients,
@@ -384,6 +386,68 @@ def test_newton_steps_per_stage_are_bounded(monkeypatch):
     assert info.value.s == 0.05
 
 
+def _self_crowding_hypercube(loci, seed):
+    """The ladder's self-crowding model on 2**loci genotypes, at growth rates
+    drawn from seed."""
+    n = 2 ** loci
+    r = np.random.default_rng(seed).uniform(0.5, 2.0, size=n)
+    alpha = 0.8 * np.ones((n, n)) + 0.2 * np.eye(n)
+    return build_model(n, r, 10.0, point_mutation_matrix(loci, 0.01), crowding_linear(alpha))
+
+
+def test_newton_reuses_the_accepted_candidates_residual(monkeypatch):
+    # Psi^s and G_s of the accepted candidate serve the next Newton
+    # iteration, so _stationarity runs once per candidate tried, once per
+    # stage at the start and once per stage for its score (parent:
+    # 138/202/76/214/139/62, recomputing them at the top of each iteration)
+    calls = []
+    stationarity = equilibrium._stationarity
+
+    def counted(*args):
+        calls.append(None)
+        return stationarity(*args)
+
+    monkeypatch.setattr(equilibrium, "_stationarity", counted)
+    seen = {}
+    for loci in range(2, 8):
+        calls.clear()
+        try:
+            equilibrium_homotopy(_self_crowding_hypercube(loci, 0))
+            outcome = 1.0
+        except LeftAprioriBox as exc:
+            outcome = exc.s
+        seen[2 ** loci] = (len(calls), outcome)
+    assert seen == {4: (90, 1.0), 8: (122, 1.0), 16: (50, 0.1),
+                    32: (128, 1.0), 64: (87, 0.45), 128: (42, 0.05)}
+
+
+def test_a_caught_box_exit_holds_no_jacobian_and_no_bound_c(monkeypatch):
+    # a held error's traceback keeps no frame's n x n arrays: every J that
+    # _newton built and the C the solve's gradient binds are freed
+    jacobians, coefficients = [], []
+    jacobian, gradient = equilibrium._jacobian, equilibrium._gradient
+
+    def recorded_jacobian(*args):
+        jac = jacobian(*args)
+        jacobians.append(weakref.ref(jac))
+        return jac
+
+    def recorded_gradient(model):
+        bound = gradient(model)
+        coefficients.append(weakref.ref(bound(None)))  # crowding: C itself
+        return bound
+
+    monkeypatch.setattr(equilibrium, "_jacobian", recorded_jacobian)
+    monkeypatch.setattr(equilibrium, "_gradient", recorded_gradient)
+    with pytest.raises(LeftAprioriBox) as info:
+        equilibrium_homotopy(_self_crowding_hypercube(5, 1))
+    assert (type(info.value), str(info.value), info.value.s) == (
+        LeftAprioriBox, "iterate left the a-priori box at s=0.05", 0.05)
+    gc.collect()
+    assert len(jacobians) > 1 and len(coefficients) == 1
+    assert sum(ref() is not None for ref in jacobians + coefficients) == 0
+
+
 def _newton_system(model, box, pressure=None):
     """The _System of a solve on model, with its box and, when given, its
     pressure replaced."""
@@ -480,21 +544,31 @@ def test_perturbed_equilibrium_is_positive_and_stationary_or_a_solver_error(n, b
        st.floats(min_value=1.0, max_value=100.0),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_set_up_perron_pair_and_extremes_are_the_separate_kernels(kind, n, big_k, seed):
-    # the set-up's one eigh gives perron_eigenpair's pair bit for bit (the
-    # same LAPACK call on the same R+M) and eigvalsh's extremes to rounding
+    # the Perron pair from the set-up's memoized eigh is a fresh
+    # perron_eigenpair's bit for bit (the same LAPACK call on the same R+M),
+    # or raises its error, and the set-up's extremes are eigvalsh's to rounding
     model = _in_scope_model(kind, n, big_k, np.random.default_rng(seed))
+    linalg._EIGH_MEMO.clear()
     linear = equilibrium._linear_setup(model, validate(model))
-    assert linear.top.shape == (n,) and linear.top.base is None
+    memoized = linalg._memoized_eigh(linear.a)
+    assert memoized is not None
     lo, hi = _symmetric_extremes(linear.a)
     tol = 1e-12 * max(abs(lo), abs(hi))
     assert abs(linear.extremes[0] - lo) <= tol and abs(linear.extremes[1] - hi) <= tol
-    try:
-        ref = perron_eigenpair(linear.a)
-    except LvmutError as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            _perron_pair(linear.a, linear.top)
+
+    def pair_or_error():
+        try:
+            return perron_eigenpair(linear.a)
+        except LvmutError as exc:
+            return exc
+
+    got = pair_or_error()
+    assert linalg._memoized_eigh(linear.a) is memoized  # a hit, not a second eigh
+    linalg._EIGH_MEMO.clear()
+    ref = pair_or_error()
+    if isinstance(ref, LvmutError):
+        assert (type(got), str(got)) == (type(ref), str(ref))
         return
-    got = _perron_pair(linear.a, linear.top)
     assert got.v_p.tobytes() == ref.v_p.tobytes()
     assert (got.lambda_p, got.residual) == (ref.lambda_p, ref.residual)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvmut import linalg
 from lvmut.errors import NoConvergence, NotIrreducible, NotSymmetric, SingularMatrix
 from lvmut.linalg import (
     is_irreducible,
@@ -304,3 +305,131 @@ def test_symmetric_spectrum_at_n128_matches_numpy():
     assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-12 * np.max(np.abs(ref))
     q = spec.eigenvectors
     assert np.max(np.abs(q.T @ q - np.eye(128))) < 1e-12
+
+
+# -- the eigh memo ----------------------------------------------------------------
+
+_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.5e300, max_value=1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """An exactly symmetric n x n matrix, n = 1..16: its upper triangle
+    mirrored, entries 0, in [-1, 1] or of magnitude near 1e300."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    upper = draw(st.lists(_ENTRIES, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    mat = np.zeros((n, n))
+    mat[np.triu_indices(n)] = upper
+    return np.triu(mat) + np.triu(mat, 1).T
+
+
+def _eigh_or_error(mat):
+    try:
+        return np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_symmetric_matrices())
+def test_memoized_eigh_is_numpys_eigh_bit_for_bit(mat):
+    linalg._EIGH_MEMO.clear()
+    ref = _eigh_or_error(mat)
+    if isinstance(ref, np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._symmetric_eigh(mat)
+        assert linalg._EIGH_MEMO == []
+        return
+    got = linalg._symmetric_eigh(mat)
+    again = linalg._symmetric_eigh(mat.copy())  # a hit, keyed on the bits
+    assert again[0] is got[0] and again[1] is got[1]
+    for mine, numpys in zip(got, ref):
+        assert (mine.dtype, mine.shape) == (numpys.dtype, numpys.shape)
+        assert mine.tobytes() == numpys.tobytes()
+        assert not mine.flags.writeable
+
+
+def test_memoized_eigh_is_read_only():
+    w, vectors = linalg._symmetric_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        vectors[:, -1] = 0.0
+
+
+def _eigh_spy(monkeypatch):
+    """The matrices np.linalg.eigh is called on, from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(mat):
+        calls.append(mat.copy())
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_memo_keeps_the_two_most_recently_used_matrices(monkeypatch):
+    calls = _eigh_spy(monkeypatch)
+    a, b, c = (np.diag([1.0, float(k)]) for k in (2, 3, 4))
+    for mat in (a, b, a, b):
+        linalg._symmetric_eigh(mat)
+    assert len(calls) == 2
+    linalg._symmetric_eigh(c)  # a third distinct matrix evicts the oldest, a
+    assert len(calls) == 3
+    linalg._symmetric_eigh(b)
+    linalg._symmetric_eigh(c)
+    assert len(calls) == 3
+    linalg._symmetric_eigh(a)  # evicts b
+    assert len(calls) == 4
+    # a hit counts as a use: c, used after a, outlives it when b returns
+    linalg._symmetric_eigh(c)
+    linalg._symmetric_eigh(b)
+    linalg._symmetric_eigh(c)
+    assert len(calls) == 5 and np.array_equal(calls[-1], b)
+    # the key is the bits: -0.0 is not 0.0
+    linalg._symmetric_eigh(np.diag([1.0, 4.0]) * np.array([[1.0, -0.0], [-0.0, 1.0]]))
+    assert len(calls) == 6
+
+
+def test_a_failed_eigh_is_not_cached(monkeypatch):
+    mat = np.array([[1.0, 0.5], [0.5, 1.0]])
+    eigh = np.linalg.eigh
+
+    def failing(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)  # looked up at call time
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._symmetric_eigh(mat)
+    assert linalg._EIGH_MEMO == []
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    calls = _eigh_spy(monkeypatch)
+    w = linalg._symmetric_eigh(mat)[0]
+    assert len(calls) == 1 and w.tobytes() == eigh(mat)[0].tobytes()
+
+
+def test_require_nonsingular_reads_a_memoized_spectrum(monkeypatch):
+    # a factorized symmetric matrix is proved nonsingular from the memo, with
+    # no eigvalsh or SVD; one near-singular there still takes the SVD's verdict
+    calls = []
+    for kernel in ("eigvalsh", "svd"):
+        def counted(*args, _kernel=kernel, _original=getattr(np.linalg, kernel), **kwargs):
+            calls.append(_kernel)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kernel, counted)
+    a = point_mutation_matrix(5, 0.01) + np.diag(np.linspace(0.5, 2.0, 32))
+    linalg._symmetric_eigh(a)
+    require_nonsingular(a)
+    assert calls == []
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    linalg._symmetric_eigh(singular)
+    with pytest.raises(SingularMatrix, match="below threshold"):
+        require_nonsingular(singular)
+    assert calls == ["svd"]
