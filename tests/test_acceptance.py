@@ -8,6 +8,7 @@ floor. The mut4 run documents the gap; the monotonicity clause holds.
 Criteria 01, 05, 06, 08 and 10 read the exact flow of their uniform
 presets; the integrator keeps its own check of them here, line for line.
 """
+import numpy as np
 import pytest
 
 from lvmut import acceptance, dynamics
@@ -85,6 +86,12 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     calls = []
     trajs = []
     field_calls = []
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(mat):
+        eighs.append(None)
+        return eigh(mat)
 
     def spy(models, starts, *args):
         calls.append((running[-1], len(starts)))
@@ -110,6 +117,7 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate_rows", spy)
     monkeypatch.setattr(dynamics, "_vector_field", counted_bind)
     monkeypatch.setattr(acceptance, "run_criterion", run)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     results = acceptance.run_all()
     assert [res.number for res in results] == list(range(1, 13))
     assert [res.number for res in results if not res.passed] == [6]
@@ -123,3 +131,6 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     accepted = sum(traj.accepted_steps for traj in trajs)
     rejected = sum(traj.rejected_steps for traj in trajs)
     assert (len(field_calls), accepted, rejected) == (1320, 1128, 0)
+    # one eigh per symmetric matrix while it is among the memo's two most
+    # recently used (37 before the memo)
+    assert len(eighs) == 15

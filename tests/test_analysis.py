@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lvmut import analysis, equilibrium
+from lvmut import analysis, equilibrium, linalg
 from lvmut import model as model_module
 from lvmut.analysis import (
     StabilityReport,
@@ -29,10 +29,12 @@ from lvmut.errors import (
     OutOfTheoremScope,
     SingularMatrix,
 )
+from lvmut.linalg import perron_eigenpair, solve_linear, symmetric_spectrum
 from lvmut.model import (
     Perturbed,
     build_model,
     crowding_linear,
+    growth_mutation_matrix,
     perturbed,
     point_mutation_matrix,
     uniform_linear,
@@ -509,9 +511,10 @@ def _homotopy_or_its_error(model):
 
 def test_symmetric_set_up_factorizes_r_plus_m_once(monkeypatch):
     # a symmetric R+M takes one eigh per solve set-up, for its box, its
-    # nonsingularity and the anchor's Perron vector; the sweep's other eigh
-    # is its base row's Perron pair. Before, a set-up ran an SVD, eigvalsh
-    # and eigh on the same matrix.
+    # nonsingularity and the anchor's Perron vector, with the memo emptied
+    # before each solve; the sweep's base row's Perron pair is that eigh
+    # too. Before, a set-up ran an SVD, eigvalsh and eigh on the same
+    # matrix, and the sweep's base row a second eigh.
     base, amp, w = _sweep_inputs("sym2")
     solves = {
         "homotopy crowd3": lambda: equilibrium_homotopy(get_preset("crowd3").model),
@@ -523,6 +526,7 @@ def test_symmetric_set_up_factorizes_r_plus_m_once(monkeypatch):
     counts = _lapack_counts(monkeypatch)
     seen = {}
     for name, solve in solves.items():
+        linalg._EIGH_MEMO.clear()
         counts.clear()
         solve()
         seen[name] = dict(counts)
@@ -530,9 +534,39 @@ def test_symmetric_set_up_factorizes_r_plus_m_once(monkeypatch):
         "homotopy crowd3": {"eigh": 1},
         "auto crowd3": {"eigh": 1},
         "auto pert2": {"eigh": 1},
-        "sweep sym2": {"eigh": 2},
+        "sweep sym2": {"eigh": 1},
         "homotopy n32": {"eigh": 1},
     }
+    # a second solve on the same R+M reads the memo
+    counts.clear()
+    _homotopy_or_its_error(_self_crowding_hypercube(5))
+    assert counts == {}
+
+
+def _ladder_rung(loci):
+    """The benchmark ladder's rung on 2**loci genotypes: the Perron pair,
+    uniform equilibrium and symmetric spectrum of R+M, the spectral gap
+    (D - M~), a linear solve on R+M and the self-crowding homotopy, whose
+    R+M is the same matrix."""
+    crowd = _self_crowding_hypercube(loci)
+    model = build_model(crowd.n, crowd.r, crowd.big_k, crowd.mu, uniform_linear(crowd.r))
+    a = growth_mutation_matrix(model)
+    perron_eigenpair(a)
+    eq = equilibrium_uniform(model)
+    symmetric_spectrum(0.5 * (a + a.T))
+    spectral_gap(model, eq.v_bar)
+    solve_linear(a, model.r)
+    _homotopy_or_its_error(crowd)
+
+
+@pytest.mark.parametrize("loci", range(2, 8))
+def test_ladder_rung_factorizes_each_symmetric_matrix_once(monkeypatch, loci):
+    # one eigh of R+M and one of D - M~; the memo serves R+M's other four
+    # requests and proves it nonsingular for solve_linear (5 eigh and 1
+    # eigvalsh before)
+    counts = _lapack_counts(monkeypatch)
+    _ladder_rung(loci)
+    assert counts == {"eigh": 2}
 
 
 def test_asymmetric_set_up_keeps_the_svd_eigvalsh_and_eig(monkeypatch):
