@@ -92,6 +92,8 @@ def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pass's n = 4. The key holds mat's dtype, shape and bytes, so a hit
     returns the very arrays eigh gave for those bits. A LinAlgError passes
     through and is not cached. np.linalg.eigh is looked up at each call.
+    Threads sharing the memo can at worst evict the wrong entry: a hit
+    always returns its own key's arrays.
     """
     result = _memoized_eigh(mat)
     if result is None:

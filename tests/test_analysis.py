@@ -506,7 +506,7 @@ def _homotopy_or_its_error(model):
     try:
         equilibrium_homotopy(model)
     except LeftAprioriBox:
-        pass  # the n = 32 model leaves its box, after the set-up
+        pass  # the n = 16, 64 and 128 models leave their box, after the set-up
 
 
 def test_symmetric_set_up_factorizes_r_plus_m_once(monkeypatch):

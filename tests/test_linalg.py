@@ -353,14 +353,6 @@ def test_memoized_eigh_is_numpys_eigh_bit_for_bit(mat):
         assert not mine.flags.writeable
 
 
-def test_memoized_eigh_is_read_only():
-    w, vectors = linalg._symmetric_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(ValueError):
-        w[0] = 0.0
-    with pytest.raises(ValueError):
-        vectors[:, -1] = 0.0
-
-
 def _eigh_spy(monkeypatch):
     """The matrices np.linalg.eigh is called on, from here on."""
     calls = []
