@@ -9,7 +9,9 @@ amplifies a fast mode. Samples on the uniform
 recording grid come from the pair's 7th-order continuous extension, whose
 three extra stages run only on an accepted step that holds grid times, so
 the recording grid never changes the steps and finite-difference
-diagnostics downstream see a clean grid. Negative excursions beyond -atol
+diagnostics downstream see a clean grid. Such a step is queued, and a row
+evaluates its queued steps' extensions in one chunk when its queue is full
+and when it reaches t_end. Negative excursions beyond -atol
 reject the step; tiny negatives inside (-atol, 0) are clamped to zero, and
 so are interpolated samples, matching the positivity guarantees of the flow.
 
@@ -28,6 +30,7 @@ import warnings
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -163,6 +166,18 @@ _PROBE = 2.0 ** -26
 # steps, since the step count follows the tolerance, not the grid.
 _MAX_SAMPLES = 1_000_000
 _MAX_STEPS = 10_000_000
+
+# A row queues the steps whose grid times come from the continuous extension
+# and evaluates them in chunks of up to _QUEUE_STEPS; the queues of one call
+# hold at most _QUEUE_BUDGET floats (2 MiB), 17 n per step and row, or one
+# step per row where even that exceeds it.
+_QUEUE_STEPS = 64
+_QUEUE_BUDGET = 1 << 18
+
+
+def _queue_capacity(n: int, n_rows: int) -> int:
+    """The steps each row's queue holds in a call on n_rows rows of n genotypes."""
+    return min(_QUEUE_STEPS, max(1, _QUEUE_BUDGET // (17 * n * n_rows)))
 
 
 @dataclass(frozen=True)
@@ -368,9 +383,9 @@ def integrate_batch(
     model); _checked_run checks the call once. Each distinct model builds
     R+M and its field once: one model's stack takes its broadcasting field,
     several models' rows their own stacked parameters (model._row_parameters),
-    which shrink to the rows still running as rows leave. A row's one-state
-    calls (the extension's stages, the refresh of a clipped state, and every
-    call once it runs alone) take its own model's field.
+    which shrink to the rows still running as rows leave. A row's own calls
+    (the extension's stacked stages, the refresh of a clipped state, and
+    every call once it runs alone) take its own model's field.
 
     Each attempt is one DOP853 step: a power-iteration probe of the
     Jacobian and twelve stages, that is thirteen field calls, of which the
@@ -384,12 +399,19 @@ def integrate_batch(
     every row's own h. Every row keeps its own time, step size, controller
     memory, power-iteration vector, grid position and counters, so each
     trajectory equals its one-start run on its model bit for bit. An
-    accepted step that holds grid times evaluates the continuous
-    extension's three extra stages for that row and records those times
-    from it, and records its own y at a grid time it ends on. A row leaves
-    the batch when it reaches t_end. Once one row runs (from the start, or
-    when the others have finished), its buffer is (17, n) and its step size a Python float: the
-    same products as on a stack of one, at a fraction of the call cost.
+    accepted step records its own y at a grid time it ends on. One that
+    holds grid times queues a copy of its state and stages for the
+    continuous extension; a row's queue holds _queue_capacity steps (64,
+    fewer when the call's queues would pass _QUEUE_BUDGET floats), and is
+    flushed when full and when the row reaches t_end. A flush evaluates
+    the extension's three extra stages for all its steps as three stacked
+    products and three calls of the row's model's field on (K, n), and the
+    grid times inside the steps as one product per group of steps with as
+    many times, the shapes a lone step's products have, so the samples keep
+    their bits. A row leaves the batch when it reaches t_end. Once one row
+    runs (from the start, or when the others have finished), its buffer is
+    (17, n) and its step size a Python float: the same products as on a
+    stack of one, at a fraction of the call cost.
 
     The error of a step is dop853.f's norm h |e5|^2 / sqrt((|e5|^2 +
     0.01 |e3|^2) n) of the 5th- and 3rd-order estimates, each component
@@ -465,13 +487,13 @@ def _integrate_rows(models: list[Model], starts: np.ndarray, grid: np.ndarray, t
             raise StepSizeUnderflow(f"step size {h:g} underflowed at t={t[b]:g}")
         return h
 
-    def settle(b, h, j, z, hc, y, finite, y_min, sq, q, err_est, scale) -> bool:
+    def settle(b, h, j, z, y, finite, y_min, sq, q, err_est, scale) -> bool:
         # Decide row b's attempt of size h, and leave y[j] as its next state
         # and stage 0 of z[j] as the field there; True when the row reached
-        # t_end. z[j], hc[j], y[j], q[j], err_est[j] and scale[j] are its
-        # state and stages, weights, result and error terms: j is its place
-        # in a stack, or the full slice for one row's own arrays. sq holds
-        # the sums of q[j]**2.
+        # t_end. z[j], y[j], q[j], err_est[j] and scale[j] are its state
+        # and stages, result and error terms: j is its place in a stack, or
+        # the full slice for one row's own arrays. sq holds the sums of
+        # q[j]**2.
         sq5, sq3 = sq
         if finite and (sq5 != sq5 or sq3 != sq3):
             sq5, sq3 = _zero_scale_sq_sums(q[j], err_est[j], scale[j])
@@ -503,20 +525,15 @@ def _integrate_rows(models: list[Model], starts: np.ndarray, grid: np.ndarray, t
         if hi > lo:
             inner = hi - 1 if grid[hi - 1] == t_b else hi
             if inner > lo:
-                # the continuous extension's three stages, then the grid
-                # times inside the step in one product
-                hcj = hc[j]
-                f_b = row_fields[b]
-                for s in range(13, 16):
-                    zj[s + 1] = f_b(hcj[s, :s + 1].dot(zj[:s + 1]))
-                sigma = (times[lo + 1:inner + 1] - t[b]) / h
-                weights = np.empty((sigma.size, 7))
-                weights[:, 0::2] = sigma[:, None]
-                weights[:, 1::2] = 1.0 - sigma[:, None]
-                dense = weights.cumprod(axis=1) @ _P @ zj[1:]
-                dense *= h
-                dense += zj[0]
-                np.maximum(dense, 0.0, out=paths[b][lo + 1:inner + 1])
+                # the grid times inside the step come from the continuous
+                # extension, which the row's next flush evaluates
+                if queues[b] is None:
+                    queues[b] = np.empty((capacity, 17, n))
+                queue = queued[b]
+                queues[b][len(queue), :14] = zj[:14]
+                queue.append((inner - lo, h, t[b], lo))
+                if len(queue) == capacity:
+                    flush(b)
             if inner < hi:
                 paths[b][hi] = y[j]
             grid_idx[b] = hi
@@ -528,10 +545,61 @@ def _integrate_rows(models: list[Model], starts: np.ndarray, grid: np.ndarray, t
         h_ctrl[b] = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev[b] = max(err, 1e-4)
         if grid_idx[b] == n_grid:
+            if queued[b]:
+                flush(b)
             return True
         # FSAL: stage 12 is f at the new state, unless it was clipped
         zj[1] = row_fields[b](y[j]) if y_min < 0.0 else zj[13]
         return False
+
+    capacity = _queue_capacity(n, n_rows)
+    queues = [None] * n_rows  # each row's (capacity, 17, n) buffer, made at its first use
+    queued = [[] for _ in range(n_rows)]  # each row's queued (m, h, t, lo), as flush reads them
+
+    def flush(b):
+        # The continuous extension of row b's queued steps, K of them: each
+        # step's state and stages 0..12 fill the first 14 rows of its slot
+        # in queues[b], and queued[b] holds its (m, h, t, lo), the m grid
+        # times lo < i <= lo + m inside the step of size h from t. Stage
+        # s = 13..15 of all K steps is one stacked product with [1, h a_s],
+        # the lockstep stack's (K, 1, s+1) @ (K, s+1, n), and one call of
+        # the row's field on the (K, n) arguments. The steps, sorted by m,
+        # then weigh their stages into their samples: the steps with m
+        # samples in one (k, m, 7) @ (7, 16) @ (k, 16, n), a product per
+        # step of the shapes a lone step gives it, since a product's
+        # rounding depends on its number of rows; the rest is elementwise
+        # on all the samples at once.
+        queue = queued[b]
+        queued[b] = []
+        order = sorted(range(len(queue)), key=lambda i: queue[i][0])
+        m, h, t0, lo = (np.array(col) for col in zip(*(queue[i] for i in order)))
+        counts = m.tolist()
+        zq = queues[b][order]
+        hq = np.multiply(_AH[13:], h[:, None, None])
+        hq[..., 0] = 1.0
+        f_b = row_fields[b]
+        for s in range(13, 16):
+            zq[:, s + 1] = f_b((hq[:, s - 13:s - 12, :s + 1] @ zq[:, :s + 1])[:, 0])
+        # sample i of the steps' sorted run lies at the grid cell cells[i],
+        # inside a step of size hs[i]
+        cells = np.arange(sum(counts)) + np.repeat(lo + 1 - (m.cumsum() - m), m)
+        hs = np.repeat(h, m)
+        sigma = (times[cells] - np.repeat(t0, m)) / hs
+        weights = np.empty((sigma.size, 7))
+        weights[:, 0::2] = sigma[:, None]
+        weights[:, 1::2] = 1.0 - sigma[:, None]
+        weights = weights.cumprod(axis=1)
+        dense = np.empty((sigma.size, n))
+        first = step = 0
+        for count, group in groupby(counts):
+            k = len(list(group))
+            block = slice(first, first + k * count)
+            np.matmul(weights[block].reshape(k, count, 7) @ _P, zq[step:step + k, 1:],
+                      out=dense[block].reshape(k, count, n))
+            first, step = block.stop, step + k
+        dense *= hs[:, None]
+        dense += np.repeat(zq[:, 0], m, axis=0)
+        paths[b][cells] = np.maximum(dense, 0.0, out=dense)
 
     def plan(z, hc):
         # One field call per stage on the running rows: for s = 1..12, row s
@@ -609,7 +677,7 @@ def _integrate_rows(models: list[Model], starts: np.ndarray, grid: np.ndarray, t
 
             sq_sums = add_reduce(q * q, axis=-1).tolist()
             if lone:
-                if settle(b, h, whole, z, hc, y, finite is None or finite,
+                if settle(b, h, whole, z, y, finite is None or finite,
                           float(min_reduce(y)), sq_sums, q, err_est, scale):
                     break
                 v[...] = y
@@ -618,7 +686,7 @@ def _integrate_rows(models: list[Model], starts: np.ndarray, grid: np.ndarray, t
             y_min = min_reduce(y, axis=1).tolist()
             finished = [
                 j for j, b in enumerate(rows)
-                if settle(b, hs[j], j, z, hc, y, finite is None or finite[j], y_min[j],
+                if settle(b, hs[j], j, z, y, finite is None or finite[j], y_min[j],
                           sq_sums[j], q, err_est, scale)
             ]
             v[...] = y

@@ -107,7 +107,7 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
         field = bind(model)
 
         def counted(v):
-            field_calls.append(None)
+            field_calls.append(1 if v.ndim == 1 else len(v))
             return field(v)
 
         return counted
@@ -125,12 +125,16 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     # 12 integrates five starts on each of its four perturbed models, all
     # 20 in one lockstep batch with one model per row
     assert calls == [(9, 1), (9, 1), (12, 20)]
-    # the battery's work: the calls of the field that dynamics binds (the
-    # closed form's one check of each exact model's starts per call
-    # included) and the steps its trajectories accepted and rejected
+    # the battery's work: the states that the field dynamics binds evaluated
+    # (a lockstep call counts its rows; the closed form's one check of each
+    # exact model's starts per call included) and the steps its
+    # trajectories accepted and rejected; then the field's calls, each
+    # chunk of continuous extensions one call per stage (1,320 when every
+    # recording step made its own three)
     accepted = sum(traj.accepted_steps for traj in trajs)
     rejected = sum(traj.rejected_steps for traj in trajs)
-    assert (len(field_calls), accepted, rejected) == (1320, 1128, 0)
+    assert (sum(field_calls), accepted, rejected) == (14840, 1128, 0)
+    assert len(field_calls) == 1233
     # one eigh per symmetric matrix while it is among the memo's two most
     # recently used (37 before the memo)
     assert len(eighs) == 15

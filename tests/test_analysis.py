@@ -358,6 +358,17 @@ def test_perturbation_sweep_rows():
     assert rows[1].l1_distance <= rows[2].l1_distance
 
 
+def test_perturbation_sweep_sigma_is_eps_times_the_largest_amp():
+    # amp's largest magnitude is 2.5 (a negative entry), so eps * 2.5 and
+    # eps / 2.5 differ; pert2's amp, of largest magnitude 1, cannot tell them
+    base = get_preset("sym2").model
+    amp, w = _pert2_params()
+    amp = np.array([0.5, -2.5]) * np.sign(amp[0])
+    rows = perturbation_sweep(base, amp, w, [1e-4, 2e-4]).rows
+    assert not any(row.failed for row in rows)
+    assert [row.sigma for row in rows] == [0.0, 1e-4 * 2.5, 2e-4 * 2.5]
+
+
 def test_perturbation_sweep_input_checks():
     base = get_preset("sym2").model
     amp, w = _pert2_params()

@@ -2,8 +2,10 @@
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -692,16 +694,24 @@ def test_non_finite_attempt_does_not_poison_the_retry(monkeypatch):
 
 
 def _counting_field(monkeypatch, model):
-    """Count the integrator's field evaluations: the model's field, wrapped
-    as `_field_failing_at` wraps it, with no evaluation failing."""
+    """Record the integrator's field calls: the model's field, wrapped as
+    `_field_failing_at` wraps it, with no evaluation failing. Each call's
+    argument is kept, so `_states` counts the states it evaluated."""
     field, calls = _field_failing_at(model, 0)
     monkeypatch.setattr(dynamics, "_vector_field", lambda model: field)
     return calls
 
 
-# field calls and accepted/rejected steps of each preset run from its own v0
-# to its t_end at the default tolerances and grid: the integrator's work,
-# which a change to the rounding of a step's products must leave alone
+def _states(calls):
+    """The states that the recorded field calls evaluated: one per call on
+    one state (n,), one per row of a stack (K, n)."""
+    return sum(1 if x.ndim == 1 else len(x) for x in calls)
+
+
+# field evaluations (states) and accepted/rejected steps of each preset run
+# from its own v0 to its t_end at the default tolerances and grid: the
+# integrator's work, which a change to the rounding of a step's products
+# must leave alone
 _WORK = {
     "sym2": (334, 21, 0),
     "fit2asym": (574, 36, 0),
@@ -709,6 +719,9 @@ _WORK = {
     "pert2": (334, 21, 0),
     "crowd3": (715, 45, 0),
 }
+# the field calls of the same runs: each recording step's three extension
+# stages run in the one chunk that the run's end flushes
+_CALLS = {"sym2": 277, "fit2asym": 472, "mut4": 602, "pert2": 277, "crowd3": 589}
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
@@ -716,24 +729,102 @@ def test_one_row_takes_thirteen_field_calls_per_attempt(monkeypatch, name):
     # one call at the start, then per attempt the power iteration's probe and
     # twelve stages: FSAL reuses the last stage of an accepted step, and a
     # rejected one keeps f(v); an accepted step that holds grid times adds
-    # the extension's three stages
+    # the extension's three stages, evaluated three calls per chunk of steps
     preset = get_preset(name)
+    n = preset.model.n
     calls = _counting_field(monkeypatch, preset.model)
     for every in (preset.t_end, None):
         calls.clear()
         traj = integrate(preset.model, preset.v0, preset.t_end, record_every=every)
         attempts = traj.accepted_steps + traj.rejected_steps
+        # the per-step calls, each on the one state (n,)
+        one_state = [x for x in calls if x.ndim == 1]
+        assert len(one_state) == 1 + 13 * attempts
+        assert all(x.shape == (n,) for x in one_state)
+        chunks = [x.shape for x in calls if x.ndim != 1]
         if every is not None:
             # only the step that ends on t_end records, and not from the extension
-            assert len(calls) == 1 + 13 * attempts
+            assert chunks == []
         else:
             stats = {}
             _reference_integrate(preset.model, preset.v0, preset.t_end, 1e-8, 1e-10,
                                  preset.t_end / 500.0, stats=stats)
             assert 0 < stats["recording_steps"] <= traj.accepted_steps
-            assert len(calls) == 1 + 13 * attempts + 3 * stats["recording_steps"]
-            assert (len(calls), traj.accepted_steps, traj.rejected_steps) == _WORK[name]
-        assert all(x.shape == (preset.model.n,) for x in calls[1:])
+            assert chunks == [(stats["recording_steps"], n)] * 3
+            assert _states(calls) == 1 + 13 * attempts + 3 * stats["recording_steps"]
+            assert (_states(calls), traj.accepted_steps, traj.rejected_steps) == _WORK[name]
+            assert len(calls) == _CALLS[name]
+
+
+# One-row runs with more recording steps than a queue holds, one of each
+# interaction kind: (preset, t_end, rtol, record_every, recording steps).
+_LONG_RUNS = [
+    ("mut4", 200.0, 1e-12, 0.4, 69),
+    ("crowd3", 100.0, 1e-11, 0.2, 73),
+    ("pert2", 200.0, 1e-12, 0.2, 81),
+]
+
+
+@pytest.mark.parametrize("name, t_end, rtol, every, recording", _LONG_RUNS)
+def test_extension_flushes_mid_run_and_at_the_end(monkeypatch, name, t_end, rtol, every,
+                                                   recording):
+    # the queue fills once and flushes mid-run; the rest flush when the row
+    # reaches t_end, and the samples of both chunks are the reference loop's
+    preset = get_preset(name)
+    stats = {}
+    ref = _reference_integrate(preset.model, preset.v0, t_end, rtol, 1e-12, every, stats=stats)
+    assert stats["recording_steps"] == recording > dynamics._QUEUE_STEPS
+    calls = _counting_field(monkeypatch, preset.model)
+    traj = integrate(preset.model, preset.v0, t_end, rtol, 1e-12, every)
+    _assert_same_run(traj, ref)
+    chunks = [len(x) for x in calls if x.ndim != 1]
+    assert chunks == [dynamics._QUEUE_STEPS] * 3 + [recording - dynamics._QUEUE_STEPS] * 3
+
+
+def test_lockstep_rows_flushing_every_step_equal_their_single_runs(monkeypatch):
+    # a budget that leaves each row a queue of one step: every recording step
+    # flushes at once, while the rows step in a stack that shrinks as they
+    # finish
+    models = _c12_models()[::3]
+    starts = np.array([[1.0, 9.0], [6.0, 0.5], [3.0, 3.0], [0.2, 0.1]])
+    row_models = [models[0], models[1], models[1], models[0]]
+    kwargs = {"rtol": 1e-9, "record_every": 0.25}
+    singles = [integrate(model, v0, 20.0, **kwargs) for model, v0 in zip(row_models, starts)]
+    monkeypatch.setattr(dynamics, "_QUEUE_BUDGET", 1)
+    assert dynamics._queue_capacity(2, len(starts)) == 1
+    batch = integrate_batch(row_models, starts, 20.0, **kwargs)
+    for traj, single in zip(batch, singles):
+        _assert_same_run(traj, (single.times, single.states, single.accepted_steps,
+                                single.rejected_steps))
+    assert len({traj.accepted_steps for traj in singles}) > 1
+
+
+def test_queue_capacity_stays_within_its_budget():
+    # a 1,000-row n = 128 batch gets one step per row, not 64 (a gigabyte);
+    # a small one gets the full queue
+    assert dynamics._queue_capacity(128, 1000) == 1
+    assert dynamics._queue_capacity(16, 1) == dynamics._QUEUE_STEPS == 64
+    for n, rows in ((2, 20), (16, 28), (128, 1), (128, 40)):
+        capacity = dynamics._queue_capacity(n, rows)
+        assert 1 <= capacity <= 64
+        assert capacity == 1 or capacity * 17 * n * rows <= dynamics._QUEUE_BUDGET
+
+
+def test_a_hung_run_fails_at_the_time_limit(monkeypatch, _time_limit):
+    # conftest arms SIGALRM for every test (the fixture gives its limit in
+    # seconds); fired after 50 ms here, it ends a run whose field takes
+    # 10 ms per call as a test failure
+    assert 0 < signal.alarm(0) <= _time_limit
+    field = dynamics._vector_field(get_preset("sym2").model)
+
+    def slow(x):
+        time.sleep(0.01)
+        return field(x)
+
+    monkeypatch.setattr(dynamics, "_vector_field", lambda model: slow)
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    with pytest.raises(pytest.fail.Exception, match="longer than its limit"):
+        integrate(get_preset("sym2").model, [8.0, 2.0], 50.0)
 
 
 def test_batch_takes_thirteen_field_calls_per_lockstep_attempt(monkeypatch):

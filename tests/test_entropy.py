@@ -14,7 +14,7 @@ from lvmut.entropy import (
     log_energy_slopes,
     lyapunov_descent,
 )
-from lvmut.equilibrium import equilibrium_uniform
+from lvmut.equilibrium import equilibrium_uniform, residual
 from lvmut.errors import (
     AsymmetricMutation,
     KernelMismatch,
@@ -156,6 +156,24 @@ def test_dissipation_gates():
     sym2 = get_preset("sym2").model
     with pytest.raises(NotStationaryReference):
         dissipation(sym2, [5.0, 5.0], [6.0, 4.0], EntropyKernel.quadratic())
+
+
+@pytest.mark.parametrize("big_k", [1.0, 10.0])
+def test_stationarity_gate_boundary(big_k):
+    # v_bar = (K/2, K/2) is exact; both entries moved by d leave the residual
+    # d (1 + 2 d / K). The gate is 1e-8 max(1, ||v_bar||_inf): 1e-8 at K = 1,
+    # where the floor 1 decides, and 5e-8 at K = 10, where ||v_bar||_inf does.
+    # A reference at half the gate passes, one at 1.5 times it does not.
+    model = build_model(2, [1.0, 1.0], big_k, [[0.0, 0.1], [0.1, 0.0]],
+                        uniform_linear([1.0, 1.0]))
+    gate = 1e-8 * max(1.0, big_k / 2.0)
+    inside, outside = (np.full(2, big_k / 2.0) + ratio * gate for ratio in (0.5, 1.5))
+    assert residual(model, inside) == pytest.approx(0.5 * gate, rel=1e-6)
+    assert residual(model, outside) == pytest.approx(1.5 * gate, rel=1e-6)
+    rep = dissipation(model, inside, inside, EntropyKernel.quadratic())
+    assert rep.d_value == 0.0
+    with pytest.raises(NotStationaryReference):
+        dissipation(model, outside, outside, EntropyKernel.quadratic())
 
 
 def test_identity_residual_constant_trajectory():

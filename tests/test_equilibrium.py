@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lvmut as lv
 from lvmut import equilibrium
 from lvmut import model as model_module
 from lvmut.analysis import perturbation_sweep
@@ -228,6 +229,18 @@ def test_crowding_equilibrium_is_solved_by_pseudo_transient_continuation(monkeyp
     assert eq.lambda_p == ref.lambda_p
     assert np.max(np.abs(eq.v_bar - ref.v_bar)) <= 1e-13 * np.max(ref.v_bar)
     assert eq.residual == residual(model, eq.v_bar) <= 1e-13 * np.max(eq.v_bar)
+
+
+@pytest.mark.parametrize("name", ["crowd3", "pert2"])
+def test_package_exports_the_automatic_solver(name):
+    # the solver analysis and the CLI use is reachable as lvmut.equilibrium_auto
+    model = get_preset(name).model
+    assert "equilibrium_auto" in lv.__all__
+    assert lv.equilibrium_auto is equilibrium_auto
+    eq = lv.equilibrium_auto(model)
+    assert eq.method is Method.Continuation
+    assert np.all(eq.v_bar > 0.0)
+    assert np.max(np.abs(rhs(model, eq.v_bar))) <= 1e-12 * np.max(eq.v_bar)
 
 
 def test_trivial_crowding_matches_uniform():

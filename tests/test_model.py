@@ -69,6 +69,23 @@ def test_full_matrix_conversion_requires_zero_row_sums():
         offdiagonal_mutation(bad)
 
 
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_row_sum_gate_boundary(scale):
+    # rows must sum to 0 within 1e-12 max(1, max |entry|): with entries at
+    # most 1 the floor 1 decides, with an entry of 4 the largest entry does.
+    # A row sum of half the gate is accepted, one of 1.5 times it refused.
+    for ratio, accepted in ((0.5, True), (1.5, False)):
+        d = ratio * 1e-12 * scale
+        full = np.array([[-0.25, 0.25 + d], [scale, -scale]])
+        assert full.sum(axis=1)[0] == pytest.approx(d, rel=1e-3)
+        if accepted:
+            np.testing.assert_array_equal(offdiagonal_mutation(full),
+                                          [[0.0, 0.25 + d], [scale, 0.0]])
+        else:
+            with pytest.raises(NegativeMutation):
+                offdiagonal_mutation(full)
+
+
 def test_build_model_validation_errors():
     with pytest.raises(DimensionMismatch):
         build_model(2, [1.0], 1.0, np.zeros((2, 2)), uniform_linear([1.0, 1.0]))
