@@ -46,9 +46,9 @@ from .errors import (
     WrongInteractionKind,
 )
 from .linalg import (
-    _PIVOT_REL,
     PerronResult,
-    _symmetric_eigh,
+    _guarded_solve,
+    _sup,
     _symmetric_extremes,
     perron_eigenpair,
     require_nonsingular,
@@ -93,11 +93,6 @@ class EquilibriumResult:
     residual: float
     method: Method
     homotopy_path: list = field(default_factory=list)  # (s, v, residual) checkpoints
-
-
-def _sup(x: np.ndarray) -> float:
-    """||x||_inf, nan when x holds a nan; np.maximum.reduce skips np.max's wrapper."""
-    return float(np.maximum.reduce(np.abs(x), axis=None))
 
 
 def residual(model: Model, v) -> float:
@@ -185,33 +180,6 @@ def _in_box(v: np.ndarray, lo: float, hi: float) -> bool:
     return bool(np.minimum.reduce(v) > 0.0 and lo <= float(v.sum()) <= hi)
 
 
-def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(jac, b), raising SingularMatrix when the solve shows jac singular.
-
-    The solve itself is the test, so a Newton step costs no SVD. solve_linear
-    accepts a matrix when sigma_min >= 1e-14 ||J||_inf. Since
-    ||J^-1||_inf <= sqrt(n) ||J^-1||_2 = sqrt(n) / sigma_min, the solution of
-    every matrix it accepts obeys
-        ||J||_inf ||x||_inf <= ||J||_inf ||J^-1||_inf ||b||_inf <= sqrt(n) 1e14 ||b||_inf,
-    so a growth above twice that bound (the 2 leaves room for rounding in x)
-    proves J ill-conditioned, and every Jacobian that solve_linear accepts
-    passes here (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
-    """
-    try:
-        x = np.linalg.solve(jac, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    # a non-finite x makes the growth inf or nan
-    growth = _sup(np.abs(jac).sum(axis=1)) * _sup(x)
-    bound = 2.0 * math.sqrt(len(b)) / _PIVOT_REL * _sup(b)
-    if not (math.isfinite(growth) and growth <= bound):
-        raise SingularMatrix(
-            f"Newton step growth ||J|| ||x|| = {growth:g} exceeds {bound:g}; "
-            "the Jacobian is numerically singular"
-        )
-    return x
-
-
 def _jacobian(
     a: np.ndarray, big_k: float, s: float, v: np.ndarray, psi_s: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
@@ -252,11 +220,12 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
     validate(model): the outflow hypothesis (h3 for symmetric mutation, h4
     otherwise) and R+M nonsingular.
 
-    An exactly symmetric R+M (symmetric mu) is factorized by
-    _symmetric_eigh, which keeps the result: its eigenvalues give the box's
-    extremes and prove it nonsingular, and _anchor's Perron pair reuses its
-    top eigenvector. Otherwise R+M takes the SVD check and eigvalsh of its
-    symmetric part.
+    _symmetric_extremes factorizes R+M's symmetric part for the box. For a
+    symmetric R+M (symmetric mu) that part is R+M bit for bit, so the same
+    memoized eigh proves it nonsingular and gives _anchor's Perron vector;
+    an asymmetric R+M takes the SVD check. A failed eigensolver raises
+    NoConvergence once require_nonsingular has had its chance to raise
+    SingularMatrix.
     """
     if report.h1_symmetry:
         if not report.h3_half:
@@ -266,16 +235,13 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
             "asymmetric mutation requires symmetrized outflow within r/3"
         )
     a = growth_mutation_matrix(model)
-    if not np.array_equal(a, a.T):
-        require_nonsingular(a)
-        return _Linear(a, _symmetric_extremes(a))
     try:
-        w = _symmetric_eigh(a)[0]
+        extremes = _symmetric_extremes(a)
     except np.linalg.LinAlgError as exc:
         require_nonsingular(a)  # a singular a still raises SingularMatrix first
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     require_nonsingular(a)
-    return _Linear(a, (float(w[0]), float(w[-1])))
+    return _Linear(a, extremes)
 
 
 def _stationarity(system: _System, big_k: float, s: float, v: np.ndarray):

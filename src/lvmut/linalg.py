@@ -1,20 +1,23 @@
 """Dense linear algebra for small genotype systems: thin wrappers over LAPACK.
 
 numpy's LAPACK routines do the arithmetic; the wrappers keep the checks and
-error contracts the rest of the package relies on. Every eigh runs in
-_symmetric_eigh, which keeps the factorizations of the two most recently
-used matrices, so a symmetric matrix (R+M, D - M~) is factorized once
-however many solvers ask for it in turn. Symmetric spectra come
-from eigh in descending order. The dominant eigenpair of a Metzler matrix
-is the eigh or eig eigenvector after one shifted nonnegative step, checked
-by its residual relative to ||A||. Linear solves reject numerically singular
-matrices by their smallest singular value before the LU solve; the SVD is
-the only judge of failure, but it runs only when an exactly symmetric
-matrix's eigenvalues (the memoized eigh's, or eigvalsh's) do not prove it
-nonsingular by a wide margin, or for an asymmetric matrix.
+error contracts the rest of the package relies on, and no other module
+calls a numpy.linalg kernel but norm. The one symmetric eigensolver is
+_symmetric_eigh, an eigh that keeps the factorizations of the two most
+recently used matrices, so a symmetric matrix (R+M, D - M~) is factorized
+once however many solvers ask for it in turn: for its descending spectrum,
+its extreme eigenvalues, its nonsingularity or its Perron vector. The
+dominant eigenpair of a Metzler matrix is the eigh or eig eigenvector after
+one shifted nonnegative step, checked by its residual relative to ||A||.
+The SVD is the only judge of a singular matrix: a linear solve rejects a
+matrix by its smallest singular value before the LU solve, unless the
+matrix is exactly symmetric and its eigenvalues prove it nonsingular by a
+wide margin. A Newton step's solve (_guarded_solve) runs no SVD; it is
+judged by its growth, bounded by what that SVD rule accepts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,20 +75,10 @@ def _eigh_key(mat: np.ndarray) -> tuple:
     return mat.dtype.str, mat.shape, mat.tobytes()
 
 
-def _memoized_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_symmetric_eigh(mat) when mat is in the memo (and now its most
-    recently used entry), None otherwise."""
-    key = _eigh_key(mat)
-    for i, (known, result) in enumerate(_EIGH_MEMO):
-        if known == key:
-            _EIGH_MEMO.append(_EIGH_MEMO.pop(i))
-            return result
-    return None
-
-
 def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(mat) as read-only arrays, computed only when mat is
-    not one of the two most recently used matrices.
+    not one of the two most recently used matrices (a hit makes it the most
+    recently used).
 
     Two entries let a ladder rung's R+M survive the one D - M~ factorization
     between its uses; none survives from the n = 128 rung to the next
@@ -95,13 +88,16 @@ def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Threads sharing the memo can at worst evict the wrong entry: a hit
     always returns its own key's arrays.
     """
-    result = _memoized_eigh(mat)
-    if result is None:
-        result = tuple(np.linalg.eigh(mat))
-        for array in result:
-            array.flags.writeable = False
-        _EIGH_MEMO.append((_eigh_key(mat), result))
-        del _EIGH_MEMO[:-2]
+    key = _eigh_key(mat)
+    for i, (known, result) in enumerate(_EIGH_MEMO):
+        if known == key:
+            _EIGH_MEMO.append(_EIGH_MEMO.pop(i))
+            return result
+    result = tuple(np.linalg.eigh(mat))
+    for array in result:
+        array.flags.writeable = False
+    _EIGH_MEMO.append((key, result))
+    del _EIGH_MEMO[:-2]
     return result
 
 
@@ -185,20 +181,19 @@ def require_nonsingular(mat: np.ndarray) -> None:
     least 1e-14 times its largest absolute row sum.
 
     The SVD is the only judge of failure, but an exactly symmetric mat is
-    first proved nonsingular from its eigenvalues (the memoized eigh's when
-    _symmetric_eigh has factorized mat, eigvalsh's otherwise), and then no
-    SVD runs. For symmetric mat sigma_i = |lambda_i| (Golub & Van Loan,
-    Matrix Computations, 8.6), and backward-stable eigenvalue and singular
-    value kernels each miss them by O(n eps ||mat||_2) (Weyl), so
-    min |lambda| >= _EIG_MARGIN ||mat||_inf, six orders above the
-    threshold, leaves the SVD's sigma_min above it too.
+    first proved nonsingular from _symmetric_eigh's eigenvalues (a memo hit
+    when a solver has factorized mat), and then no SVD runs; a failed eigh
+    leaves the verdict to the SVD. For symmetric mat sigma_i = |lambda_i|
+    (Golub & Van Loan, Matrix Computations, 8.6), and backward-stable
+    eigenvalue and singular value kernels each miss them by
+    O(n eps ||mat||_2) (Weyl), so min |lambda| >= _EIG_MARGIN ||mat||_inf,
+    six orders above the threshold, leaves the SVD's sigma_min above it too.
     """
     scale = float(np.max(np.abs(mat).sum(axis=1), initial=0.0))
     eigenvalues = None
     if np.array_equal(mat, mat.T):
-        memoized = _memoized_eigh(mat)
         try:
-            eigenvalues = np.linalg.eigvalsh(mat) if memoized is None else memoized[0]
+            eigenvalues = _symmetric_eigh(mat)[0]
         except np.linalg.LinAlgError:
             pass  # the SVD decides
     if (eigenvalues is not None
@@ -227,10 +222,45 @@ def solve_linear(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularMatrix(str(exc)) from exc
 
 
+def _sup(x: np.ndarray) -> float:
+    """||x||_inf, nan when x holds a nan; np.maximum.reduce skips np.max's wrapper."""
+    return float(np.maximum.reduce(np.abs(x), axis=None))
+
+
+def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(jac, b), raising SingularMatrix when the solve shows jac singular.
+
+    The solve itself is the test, so a Newton step costs no SVD.
+    require_nonsingular accepts a matrix when sigma_min >= 1e-14 ||J||_inf.
+    Since ||J^-1||_inf <= sqrt(n) ||J^-1||_2 = sqrt(n) / sigma_min, the
+    solution of every matrix it accepts obeys
+        ||J||_inf ||x||_inf <= ||J||_inf ||J^-1||_inf ||b||_inf <= sqrt(n) 1e14 ||b||_inf,
+    so a growth above twice that bound (the 2 leaves room for rounding in x)
+    proves J ill-conditioned, and every Jacobian that require_nonsingular
+    accepts passes here (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 7).
+    """
+    try:
+        x = np.linalg.solve(jac, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    # a non-finite x makes the growth inf or nan
+    growth = _sup(np.abs(jac).sum(axis=1)) * _sup(x)
+    bound = 2.0 * math.sqrt(len(b)) / _PIVOT_REL * _sup(b)
+    if not (math.isfinite(growth) and growth <= bound):
+        raise SingularMatrix(
+            f"Newton step growth ||J|| ||x|| = {growth:g} exceeds {bound:g}; "
+            "the Jacobian is numerically singular"
+        )
+    return x
+
+
 def _symmetric_extremes(mat: np.ndarray) -> tuple[float, float]:
-    """The smallest and largest eigenvalue of mat's symmetric part."""
+    """The smallest and largest eigenvalue of mat's symmetric part, by
+    _symmetric_eigh; a symmetric mat's symmetric part is mat bit for bit,
+    so a factorized one costs no second eigh."""
     mat = np.asarray(mat, dtype=float)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    eigenvalues = _symmetric_eigh(0.5 * (mat + mat.T))[0]
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
 

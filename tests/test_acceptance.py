@@ -136,5 +136,7 @@ def test_only_criteria_09_and_12_integrate(monkeypatch):
     assert (sum(field_calls), accepted, rejected) == (14840, 1128, 0)
     assert len(field_calls) == 1233
     # one eigh per symmetric matrix while it is among the memo's two most
-    # recently used (37 before the memo)
-    assert len(eighs) == 15
+    # recently used, criterion 11's 50 positive-definiteness draws included
+    # (37 before the memo; 15 while those draws and the nonsingularity
+    # proofs of fresh matrices took eigvalsh, 51 calls)
+    assert len(eighs) == 65

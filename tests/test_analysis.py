@@ -580,15 +580,17 @@ def test_ladder_rung_factorizes_each_symmetric_matrix_once(monkeypatch, loci):
     assert counts == {"eigh": 2}
 
 
-def test_asymmetric_set_up_keeps_the_svd_eigvalsh_and_eig(monkeypatch):
-    # crowd3 with mu[0][1] raised to 0.06, within h4
+def test_asymmetric_set_up_keeps_the_svd_and_eig(monkeypatch):
+    # crowd3 with mu[0][1] raised to 0.06, within h4: one eigh of R+M's
+    # symmetric part for the box, the SVD for R+M's nonsingularity and eig
+    # for its Perron pair
     crowd3 = get_preset("crowd3").model
     mu = crowd3.mu.copy()
     mu[0, 1] = 0.06
     model = build_model(3, crowd3.r, crowd3.big_k, mu, crowd3.interaction)
     counts = _lapack_counts(monkeypatch)
     equilibrium_auto(model)
-    assert counts == {"svd": 1, "eigvalsh": 1, "eig": 1}
+    assert counts == {"eigh": 1, "svd": 1, "eig": 1}
 
 
 def _failing_newton(monkeypatch, exc, times):

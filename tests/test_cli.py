@@ -640,9 +640,10 @@ def test_failed_dense_kernel_is_a_solver_error_after_the_battery(capsys, monkeyp
     _failed_eigh_on_crowd3(capsys, monkeypatch)
 
 
-def test_failed_eigvalsh_on_an_asymmetric_model_is_a_solver_error(capsys, monkeypatch, tmp_path):
+def test_failed_eigh_on_an_asymmetric_model_is_a_solver_error(capsys, monkeypatch, tmp_path):
     # crowd3 with mu[0][1] raised from 0.05 to 0.06 (asymmetric, within h4):
-    # its set-up takes eigvalsh of R+M's symmetric part for the box
+    # its set-up takes eigh of R+M's symmetric part for the box, after which
+    # the SVD finds R+M nonsingular
     def failing(mat):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -650,12 +651,12 @@ def test_failed_eigvalsh_on_an_asymmetric_model_is_a_solver_error(capsys, monkey
     model["mu"][0][1] = 0.06
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"model": model}))
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     code, out, err = _run(capsys, "equilibrium", "--scenario", str(path))
     assert (code, out) == (3, "")
     payload = json.loads(err)
-    assert payload["error"] == "LinAlgError"
-    assert payload["message"] == "Eigenvalues did not converge"
+    assert payload["error"] == "NoConvergence"
+    assert payload["message"] == "eigensolver failed: Eigenvalues did not converge"
 
 
 def test_unexpected_error_is_one_json_object_with_exit_1(capsys, monkeypatch):

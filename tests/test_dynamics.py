@@ -888,6 +888,17 @@ def test_atol_zero_keeps_a_zero_genotype_at_zero():
                                 traj.rejected_steps))
 
 
+def test_a_start_at_rest_takes_the_fallback_first_step():
+    # the field is exactly 0 at sym2's equilibrium (5, 5), so the start-up
+    # norm of the field is 0 and the first step is the fallback 1e-6 t_end;
+    # 2e-6 t_end takes 17 steps (over t_end = 20 both take 12)
+    model = get_preset("sym2").model
+    assert not np.any(model_module.rhs(model, np.array([5.0, 5.0])))
+    traj = integrate(model, [5.0, 5.0], 50.0)
+    assert (traj.accepted_steps, traj.rejected_steps) == (18, 0)
+    assert np.all(traj.states == 5.0)
+
+
 @pytest.mark.parametrize("atol", [1e-20, 1e-22, 1e-300])
 def test_tiny_atol_on_a_zero_component_starts_at_the_step_floor(atol):
     # the zero genotypes' scale is atol and their inflow is not 0, so the

@@ -17,7 +17,6 @@ from lvmut.analysis import perturbation_sweep
 from lvmut.equilibrium import (
     HomotopyConfig,
     Method,
-    _guarded_solve,
     equilibrium_auto,
     equilibrium_homotopy,
     equilibrium_uniform,
@@ -33,7 +32,7 @@ from lvmut.errors import (
     WrongInteractionKind,
 )
 from lvmut import linalg
-from lvmut.linalg import _symmetric_extremes, perron_eigenpair, require_nonsingular
+from lvmut.linalg import _guarded_solve, perron_eigenpair, require_nonsingular
 from lvmut.model import (
     CrowdingLinear,
     _linear_coefficients,
@@ -557,17 +556,17 @@ def test_perturbed_equilibrium_is_positive_and_stationary_or_a_solver_error(n, b
        st.floats(min_value=1.0, max_value=100.0),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_set_up_perron_pair_and_extremes_are_the_separate_kernels(kind, n, big_k, seed):
-    # the Perron pair from the set-up's memoized eigh is a fresh
-    # perron_eigenpair's bit for bit (the same LAPACK call on the same R+M),
-    # or raises its error, and the set-up's extremes are eigvalsh's to rounding
+    # the set-up factorizes R+M once: its extremes are those of a fresh eigh
+    # of R+M bit for bit (R+M's symmetric part is R+M), and the Perron pair
+    # from the memoized eigh is a fresh perron_eigenpair's bit for bit (the
+    # same LAPACK call on the same R+M), or raises its error
     model = _in_scope_model(kind, n, big_k, np.random.default_rng(seed))
     linalg._EIGH_MEMO.clear()
     linear = equilibrium._linear_setup(model, validate(model))
-    memoized = linalg._memoized_eigh(linear.a)
-    assert memoized is not None
-    lo, hi = _symmetric_extremes(linear.a)
-    tol = 1e-12 * max(abs(lo), abs(hi))
-    assert abs(linear.extremes[0] - lo) <= tol and abs(linear.extremes[1] - hi) <= tol
+    ((key, memoized),) = linalg._EIGH_MEMO
+    assert key == linalg._eigh_key(linear.a)
+    w = np.linalg.eigh(linear.a)[0]
+    assert linear.extremes == (float(w[0]), float(w[-1]))
 
     def pair_or_error():
         try:
@@ -576,7 +575,8 @@ def test_set_up_perron_pair_and_extremes_are_the_separate_kernels(kind, n, big_k
             return exc
 
     got = pair_or_error()
-    assert linalg._memoized_eigh(linear.a) is memoized  # a hit, not a second eigh
+    ((again, hit),) = linalg._EIGH_MEMO
+    assert again == key and hit is memoized  # a hit, not a second eigh
     linalg._EIGH_MEMO.clear()
     ref = pair_or_error()
     if isinstance(ref, LvmutError):

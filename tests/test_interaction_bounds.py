@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvmut import equilibrium, linalg
 from lvmut.analysis import _theorem_scope
 from lvmut.equilibrium import _apriori_box
 from lvmut.model import (
@@ -72,12 +73,12 @@ _EXPECTED = {
         "min a = 1 dominates perturbation slope bound 0.0002", True,
     ),
     "crowd3": (
-        (15.051809703395941, 233.52913343133295), False, (1.0, [1.0, 1.2, 0.96]),
+        (15.051809703395941, 233.52913343133287), False, (1.0, [1.0, 1.2, 0.96]),
         _LINEAR_OK, False,
     ),
     "zero_alpha": ((9.999999999999999e-06, 10000.0), True, None, _LINEAR_OK, True),
     "rung8": (
-        (2.378726198286523, 49.887762329707996), False, (1.0, _RUNG8_KAPPA), _LINEAR_OK, False,
+        (2.378726198286523, 49.88776232970802), False, (1.0, _RUNG8_KAPPA), _LINEAR_OK, False,
     ),
     "non_monotone": (
         (9.999999999999999e-06, 10000.0), True, (20.0, [3.0, 2.75]),
@@ -94,6 +95,17 @@ def test_apriori_box(name, recwarn):
     assert messages == (
         ["no computable population bounds; using the wide fallback box"] if fallback else []
     )
+
+
+@pytest.mark.parametrize("name", ["crowd3", "rung8"])
+def test_apriori_box_is_the_box_the_solver_enforces(name):
+    # _apriori_box(model) computes R+M's extremes itself; the solver's set-up
+    # takes them from its own factorization of R+M, in an emptied memo
+    model = _model(name)
+    box = _apriori_box(model)
+    linalg._EIGH_MEMO.clear()
+    system = equilibrium._system(model, equilibrium._linear_setup(model, validate(model)))
+    assert box == (system.box_lo, system.box_hi)
 
 
 @pytest.mark.parametrize("name", sorted(_EXPECTED))

@@ -1,5 +1,6 @@
 """Dense kernels checked against closed forms and numpy.linalg."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,17 +221,23 @@ def test_symmetric_nonsingularity_verdict_is_the_svd_rule(monkeypatch, n):
     assert 0 < skipped < 21
 
 
-def test_solve_linear_proves_a_symmetric_matrix_nonsingular_without_the_svd(monkeypatch):
+def _kernel_calls(monkeypatch, kernels=("eigh", "eigvalsh", "svd", "eig")):
+    """The names of the numpy.linalg kernels called from here on, in order."""
     calls = []
-    for kernel in ("eigvalsh", "svd"):
+    for kernel in kernels:
         def counted(*args, _kernel=kernel, _original=getattr(np.linalg, kernel), **kwargs):
             calls.append(_kernel)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, kernel, counted)
+    return calls
+
+
+def test_solve_linear_proves_a_symmetric_matrix_nonsingular_without_the_svd(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
     a = point_mutation_matrix(5, 0.01) + np.diag(np.linspace(0.5, 2.0, 32))
     x = solve_linear(a, np.ones(32))
-    assert calls == ["eigvalsh"]
+    assert calls == ["eigh"]
     assert np.max(np.abs(a @ x - 1.0)) < 1e-12
     calls.clear()
     a[0, 1] += 1e-3  # asymmetric: the SVD alone
@@ -408,20 +415,61 @@ def test_a_failed_eigh_is_not_cached(monkeypatch):
 
 def test_require_nonsingular_reads_a_memoized_spectrum(monkeypatch):
     # a factorized symmetric matrix is proved nonsingular from the memo, with
-    # no eigvalsh or SVD; one near-singular there still takes the SVD's verdict
-    calls = []
-    for kernel in ("eigvalsh", "svd"):
-        def counted(*args, _kernel=kernel, _original=getattr(np.linalg, kernel), **kwargs):
-            calls.append(_kernel)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, kernel, counted)
+    # no second eigh or SVD; one near-singular there still takes the SVD's
+    # verdict
+    calls = _kernel_calls(monkeypatch)
     a = point_mutation_matrix(5, 0.01) + np.diag(np.linspace(0.5, 2.0, 32))
     linalg._symmetric_eigh(a)
     require_nonsingular(a)
-    assert calls == []
+    assert calls == ["eigh"]
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     linalg._symmetric_eigh(singular)
     with pytest.raises(SingularMatrix, match="below threshold"):
         require_nonsingular(singular)
-    assert calls == ["svd"]
+    assert calls == ["eigh", "eigh", "svd"]
+
+
+def test_a_fresh_symmetric_matrix_is_factorized_once_for_solve_and_perron(monkeypatch):
+    # solve_linear's nonsingularity proof factorizes it, and perron_eigenpair
+    # reads that factorization's top eigenvector
+    calls = _kernel_calls(monkeypatch)
+    a = point_mutation_matrix(4, 0.01) + np.diag(np.linspace(0.5, 2.0, 16))
+    solve_linear(a, np.ones(16))
+    res = perron_eigenpair(a)
+    assert calls == ["eigh"]
+    assert res.residual <= 1e-13 * max(1.0, float(np.max(np.abs(a).sum(axis=1))))
+
+
+def _perron_from_a_tilted_vector(monkeypatch, norm, target):
+    """perron_eigenpair on the 2 x 2 matrix of entries norm / 2 (||A||_inf =
+    norm), started from a LAPACK vector tilted off the Perron vector so that
+    the residual after the shifted step is about target: its result, or the
+    NoConvergence it raises.
+
+    The Perron vector is e1 = (1, 1) / sqrt 2 and the other eigenvector e2 =
+    (1, -1) / sqrt 2, eigenvalues norm and 0. The shifted step (shift norm /
+    2) divides a start e1 + delta e2's tilt by 3, and a unit vector tilted by
+    d leaves the residual sqrt(2) (norm / 2) d to first order.
+    """
+    h = 0.5 * norm
+    delta = 3.0 * target / (math.sqrt(2.0) * h)
+    monkeypatch.setattr(linalg, "_top_eigenvector", lambda mat: np.array([1.0 + delta, 1.0 - delta]))
+    try:
+        return perron_eigenpair(np.full((2, 2), h))
+    except NoConvergence as exc:
+        return exc
+
+
+@pytest.mark.parametrize("norm, bound", [(0.5, 1e-13), (5.0, 5e-13)])
+def test_perron_residual_bound_is_relative_to_max_one_and_the_norm(monkeypatch, norm, bound):
+    # the residual bound is 1e-13 max(1, ||A||_inf): at ||A||_inf = 0.5 the
+    # floor 1 sets it, at 5 the norm does; a residual 5% under it passes and
+    # one 5% over it fails
+    under = _perron_from_a_tilted_vector(monkeypatch, norm, 0.95 * bound)
+    assert isinstance(under, linalg.PerronResult)
+    assert 0.94 * bound <= under.residual <= 0.96 * bound
+    over = _perron_from_a_tilted_vector(monkeypatch, norm, 1.05 * bound)
+    assert isinstance(over, NoConvergence)
+    residual, limit = map(float, re.fullmatch(r"Perron residual (\S+) exceeds (\S+)", str(over)).groups())
+    assert limit == bound
+    assert 1.04 * bound <= residual <= 1.06 * bound
