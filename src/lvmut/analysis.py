@@ -293,8 +293,9 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
     Newton run (equilibrium._continue) started at the v_bar of the last
     row that solved, so its first step is the tangent predictor to first
     order in the eps increment. The checks and set-up that involve only r
-    and mu (the outflow hypothesis, R+M nonsingular, its symmetric
-    spectrum) run once per sweep. A row whose run leaves the a-priori box,
+    and mu (the outflow hypothesis, R+M and its nonsingularity) run once
+    per sweep (equilibrium._linear_setup); each row's a-priori box reads
+    R+M's memoized spectrum. A row whose run leaves the a-priori box,
     does not converge or meets a singular Jacobian is solved by Psi-tc from
     the same start instead. Each row records the l1 displacement, its
     ratio to sqrt(eps), and the uniform pressure shift sigma; a row that
@@ -313,8 +314,7 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
         for eps in eps_grid
     ]
 
-    base_eq = equilibrium_uniform(base_model)
-    v0 = base_eq.v_bar
+    v0 = equilibrium_uniform(base_model).v_bar
     amp_sup = float(np.max(np.abs(amp), initial=0.0))
     rows = [
         PerturbationRow(
@@ -324,9 +324,9 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
     # the checks and set-up that do not depend on eps, once per sweep; a
     # failure there is every row's error, after the row's own monotonicity
     try:
-        linear, setup_error = _linear_setup(base_model, validate(base_model)), None
+        a, setup_error = _linear_setup(base_model), None
     except Exception as exc:  # noqa: BLE001 - reported by every row
-        linear, setup_error = None, exc
+        a, setup_error = None, exc
     v_start = v0
     for eps, pert_model in zip(eps_grid, pert_models):
         sigma = eps * amp_sup
@@ -335,7 +335,7 @@ def perturbation_sweep(base_model: Model, amp, w, eps_grid) -> PerturbationTable
                 raise OutOfTheoremScope("perturbation too large for monotone pressures")
             if setup_error is not None:
                 raise setup_error
-            v_bar = _continue(pert_model, linear, v_start, base_eq.lambda_p).v_bar
+            v_bar = _continue(pert_model, a, v_start)[0]
             v_start = v_bar
             dist = float(np.sum(np.abs(v_bar - v0)))
             rows.append(

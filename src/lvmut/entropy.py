@@ -50,6 +50,8 @@ class EntropyKernel:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise KernelMismatch("polynomial kernels need a nonempty coefficient vector")
+        if not np.all(np.isfinite(coeffs)):
+            raise KernelMismatch("polynomial kernel coefficients must be finite")
         return cls(coeffs=coeffs.copy())
 
     def value(self, s):

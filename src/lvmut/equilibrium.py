@@ -40,7 +40,6 @@ from .errors import (
     InnerNoConvergence,
     LeftAprioriBox,
     LvmutError,
-    NoConvergence,
     NonPositivePerron,
     SingularMatrix,
     WrongInteractionKind,
@@ -54,7 +53,6 @@ from .linalg import (
     require_nonsingular,
 )
 from .model import (
-    HypothesisReport,
     Model,
     Perturbed,
     UniformLinear,
@@ -140,12 +138,14 @@ def equilibrium_auto(model: Model) -> EquilibriumResult:
     base's), and Psi-tc if that run fails; for crowding, Psi-tc alone."""
     if isinstance(model.interaction, UniformLinear):
         return equilibrium_uniform(model)
-    linear = _linear_setup(model, validate(model))
-    per, v = _anchor(model, linear.a)
-    return _continue(model, linear, v, per.lambda_p)
+    a = _linear_setup(model)
+    per, v = _anchor(model, a)
+    v_bar, res = _continue(model, a, v)
+    return EquilibriumResult(v_bar=v_bar, alpha_bar=None, lambda_p=per.lambda_p,
+                             residual=res, method=Method.Continuation)
 
 
-def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> tuple[float, float]:
+def _apriori_box(model: Model, a: np.ndarray | None = None) -> tuple[float, float]:
     """Bounds on the total population of any continuation fixed point.
 
     Sandwiching the shared quadratic form of R+M between its extreme
@@ -154,11 +154,12 @@ def _apriori_box(model: Model, extremes: tuple[float, float] | None = None) -> t
     computable total-population bounds; a wide fallback box is used (and
     flagged by a warning) when R+M's symmetric part is not positive
     definite, C has a zero entry, or the offset swallows the lower bound.
-    extremes, _symmetric_extremes(R+M), is computed here unless given.
+    a, R+M, is built here unless given; its extremes are a memo hit once
+    the set-up has factorized it.
     """
-    if extremes is None:
-        extremes = _symmetric_extremes(growth_mutation_matrix(model))
-    lmin, lmax = extremes
+    if a is None:
+        a = growth_mutation_matrix(model)
+    lmin, lmax = _symmetric_extremes(a)
     coeff = _linear_coefficients(model)
     cmin, kmax = float(np.min(coeff)), float(np.max(coeff))
     inter = model.interaction
@@ -207,26 +208,18 @@ class _System(NamedTuple):
     gradient: Callable[[np.ndarray], np.ndarray]  # v -> Psi'(v), with C bound once
 
 
-class _Linear(NamedTuple):
-    """The set-up that depends on r and mu alone, which every row of a
-    perturbation sweep shares."""
+def _linear_setup(model: Model) -> np.ndarray:
+    """R+M, once the checks of every continuation that involve r and mu
+    alone pass: validate(model)'s outflow hypothesis (h3 for symmetric
+    mutation, h4 otherwise) and R+M nonsingular.
 
-    a: np.ndarray  # R + M, checked nonsingular
-    extremes: tuple[float, float]  # _symmetric_extremes(a), for the box
-
-
-def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
-    """The checks of every continuation that do not involve Psi, given
-    validate(model): the outflow hypothesis (h3 for symmetric mutation, h4
-    otherwise) and R+M nonsingular.
-
-    _symmetric_extremes factorizes R+M's symmetric part for the box. For a
-    symmetric R+M (symmetric mu) that part is R+M bit for bit, so the same
-    memoized eigh proves it nonsingular and gives _anchor's Perron vector;
-    an asymmetric R+M takes the SVD check. A failed eigensolver raises
-    NoConvergence once require_nonsingular has had its chance to raise
-    SingularMatrix.
+    A symmetric R+M (symmetric mu) is proved nonsingular by the memoized
+    eigh, which _anchor's Perron vector and the box's extremes then read
+    (R+M's symmetric part is R+M bit for bit); an asymmetric R+M takes the
+    SVD. A failed eigh leaves the verdict to the SVD, and the next reader
+    of the memo raises its NoConvergence.
     """
+    report = validate(model)
     if report.h1_symmetry:
         if not report.h3_half:
             raise Hypothesis3Violated("mutation outflow must stay within r/2")
@@ -235,13 +228,8 @@ def _linear_setup(model: Model, report: HypothesisReport) -> _Linear:
             "asymmetric mutation requires symmetrized outflow within r/3"
         )
     a = growth_mutation_matrix(model)
-    try:
-        extremes = _symmetric_extremes(a)
-    except np.linalg.LinAlgError as exc:
-        require_nonsingular(a)  # a singular a still raises SingularMatrix first
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
     require_nonsingular(a)
-    return _Linear(a, extremes)
+    return a
 
 
 def _stationarity(system: _System, big_k: float, s: float, v: np.ndarray):
@@ -286,11 +274,10 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
     raise InnerNoConvergence(s)
 
 
-def _system(model: Model, linear: _Linear) -> _System:
-    """The _System of a solve on model, given linear = _linear_setup(model,
-    validate(model)): the a-priori box, Psi and its gradient bound once."""
-    return _System(linear.a, *_apriori_box(model, linear.extremes),
-                   _pressure_values(model), _gradient(model))
+def _system(model: Model, a: np.ndarray) -> _System:
+    """The _System of a solve on model, given a = _linear_setup(model): the
+    a-priori box, Psi and its gradient bound once."""
+    return _System(a, *_apriori_box(model, a), _pressure_values(model), _gradient(model))
 
 
 def _run_stages(model: Model, system: _System, v: np.ndarray, stages: list) -> list:
@@ -383,14 +370,14 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     its set-up before the error propagates, so a held error (a box exit,
     say) keeps no Jacobian, R+M or bound C alive.
     """
-    linear = _linear_setup(model, validate(model))
-    per, v = _anchor(model, linear.a)
+    a = _linear_setup(model)
+    per, v = _anchor(model, a)
     try:
-        path = _run_stages(model, _system(model, linear), v,
+        path = _run_stages(model, _system(model, a), v,
                            np.linspace(0.0, 1.0, HomotopyConfig.s_steps).tolist())
     except LvmutError as exc:
         traceback.clear_frames(exc.__traceback__)
-        del linear
+        del a
         raise
     return EquilibriumResult(
         v_bar=path[-1][1],
@@ -402,27 +389,17 @@ def equilibrium_homotopy(model: Model) -> EquilibriumResult:
     )
 
 
-def _continue(model: Model, linear: _Linear, v: np.ndarray,
-              lambda_p: float) -> EquilibriumResult:
-    """The stationary state from v, given linear = _linear_setup(model,
-    validate(model)) and lambda_p, the Perron root of R+M, with the box, Psi
-    and its gradient bound once (_system). A perturbed kind runs one s = 1
-    stage (_stage_one) and, when that run leaves the box, does not converge
-    or meets a singular Jacobian, _pseudo_transient from the same v; a
-    crowding model runs _pseudo_transient alone and raises its error."""
-    system = _system(model, linear)
-    solved = None
+def _continue(model: Model, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v_bar and ||G_1(v_bar)||_inf of the stationary state from v, given
+    a = _linear_setup(model), with the box, Psi and its gradient bound once
+    (_system). A perturbed kind runs one s = 1 stage (_stage_one) and, when
+    that run leaves the box, does not converge or meets a singular
+    Jacobian, _pseudo_transient from the same v; a crowding model runs
+    _pseudo_transient alone and raises its error."""
+    system = _system(model, a)
     if isinstance(model.interaction, Perturbed):
         try:
-            solved = _stage_one(model, system, v)
+            return _stage_one(model, system, v)
         except (LeftAprioriBox, InnerNoConvergence, SingularMatrix):
             pass
-    v_bar, res = solved or _pseudo_transient(model, system, v)
-    return EquilibriumResult(
-        v_bar=v_bar,
-        alpha_bar=None,
-        lambda_p=lambda_p,
-        residual=res,
-        method=Method.Continuation,
-        homotopy_path=[],
-    )
+    return _pseudo_transient(model, system, v)

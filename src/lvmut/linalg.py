@@ -6,7 +6,9 @@ calls a numpy.linalg kernel but norm. The one symmetric eigensolver is
 _symmetric_eigh, an eigh that keeps the factorizations of the two most
 recently used matrices, so a symmetric matrix (R+M, D - M~) is factorized
 once however many solvers ask for it in turn: for its descending spectrum,
-its extreme eigenvalues, its nonsingularity or its Perron vector. The
+its extreme eigenvalues, its nonsingularity or its Perron vector. It is
+also the one place a failed eigh becomes NoConvergence("eigensolver
+failed: ..."), which every reader of it passes on. The
 dominant eigenpair of a Metzler matrix is the eigh or eig eigenvector after
 one shifted nonnegative step, checked by its residual relative to ||A||.
 The SVD is the only judge of a singular matrix: a linear solve rejects a
@@ -83,8 +85,9 @@ def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Two entries let a ladder rung's R+M survive the one D - M~ factorization
     between its uses; none survives from the n = 128 rung to the next
     pass's n = 4. The key holds mat's dtype, shape and bytes, so a hit
-    returns the very arrays eigh gave for those bits. A LinAlgError passes
-    through and is not cached. np.linalg.eigh is looked up at each call.
+    returns the very arrays eigh gave for those bits. A LinAlgError raises
+    NoConvergence("eigensolver failed: ...") and caches nothing.
+    np.linalg.eigh is looked up at each call.
     Threads sharing the memo can at worst evict the wrong entry: a hit
     always returns its own key's arrays.
     """
@@ -93,7 +96,10 @@ def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if known == key:
             _EIGH_MEMO.append(_EIGH_MEMO.pop(i))
             return result
-    result = tuple(np.linalg.eigh(mat))
+    try:
+        result = tuple(np.linalg.eigh(mat))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
     for array in result:
         array.flags.writeable = False
     _EIGH_MEMO.append((key, result))
@@ -104,13 +110,13 @@ def _symmetric_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
     """LAPACK's eigenvector of the eigenvalue with the largest real part:
     eigh's last column when mat is exactly symmetric, eig's otherwise."""
+    if np.array_equal(mat, mat.T):
+        return _symmetric_eigh(mat)[1][:, -1]
     try:
-        if np.array_equal(mat, mat.T):
-            return _symmetric_eigh(mat)[1][:, -1]
         values, vectors = np.linalg.eig(mat)
-        return vectors[:, int(np.argmax(values.real))].real
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    return vectors[:, int(np.argmax(values.real))].real
 
 
 def perron_eigenpair(mat: np.ndarray) -> PerronResult:
@@ -168,10 +174,7 @@ def symmetric_spectrum(mat: np.ndarray) -> SymmetricSpectrum:
         raise ValueError("matrix must be square")
     if not _is_symmetric(s):
         raise NotSymmetric("matrix is not symmetric within 1e-12 of its largest entry")
-    try:
-        eigenvalues, eigenvectors = _symmetric_eigh(0.5 * (s + s.T))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    eigenvalues, eigenvectors = _symmetric_eigh(0.5 * (s + s.T))
     return SymmetricSpectrum(eigenvalues=eigenvalues[::-1].copy(),
                              eigenvectors=eigenvectors[:, ::-1].copy())
 
@@ -194,7 +197,7 @@ def require_nonsingular(mat: np.ndarray) -> None:
     if np.array_equal(mat, mat.T):
         try:
             eigenvalues = _symmetric_eigh(mat)[0]
-        except np.linalg.LinAlgError:
+        except NoConvergence:
             pass  # the SVD decides
     if (eigenvalues is not None
             and float(np.minimum.reduce(np.abs(eigenvalues))) >= _EIG_MARGIN * max(scale, 1e-300)):

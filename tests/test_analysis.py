@@ -610,8 +610,7 @@ def _failing_newton(monkeypatch, exc, times):
 def _row_system(base, amp, w, eps):
     """A sweep row's model at eps and the _System its solve binds."""
     model = _row_model(base, amp, w, eps)
-    linear = equilibrium._linear_setup(model, model_module.validate(model))
-    return model, equilibrium._system(model, linear)
+    return model, equilibrium._system(model, equilibrium._linear_setup(model))
 
 
 @pytest.mark.parametrize(

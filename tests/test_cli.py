@@ -140,6 +140,18 @@ def test_entropy_polynomial_kernel(capsys):
     assert out.startswith("t,H,")
 
 
+def test_entropy_rejects_a_non_finite_polynomial_kernel(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(
+        capsys, "entropy", "--preset", "sym2", "--kernel", "poly:1,nan", "--out", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "KernelMismatch"
+    assert payload["message"] == "polynomial kernel coefficients must be finite"
+    assert not out_dir.exists()
+
+
 def test_rates_fit(capsys):
     code, out, _ = _run(capsys, "rates", "--preset", "sym2", "--record-every", "0.1")
     assert code == 0

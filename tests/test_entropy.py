@@ -66,6 +66,9 @@ def test_kernel_rejects_bad_coefficients():
         EntropyKernel.polynomial([])
     with pytest.raises(KernelMismatch):
         EntropyKernel.polynomial([[1.0, 2.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(KernelMismatch, match="must be finite"):
+            EntropyKernel.polynomial([1.0, bad])
 
 
 def test_entropy_value_oracle():

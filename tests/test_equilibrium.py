@@ -174,9 +174,9 @@ def test_perturbed_equilibrium_is_continued_from_its_base(monkeypatch, name):
 def _relaxed(model):
     """_pseudo_transient's v_bar and residual on model from _anchor's point,
     with the solve's _System built as _continue builds it."""
-    linear = equilibrium._linear_setup(model, validate(model))
-    anchor = equilibrium._anchor(model, linear.a)[1]
-    return equilibrium._pseudo_transient(model, equilibrium._system(model, linear), anchor)
+    a = equilibrium._linear_setup(model)
+    anchor = equilibrium._anchor(model, a)[1]
+    return equilibrium._pseudo_transient(model, equilibrium._system(model, a), anchor)
 
 
 @pytest.mark.parametrize(
@@ -556,27 +556,28 @@ def test_perturbed_equilibrium_is_positive_and_stationary_or_a_solver_error(n, b
        st.floats(min_value=1.0, max_value=100.0),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_set_up_perron_pair_and_extremes_are_the_separate_kernels(kind, n, big_k, seed):
-    # the set-up factorizes R+M once: its extremes are those of a fresh eigh
-    # of R+M bit for bit (R+M's symmetric part is R+M), and the Perron pair
-    # from the memoized eigh is a fresh perron_eigenpair's bit for bit (the
-    # same LAPACK call on the same R+M), or raises its error
+    # the set-up factorizes R+M once: the box's extremes, a memo hit (R+M's
+    # symmetric part is R+M), are those of a fresh eigh of R+M bit for bit,
+    # and the Perron pair from the memoized eigh is a fresh
+    # perron_eigenpair's bit for bit (the same LAPACK call on the same R+M),
+    # or raises its error
     model = _in_scope_model(kind, n, big_k, np.random.default_rng(seed))
     linalg._EIGH_MEMO.clear()
-    linear = equilibrium._linear_setup(model, validate(model))
+    a = equilibrium._linear_setup(model)
     ((key, memoized),) = linalg._EIGH_MEMO
-    assert key == linalg._eigh_key(linear.a)
-    w = np.linalg.eigh(linear.a)[0]
-    assert linear.extremes == (float(w[0]), float(w[-1]))
+    assert key == linalg._eigh_key(a)
+    w = np.linalg.eigh(a)[0]
+    assert linalg._symmetric_extremes(a) == (float(w[0]), float(w[-1]))
 
     def pair_or_error():
         try:
-            return perron_eigenpair(linear.a)
+            return perron_eigenpair(a)
         except LvmutError as exc:
             return exc
 
     got = pair_or_error()
     ((again, hit),) = linalg._EIGH_MEMO
-    assert again == key and hit is memoized  # a hit, not a second eigh
+    assert again == key and hit is memoized  # hits, not a second eigh
     linalg._EIGH_MEMO.clear()
     ref = pair_or_error()
     if isinstance(ref, LvmutError):
@@ -723,8 +724,8 @@ def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_resid
 def _crowd3_start():
     """crowd3, its _System and _anchor's point, where Psi-tc starts."""
     model = get_preset("crowd3").model
-    linear = equilibrium._linear_setup(model, validate(model))
-    return model, equilibrium._system(model, linear), equilibrium._anchor(model, linear.a)[1]
+    a = equilibrium._linear_setup(model)
+    return model, equilibrium._system(model, a), equilibrium._anchor(model, a)[1]
 
 
 def test_pseudo_transient_raises_inner_no_convergence_when_every_residual_off_the_start_is_nan(

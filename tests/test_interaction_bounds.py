@@ -99,12 +99,12 @@ def test_apriori_box(name, recwarn):
 
 @pytest.mark.parametrize("name", ["crowd3", "rung8"])
 def test_apriori_box_is_the_box_the_solver_enforces(name):
-    # _apriori_box(model) computes R+M's extremes itself; the solver's set-up
-    # takes them from its own factorization of R+M, in an emptied memo
+    # _apriori_box(model) builds R+M itself; the solver's box reads the
+    # extremes of the set-up's own factorization of R+M, in an emptied memo
     model = _model(name)
     box = _apriori_box(model)
     linalg._EIGH_MEMO.clear()
-    system = equilibrium._system(model, equilibrium._linear_setup(model, validate(model)))
+    system = equilibrium._system(model, equilibrium._linear_setup(model))
     assert box == (system.box_lo, system.box_hi)
 
 

@@ -347,8 +347,9 @@ def test_memoized_eigh_is_numpys_eigh_bit_for_bit(mat):
     linalg._EIGH_MEMO.clear()
     ref = _eigh_or_error(mat)
     if isinstance(ref, np.linalg.LinAlgError):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NoConvergence) as info:
             linalg._symmetric_eigh(mat)
+        assert str(info.value) == f"eigensolver failed: {ref}"
         assert linalg._EIGH_MEMO == []
         return
     got = linalg._symmetric_eigh(mat)
@@ -404,13 +405,32 @@ def test_a_failed_eigh_is_not_cached(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)  # looked up at call time
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(NoConvergence, match="^eigensolver failed: Eigenvalues did not converge$"):
         linalg._symmetric_eigh(mat)
     assert linalg._EIGH_MEMO == []
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     calls = _eigh_spy(monkeypatch)
     w = linalg._symmetric_eigh(mat)[0]
     assert len(calls) == 1 and w.tobytes() == eigh(mat)[0].tobytes()
+
+
+def test_a_failed_eigh_is_one_no_convergence_for_every_symmetric_reader(monkeypatch):
+    # the memoized eigh is the one place a failed eigh becomes NoConvergence;
+    # require_nonsingular catches it and leaves the verdict to the SVD
+    def failing(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    mat = np.array([[-1.0, 0.5], [0.5, -2.0]])  # symmetric, irreducible, Metzler
+    for reader in (symmetric_spectrum, is_positive_definite, perron_eigenpair):
+        with pytest.raises(NoConvergence) as info:
+            reader(mat)
+        assert str(info.value) == "eigensolver failed: Eigenvalues did not converge", reader
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    require_nonsingular(mat)
+    with pytest.raises(SingularMatrix, match="below threshold"):
+        require_nonsingular(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert linalg._EIGH_MEMO == []
 
 
 def test_require_nonsingular_reads_a_memoized_spectrum(monkeypatch):
