@@ -51,11 +51,12 @@ class _Parser(argparse.ArgumentParser):
 class Job:
     model: Model
     v0: np.ndarray | None
-    sampler: dict | None
     t_end: float
     rtol: float
     atol: float
     record_every: float | None
+    samples: int
+    seed: int
     out_dir: str | None
 
 
@@ -107,8 +108,11 @@ def _scenario_number(obj: dict, key: str, default: float | None) -> float | None
     return serialize._number(obj, key, "scenario")
 
 
-def _initial_state(v0: np.ndarray, where: str) -> np.ndarray:
-    """v0 checked where it enters: finite, nonnegative, and not identically zero."""
+def _initial_state(v0: np.ndarray, n: int, where: str) -> np.ndarray:
+    """v0 checked where it enters: n entries, finite, nonnegative, and not
+    identically zero."""
+    if v0.shape != (n,):
+        raise ValueError(f"{where} must have {n} entries, got {v0.tolist()}")
     if not np.isfinite(v0).all():
         raise ValueError(f"{where} must be finite, got {v0.tolist()}")
     if (v0 < 0.0).any():
@@ -118,13 +122,20 @@ def _initial_state(v0: np.ndarray, where: str) -> np.ndarray:
     return v0
 
 
+def _start_count(count: int, where: str) -> int:
+    if not 1 <= count <= _MAX_STARTS:
+        raise ValueError(f"{where} must be between 1 and {_MAX_STARTS}")
+    return count
+
+
 # scenario keys that stability would ignore: it integrates at tolerances
 # derived from --tol, on its own grid
 _STABILITY_IGNORES = ("rtol", "atol", "record_every")
 
 
-def _build_job(args, for_stability: bool = False) -> Job:
-    """The job of a command from its preset or scenario and its flags.
+def _build_job(args) -> Job:
+    """The job of a command: each setting is its default, then its preset
+    or scenario value, then its flag's.
 
     For stability a scenario's 'initial' must be a sampler, since it draws
     its own starts, and each key of _STABILITY_IGNORES is refused, as the
@@ -135,20 +146,20 @@ def _build_job(args, for_stability: bool = False) -> Job:
         raise ValueError("provide --preset <name> or --scenario <file>")
 
     v0 = None
-    sampler = None
-    scalars = {"t_end": 50.0, "rtol": 1e-8, "atol": 1e-10, "record_every": None}
+    settings = {"t_end": 50.0, "rtol": 1e-8, "atol": 1e-10, "record_every": None,
+                "samples": 20, "seed": 0}
     out_dir = None
 
     if preset_name is not None:
         preset = get_preset(preset_name)
         model = preset.model
         v0 = preset.v0.copy()
-        scalars["t_end"] = preset.t_end
+        settings["t_end"] = preset.t_end
     else:
         obj = _load_scenario(scenario_path)
         model = serialize.model_from_dict(obj["model"])
         initial = obj.get("initial")
-        if for_stability:
+        if args.command == "stability":
             if "initial" in obj and not isinstance(initial, dict):
                 raise ValueError(
                     "scenario key 'initial' must be a sampler {\"count\", \"seed\"} "
@@ -161,46 +172,40 @@ def _build_job(args, for_stability: bool = False) -> Job:
                         "integrates at tolerances derived from --tol on its own grid"
                     )
         if isinstance(initial, dict):
-            sampler = {
-                key: serialize._integer(initial, key, "scenario key 'initial'")
-                for key in ("count", "seed")
-            }
+            where = "scenario key 'initial'"
+            settings["samples"] = _start_count(serialize._integer(initial, "count", where),
+                                               f"key 'count' in {where}")
+            settings["seed"] = serialize._integer(initial, "seed", where)
         elif initial is not None:
-            v0 = _initial_state(serialize._array(obj, "initial", "scenario"),
+            v0 = _initial_state(serialize._array(obj, "initial", "scenario"), model.n,
                                 "key 'initial' in scenario")
-        for key, default in scalars.items():
-            scalars[key] = _scenario_number(obj, key, default)
+        for key in ("t_end", "rtol", "atol", "record_every"):
+            settings[key] = _scenario_number(obj, key, settings[key])
         out_dir = obj.get("outputs")
         if out_dir is not None and not isinstance(out_dir, str):
             raise serialize._wrong_type("outputs", "scenario", "a directory path", out_dir)
 
-    for key in scalars:
+    if getattr(args, "samples", None) is not None:
+        _start_count(args.samples, "--samples")
+    for key in settings:
         if getattr(args, key, None) is not None:
-            scalars[key] = getattr(args, key)
+            settings[key] = getattr(args, key)
     if getattr(args, "v0", None) is not None:
-        v0 = _initial_state(_parse_vector(args.v0, "--v0"), "--v0")
+        v0 = _initial_state(_parse_vector(args.v0, "--v0"), model.n, "--v0")
     if getattr(args, "out", None) is not None:
         out_dir = args.out
-    return Job(model, v0, sampler, out_dir=out_dir, **scalars)
+    return Job(model, v0, out_dir=out_dir, **settings)
 
 
-def _require_v0(job: Job) -> np.ndarray:
+def _trajectory(job: Job) -> Trajectory:
+    """The flow from the job's initial state, sampled on the recording grid:
+    exact for a uniform linear model with symmetric mutation, integrated
+    otherwise (see dynamics._flow_batch)."""
     if job.v0 is None:
-        raise ValueError(
-            "this command needs a concrete initial state; samplers only "
-            "apply to 'stability'"
-        )
-    return job.v0
-
-
-def _trajectory(job: Job, v0: np.ndarray) -> Trajectory:
-    """The flow from v0, sampled on the recording grid: exact for a uniform
-    linear model with symmetric mutation, integrated otherwise (see
-    dynamics._flow_batch)."""
-    n = job.model.n
-    if v0.shape != (n,):
-        raise ValueError(f"v0 must have shape ({n},)")
-    return _flow_batch(job.model, v0[None], job.t_end, job.rtol, job.atol, job.record_every)[0]
+        raise ValueError("this command needs a concrete initial state (--v0 or scenario "
+                         "key 'initial'); samplers only apply to 'stability'")
+    return _flow_batch(job.model, job.v0[None], job.t_end, job.rtol, job.atol,
+                       job.record_every)[0]
 
 
 def _parse_kernel(text: str) -> EntropyKernel:
@@ -210,9 +215,7 @@ def _parse_kernel(text: str) -> EntropyKernel:
         return EntropyKernel.quadratic()
     if text.startswith("poly:"):
         return EntropyKernel.polynomial(_parse_vector(text[len("poly:"):], "--kernel poly:"))
-    raise ValueError(
-        f"unknown kernel {text!r}; expected linear, quadratic, or poly:<coeffs>"
-    )
+    raise ValueError(f"--kernel must be linear, quadratic or poly:<coeffs>, got {text!r}")
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -230,8 +233,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     job = _build_job(args)
-    v0 = _require_v0(job)
-    traj = _trajectory(job, v0)
+    traj = _trajectory(job)
     _emit(job.out_dir, "trajectory.csv", serialize.trajectory_csv(traj))
     return 0
 
@@ -257,9 +259,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_entropy(args) -> int:
     job = _build_job(args)
     kernel = _parse_kernel(args.kernel)
-    v0 = _require_v0(job)
+    traj = _trajectory(job)
     eq = equilibrium_auto(job.model)
-    traj = _trajectory(job, v0)
     rep = dissipation(job.model, traj.states, eq.v_bar, kernel)
     dec = decompose(traj.states, eq.v_bar)
     _emit(job.out_dir, "entropy.csv", serialize.entropy_csv(traj.times, rep, dec))
@@ -268,12 +269,11 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_rates(args) -> int:
     job = _build_job(args)
-    v0 = _require_v0(job)
+    traj = _trajectory(job)
     eq = equilibrium_auto(job.model)
     predicted = None
     if mutation_symmetric(job.model):
         predicted = spectral_gap(job.model, eq.v_bar).c1
-    traj = _trajectory(job, v0)
     report = convergence_rate(
         traj, eq.v_bar, tail_fraction=args.tail, predicted_c1=predicted
     )
@@ -282,20 +282,9 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    job = _build_job(args, for_stability=True)
-    n_samples = args.samples
-    seed = args.seed
-    if job.sampler is not None:
-        n_samples = job.sampler["count"]
-        seed = job.sampler["seed"]
-        if not 1 <= n_samples <= _MAX_STARTS:
-            raise ValueError(
-                f"key 'count' in scenario key 'initial' must be between 1 and {_MAX_STARTS}"
-            )
-    elif not 1 <= n_samples <= _MAX_STARTS:
-        raise ValueError(f"--samples must be between 1 and {_MAX_STARTS}")
+    job = _build_job(args)
     report = global_stability_experiment(
-        job.model, n_samples=n_samples, seed=seed, t_end=job.t_end,
+        job.model, n_samples=job.samples, seed=job.seed, t_end=job.t_end,
         tol=args.tol, force=args.force,
     )
     obj = report
@@ -305,7 +294,7 @@ def _cmd_stability(args) -> int:
     _emit(job.out_dir, "report.json", serialize.dumps_json(obj))
     if job.out_dir is not None:
         header = ["sample"] + [f"v_{j + 1}" for j in range(job.model.n)]
-        columns = [np.arange(n_samples), report.endpoints]
+        columns = [np.arange(job.samples), report.endpoints]
         _emit(job.out_dir, "report.csv", serialize.float_csv(header, columns))
     return 0
 
@@ -432,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # tolerances and grid, so of the simulation flags only the horizon applies
     _add_source_args(sub, with_sim_params=False)
     sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--samples", type=int, default=20)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--samples", type=int)
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--tol", type=float, default=1e-6)
     sub.add_argument("--force", action="store_true",
                      help="run outside the supported scope, with a warning")
@@ -482,7 +471,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a failed dense kernel is a solver failure
         return _fail(3, type(exc).__name__, str(exc))
-    except (ValueError, KeyError, OSError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument
+        return _fail(2, "KeyError", str(exc.args[0]) if exc.args else "")
+    except (ValueError, OSError) as exc:
         return _fail(2, type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - last resort: no traceback reaches stderr
         return _fail(1, type(exc).__name__, str(exc))

@@ -51,6 +51,16 @@ def test_unknown_preset_is_usage_error(capsys):
     assert "nope" in payload["message"]
 
 
+def test_unknown_preset_message_is_not_quoted_twice(capsys):
+    # str() of a KeyError is the repr of its message, quotes and escapes included
+    code, out, err = _run(capsys, "validate", "--preset", "nope")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "KeyError",
+        "message": "unknown preset 'nope'; known presets: sym2, fit2asym, mut4, pert2, crowd3",
+    }
+
+
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -175,9 +185,9 @@ def test_exact_rates_match_the_spectral_gap(capsys, name):
 @pytest.mark.parametrize("name", ["sym2", "fit2asym", "mut4"])
 def test_exact_trajectory_samples_the_integrator_grid(name, record_every):
     preset = get_preset(name)
-    job = cli.Job(preset.model, preset.v0, None, preset.t_end, 1e-8, 1e-10,
-                  record_every, None)
-    exact = cli._trajectory(job, preset.v0)
+    job = cli.Job(preset.model, preset.v0, t_end=preset.t_end, rtol=1e-8, atol=1e-10,
+                  record_every=record_every, samples=20, seed=0, out_dir=None)
+    exact = cli._trajectory(job)
     ref = integrate(preset.model, preset.v0, preset.t_end, record_every=record_every)
     assert exact.tol_used == (0.0, 0.0)
     assert np.array_equal(exact.times, ref.times)
@@ -707,7 +717,7 @@ def test_negative_v0_flag_rejected(capsys):
         (["stability", "--preset", "sym2", "--t-end", "nan"], "t_end must be positive"),
         (["stability", "--preset", "sym2", "--t-end", "inf"], "t_end must be positive"),
         (["stability", "--preset", "sym2", "--t-end", "-1"], "t_end must be positive"),
-        (["simulate", "--preset", "sym2", "--v0", "1,2,3"], "v0 must have shape (2,)"),
+        (["simulate", "--preset", "sym2", "--v0", "1,2,3"], "--v0 must have 2 entries"),
         (["stability", "--preset", "sym2", "--seed", "-1"], "seed"),
     ],
 )
@@ -737,6 +747,130 @@ def test_stability_bounds_its_samples(capsys, tmp_path, monkeypatch, source):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert name in payload["message"] and "between 1 and 1000" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--preset", "pert2", "--samples", "0"], "--samples must be between 1 and 1000"),
+    (["stability", "--preset", "pert2", "--samples", "1001"],
+     "--samples must be between 1 and 1000"),
+    # a bad key is refused even where a flag overrides it
+    (["stability", "--samples", "2", "--scenario", {"initial": {"count": 1001, "seed": 1}}],
+     "key 'count' in scenario key 'initial' must be between 1 and 1000"),
+    (["stability", "--scenario", {"initial": {"count": 0, "seed": 1}}],
+     "key 'count' in scenario key 'initial' must be between 1 and 1000"),
+    (["simulate", "--preset", "sym2", "--v0", "1"], "--v0 must have 2 entries, got [1.0]"),
+    (["simulate", "--scenario", {"initial": [1.0, 2.0, 3.0]}],
+     "key 'initial' in scenario must have 2 entries, got [1.0, 2.0, 3.0]"),
+    (["simulate", "--scenario", {"initial": [[8.0, 2.0]]}],
+     "key 'initial' in scenario must have 2 entries, got [[8.0, 2.0]]"),
+    (["simulate", "--v0", "8,2", "--scenario", {"initial": 5.0}],
+     "key 'initial' in scenario must have 2 entries, got 5.0"),
+])
+def test_a_bad_count_or_initial_state_exits_2_with_its_message(capsys, tmp_path, argv, message):
+    argv = [_scenario(tmp_path, **arg) if isinstance(arg, dict) else arg for arg in argv]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def _settings_seen(capsys, monkeypatch, argv) -> dict:
+    """The settings a command ran with, read from its calls of the flow, the
+    stability experiment and the artifact writer."""
+    seen = {}
+    flow, experiment, emit = cli._flow_batch, cli.global_stability_experiment, cli._emit
+
+    def flow_spy(model, v0, t_end, rtol, atol, record_every):
+        seen.update(v0=v0[0].tolist(), t_end=t_end, rtol=rtol, atol=atol,
+                    record_every=record_every)
+        return flow(model, v0, t_end, rtol, atol, record_every)
+
+    def experiment_spy(model, n_samples, seed, t_end, tol, force):
+        seen.update(samples=n_samples, seed=seed, t_end=t_end)
+        return experiment(model, n_samples=n_samples, seed=seed, t_end=t_end, tol=tol,
+                          force=force)
+
+    def emit_spy(out_dir, filename, text):
+        seen.setdefault("out", out_dir)
+        return emit(out_dir, filename, text)
+
+    monkeypatch.setattr(cli, "_flow_batch", flow_spy)
+    monkeypatch.setattr(cli, "global_stability_experiment", experiment_spy)
+    monkeypatch.setattr(cli, "_emit", emit_spy)
+    code, _, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return seen
+
+
+@pytest.mark.parametrize(
+    "command, keys, flag, seen_as, by_key, by_flag",
+    [
+        ("simulate", {"t_end": 2.0}, ["--t-end", "3"], "t_end", 2.0, 3.0),
+        ("simulate", {"rtol": 1e-6}, ["--rtol", "1e-7"], "rtol", 1e-6, 1e-7),
+        ("simulate", {"atol": 1e-9}, ["--atol", "1e-11"], "atol", 1e-9, 1e-11),
+        ("simulate", {"record_every": 0.5}, ["--record-every", "0.25"], "record_every",
+         0.5, 0.25),
+        ("simulate", {"initial": [7.0, 3.0]}, ["--v0", "1,9"], "v0", [7.0, 3.0], [1.0, 9.0]),
+        ("simulate", {"outputs": "by-key"}, ["--out", "by-flag"], "out", "by-key", "by-flag"),
+        ("stability", {"initial": {"count": 2, "seed": 3}}, ["--samples", "4"], "samples",
+         2, 4),
+        ("stability", {"initial": {"count": 2, "seed": 3}}, ["--seed", "9"], "seed", 3, 9),
+    ],
+    ids=["t_end", "rtol", "atol", "record_every", "initial", "outputs", "count", "seed"],
+)
+def test_a_flag_overrides_its_scenario_key(capsys, monkeypatch, tmp_path, command, keys, flag,
+                                           seen_as, by_key, by_flag):
+    # every setting resolves alike: its default, then the scenario key, then the flag
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--scenario", _scenario(tmp_path, **keys)]
+    assert _settings_seen(capsys, monkeypatch, argv)[seen_as] == by_key
+    assert _settings_seen(capsys, monkeypatch, argv + flag)[seen_as] == by_flag
+
+
+def test_stability_defaults_to_20_starts_from_seed_0(capsys, monkeypatch):
+    seen = _settings_seen(capsys, monkeypatch, ["stability", "--preset", "sym2"])
+    assert (seen["samples"], seen["seed"]) == (20, 0)
+
+
+_SAMPLER = {"initial": {"count": 2, "seed": 3}}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate"], "--preset"),
+    (["simulate", "--preset", "sym2", "--v0", "1,x"], "--v0"),
+    (["simulate", "--scenario", [{"model": {}}]], "scenario"),
+    (["simulate", "--scenario", _SAMPLER], "'initial'"),
+    (["entropy", "--kernel", "linear", "--scenario", _SAMPLER], "'initial'"),
+    (["rates", "--scenario", _SAMPLER], "'initial'"),
+    (["entropy", "--preset", "sym2", "--kernel", "cubic"], "--kernel"),
+], ids=["no-source", "v0-not-a-number", "scenario-array", "sampler-to-simulate",
+        "sampler-to-entropy", "sampler-to-rates", "unknown-kernel"])
+def test_an_input_error_names_its_flag_or_key(capsys, monkeypatch, tmp_path, argv, named):
+    # and it is refused before any equilibrium is solved
+    solves = []
+    monkeypatch.setattr(cli, "equilibrium_auto", lambda *args: solves.append(args))
+    path = tmp_path / "scenario.json"
+    if isinstance(argv[-1], list):
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
+    elif isinstance(argv[-1], dict):
+        argv = argv[:-1] + [_scenario(tmp_path, **argv[-1])]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, solves) == (2, "", [])
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert named in payload["message"]
+
+
+def test_linear_kernel_runs(capsys):
+    code, out, err = _run(capsys, "entropy", "--preset", "sym2", "--kernel", "linear")
+    assert (code, err) == (0, "")
+    assert out.startswith("t,H,D,")
+
+
+def test_help_exits_0_with_an_empty_stderr(capsys):
+    code, out, err = _run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: lvmut")
 
 
 @pytest.mark.parametrize("flag, value", [("--v0", "1,2"), ("--rtol", "1e-3"),

@@ -1281,3 +1281,31 @@ def test_finite_rows_match_the_entrywise_test(case):
     assert rows == (None if case == "clean" else exact)
     assert exact == {"clean": [True, True], "nan": [True, False],
                      "inf-pair": [False, False], "overflow": [True, True]}[case]
+
+
+def _crowding_with_a_zero_coefficient():
+    sym = get_preset("sym2").model
+    return build_model(2, sym.r, sym.big_k, sym.mu,
+                       model_module.crowding_linear([[1.0, 0.0], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: integrate(m, [1.0, 2.0, 3.0], 1.0), ValueError, "shape"),
+    (lambda m: closed_form_uniform_linear(m, [1.0, 2.0, 3.0], [0.0, 1.0]), ValueError, "shape"),
+    (lambda m: positivity_floor(m, [1.0, 2.0, 3.0]), ValueError, "shape"),
+    (lambda m: closed_form_uniform_linear(m, [-1.0, 2.0], [0.0, 1.0]), ValueError,
+     "nonnegative"),
+    (lambda m: positivity_floor(m, [-1.0, 2.0]), ValueError, "nonnegative"),
+    (lambda m: closed_form_uniform_linear(m, [1.0, 2.0], []), ValueError, "nonempty"),
+    (lambda m: closed_form_uniform_linear(m, [1.0, 2.0], [1.0, 0.5]), ValueError,
+     "strictly increasing"),
+    (lambda m: closed_form_uniform_linear(m, [1.0, 2.0], [-1.0, 0.5]), ValueError,
+     "nonnegative"),
+    (lambda m: positivity_floor(_crowding_with_a_zero_coefficient(), [1.0, 2.0]),
+     WrongInteractionKind, "Lipschitz"),
+], ids=["integrate-v0-shape", "closed-form-v0-shape", "floor-v0-shape",
+        "closed-form-negative-start", "floor-negative-start", "times-empty",
+        "times-decreasing", "times-negative", "floor-crowding-zero-coefficient"])
+def test_flow_entry_points_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call(get_preset("sym2").model)

@@ -21,6 +21,7 @@ from lvmut.errors import (
     NonPositiveReference,
     NotStationaryReference,
     TooFewSamples,
+    ZeroReference,
 )
 from lvmut.model import build_model, uniform_linear
 from lvmut.presets import get_preset
@@ -238,3 +239,15 @@ def test_log_energy_slopes_constant_rate():
     assert times.size == traj.times.size - 2
     assert times[0] > traj.times[0]
     assert np.max(np.abs(slopes + 0.4)) < 1e-3
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: decompose([1.0, 2.0], [0.0, 0.0]), ZeroReference),
+    (lambda: lyapunov_descent(
+        build_model(2, [1.0, 1.5], 10.0, [[0.0, 0.1], [0.2, 0.0]], uniform_linear([1.0, 1.0])),
+        integrate(get_preset("sym2").model, [8.0, 2.0], 1.0), [5.0, 5.0]),
+     AsymmetricMutation),
+], ids=["decompose-zero-reference", "descent-asymmetric-mu"])
+def test_diagnostics_reject_input_outside_their_identities(call, error):
+    with pytest.raises(error):
+        call()

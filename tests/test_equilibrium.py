@@ -667,6 +667,63 @@ def test_no_automatic_solve_calls_the_homotopy(monkeypatch):
     assert calls == []
 
 
+# The solver census: equilibrium_auto on the model of each kind and seed
+# 0-1999. It pins today's failures as known defects (ROADMAP item 17), not
+# as the solver's contract: a change that moves a seed names it.
+_CENSUS_SEEDS = range(2000)
+# the 198 seeds whose mu is reducible: mu is drawn before the interaction,
+# so they are the same for every kind
+_CENSUS_REDUCIBLE = (
+    9, 27, 34, 35, 56, 77, 94, 101, 107, 114, 119, 123, 186, 199, 207, 211, 212, 213,
+    229, 264, 268, 273, 288, 291, 312, 316, 322, 326, 352, 376, 383, 387, 389, 391, 394,
+    409, 410, 423, 425, 428, 430, 449, 450, 454, 472, 495, 496, 497, 502, 518, 562, 570,
+    588, 598, 613, 618, 636, 653, 655, 660, 671, 676, 689, 691, 695, 712, 716, 725, 735,
+    740, 747, 790, 798, 800, 804, 806, 811, 821, 825, 845, 854, 871, 879, 890, 944, 961,
+    964, 969, 972, 973, 978, 991, 1010, 1013, 1014, 1023, 1032, 1036, 1037, 1046, 1060,
+    1064, 1068, 1070, 1079, 1084, 1088, 1090, 1095, 1103, 1126, 1147, 1148, 1155, 1156,
+    1168, 1184, 1187, 1204, 1205, 1206, 1213, 1254, 1257, 1258, 1271, 1272, 1276, 1284,
+    1293, 1294, 1297, 1299, 1302, 1315, 1330, 1332, 1355, 1357, 1374, 1375, 1378, 1381,
+    1385, 1393, 1394, 1421, 1425, 1430, 1431, 1441, 1447, 1500, 1508, 1525, 1540, 1542,
+    1545, 1558, 1589, 1590, 1601, 1616, 1624, 1628, 1631, 1636, 1644, 1646, 1664, 1665,
+    1666, 1669, 1700, 1708, 1717, 1726, 1762, 1788, 1791, 1797, 1821, 1835, 1845, 1869,
+    1875, 1876, 1877, 1886, 1893, 1898, 1923, 1929, 1936, 1963, 1970, 1984, 1990,
+)
+_CENSUS_FAILURES = {
+    "uniform": {},
+    "crowding": {seed: "InnerNoConvergence" for seed in (
+        6, 122, 139, 187, 278, 315, 373, 499, 609, 649, 905, 1414, 1477, 1697, 1848, 1918,
+        1920)},
+    "perturbed": {},
+}
+_CENSUS_WIDE_BOX = {"uniform": (), "crowding": (),
+                    "perturbed": (60, 659, 838, 872, 985, 1287, 1432)}
+
+
+@pytest.mark.parametrize("kind", sorted(_CENSUS_FAILURES))
+def test_solver_census(kind):
+    reducible, failures, wide_box, messages = [], {}, [], set()
+    solved = 0
+    for seed in _CENSUS_SEEDS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                equilibrium_auto(_census_model(kind, seed))
+                solved += 1
+            except NotIrreducible:
+                reducible.append(seed)
+            except LvmutError as exc:
+                failures[seed] = type(exc).__name__
+        if caught:
+            wide_box.append(seed)
+            messages.update(str(w.message) for w in caught)
+    assert len(_CENSUS_REDUCIBLE) == 198
+    assert tuple(reducible) == _CENSUS_REDUCIBLE
+    assert failures == _CENSUS_FAILURES[kind]
+    assert solved == {"uniform": 1802, "crowding": 1785, "perturbed": 1802}[kind]
+    assert tuple(wide_box) == _CENSUS_WIDE_BOX[kind]
+    assert messages <= {"no computable population bounds; using the wide fallback box"}
+
+
 def _wide_box_perturbed():
     """sym2's base under eps = 1, amp (10, -10) and w = 0.01 I, where
     K lambda_min = 8 <= eps max|amp| = 10 leaves no computable box."""

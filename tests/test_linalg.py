@@ -493,3 +493,14 @@ def test_perron_residual_bound_is_relative_to_max_one_and_the_norm(monkeypatch, 
     residual, limit = map(float, re.fullmatch(r"Perron residual (\S+) exceeds (\S+)", str(over)).groups())
     assert limit == bound
     assert 1.04 * bound <= residual <= 1.06 * bound
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: perron_eigenpair(np.ones((2, 3))), "square"),
+    (lambda: symmetric_spectrum(np.ones((2, 3))), "square"),
+    (lambda: solve_linear(np.ones((2, 3)), np.ones(2)), "square"),
+    (lambda: solve_linear(np.eye(2), np.ones(3)), "right-hand side"),
+], ids=["perron-not-square", "spectrum-not-square", "solve-not-square", "solve-rhs-length"])
+def test_kernels_reject_mis_shaped_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

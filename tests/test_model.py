@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvmut.errors import DimensionMismatch, NegativeMutation, NonPositiveRate
+from lvmut.errors import (
+    DimensionMismatch,
+    NegativeMutation,
+    NonPositiveRate,
+    WrongInteractionKind,
+)
 from lvmut.model import (
     _vector_field,
     build_model,
@@ -349,3 +354,49 @@ def test_mut4_preset_uses_point_rate_006():
     model = get_preset("mut4").model
     expected = point_mutation_matrix(2, 0.06)
     assert np.allclose(model.mu, expected)
+
+
+_R2, _MU2 = [1.0, 1.5], [[0.0, 0.1], [0.1, 0.0]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: point_mutation_matrix(2, 0.0), NonPositiveRate, "rate must lie in"),
+    (lambda: point_mutation_matrix(2, 1.0), NonPositiveRate, "rate must lie in"),
+    (lambda: uniform_linear(np.eye(2)), DimensionMismatch, "a must be a vector"),
+    (lambda: uniform_linear([1.0, 0.0]), NonPositiveRate, "must be positive"),
+    (lambda: crowding_linear([[1.0, 2.0]]), DimensionMismatch, "square"),
+    (lambda: crowding_linear([[1.0, -0.5], [0.5, 1.0]]), NegativeMutation, "nonnegative"),
+    (lambda: perturbed(crowding_linear(np.eye(2)), 0.1, [1.0, 1.0], np.eye(2)),
+     WrongInteractionKind, "uniform linear base"),
+    (lambda: perturbed(uniform_linear([1.0, 1.0]), -0.1, [1.0, 1.0], np.eye(2)),
+     NonPositiveRate, "eps must be nonnegative"),
+    (lambda: perturbed(uniform_linear([1.0, 1.0]), 0.1, np.eye(2), np.eye(2)),
+     DimensionMismatch, "amp must be a vector"),
+    (lambda: build_model(0, [], 10.0, np.zeros((0, 0)), uniform_linear([1.0])),
+     DimensionMismatch, "n must be at least 1"),
+    (lambda: build_model(2, _R2, 10.0, np.zeros((2, 3)), uniform_linear([1.0, 1.0])),
+     DimensionMismatch, "mu must have shape"),
+    (lambda: build_model(2, _R2, 10.0, [[0.0, np.nan], [0.1, 0.0]], uniform_linear([1.0, 1.0])),
+     NegativeMutation, "finite"),
+    (lambda: build_model(2, _R2, 10.0, _MU2, uniform_linear([1.0, 1.0, 1.0])),
+     DimensionMismatch, "weight vector"),
+    (lambda: build_model(2, _R2, 10.0, _MU2, crowding_linear(np.eye(3))),
+     DimensionMismatch, "crowding matrix"),
+    (lambda: build_model(2, _R2, 10.0, _MU2,
+                         perturbed(uniform_linear([1.0, 1.0, 1.0]), 0.1, [1.0] * 3, np.eye(3))),
+     DimensionMismatch, "length 2"),
+], ids=["rate-0", "rate-1", "a-matrix", "a-zero", "alpha-not-square", "alpha-negative",
+        "perturbed-crowding-base", "eps-negative", "amp-matrix", "n-0", "mu-shape",
+        "mu-not-finite", "a-length", "alpha-shape", "perturbed-a-length"])
+def test_model_constructors_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_build_model_folds_a_full_generator_into_its_off_diagonal_part():
+    inter = uniform_linear([1.0, 1.0])
+    full = build_model(2, _R2, 10.0, [[-0.1, 0.1], [0.2, -0.2]], inter)
+    off = build_model(2, _R2, 10.0, [[0.0, 0.1], [0.2, 0.0]], inter)
+    assert np.array_equal(full.mu, off.mu)
+    v = np.array([3.0, 4.0])
+    assert np.array_equal(rhs(full, v), rhs(off, v))

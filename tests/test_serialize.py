@@ -186,3 +186,14 @@ def test_sweep_csv_rows():
     assert bad[4] == "true"
     assert "OutOfTheoremScope" in bad[5]
     assert bad[2] == ""  # no distance for a failed row
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("nan"), '"nan"\n'),
+    (float("inf"), '"inf"\n'),
+    (float("-inf"), '"-inf"\n'),
+    ({}, "{}\n"),
+], ids=["nan", "inf", "-inf", "empty-object"])
+def test_dumps_json_of_non_finite_numbers_and_an_empty_object(value, text):
+    assert dumps_json(value) == text
+    json.loads(text)
