@@ -177,23 +177,21 @@ def _apriori_box(model: Model, a: np.ndarray | None = None) -> tuple[float, floa
 
 def _in_box(v: np.ndarray, lo: float, hi: float) -> bool:
     # most rejected candidates have a component <= 0, so v is summed only
-    # when it is positive; np.minimum.reduce skips np.min's wrapper
-    return bool(np.minimum.reduce(v) > 0.0 and lo <= float(v.sum()) <= hi)
+    # when it is positive; the ufunc reductions skip np.min's and sum's wrappers
+    return bool(np.minimum.reduce(v) > 0.0 and lo <= float(np.add.reduce(v)) <= hi)
 
 
 def _jacobian(
-    a: np.ndarray, big_k: float, s: float, v: np.ndarray, psi_s: np.ndarray, grad: np.ndarray
+    a: np.ndarray, big_k: float, v: np.ndarray, psi_s: np.ndarray, grad_s: np.ndarray
 ) -> np.ndarray:
     """J_s = a - diag(Psi^s)/K - (v outer grad Psi^s)/K, the Jacobian of
-    _stationarity's G_s at v, given psi_s = Psi^s(v) and grad = Psi'(v)."""
+    _stationarity's G_s at v, given psi_s = Psi^s(v) and grad_s = grad Psi^s(v)."""
     # one n x n temporary for the outer term, each entry rounded as in
     # a - diag(psi_s / K) - (v[:, None] * grad_s) / K
-    outer = s * grad
-    outer += (1.0 - s) * grad[0]
-    outer *= v[:, None]
+    outer = grad_s * v[:, None]
     outer /= big_k
     jac = a.copy()
-    jac.flat[::len(v) + 1] -= psi_s / big_k
+    jac.reshape(-1)[::len(v) + 1] -= psi_s / big_k
     jac -= outer
     return jac
 
@@ -206,6 +204,23 @@ class _System(NamedTuple):
     box_hi: float
     pressure: Callable[[np.ndarray], np.ndarray]  # v -> Psi(v)
     gradient: Callable[[np.ndarray], np.ndarray]  # v -> Psi'(v), with C bound once
+
+
+def _stage_gradient(
+    model: Model, system: _System, s: float, v: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> grad Psi^s(x) = s Psi'(x) + (1 - s) Psi'(x)[0] for a stage
+    starting at v. Psi' of a uniform or crowding kind is C everywhere, so
+    its blend is computed once, at v."""
+    def blend(grad: np.ndarray) -> np.ndarray:
+        grad_s = s * grad
+        grad_s += (1.0 - s) * grad[0]
+        return grad_s
+
+    if isinstance(model.interaction, Perturbed):
+        return lambda x: blend(system.gradient(x))
+    grad_s = blend(system.gradient(v))
+    return lambda x: grad_s
 
 
 def _linear_setup(model: Model) -> np.ndarray:
@@ -245,32 +260,74 @@ def _newton(model: Model, system: _System, s: float, v: np.ndarray) -> np.ndarra
 
     Each iteration solves J_s x = -G_s(v) once. The stage is done, and v
     returned as it is, when the correction obeys
-    ||x||_inf <= _NEWTON_TOL max(1, ||v||_inf). Otherwise the step is halved
-    until the candidate stays in the box and lowers ||G_s||_inf; the
-    accepted candidate's Psi^s and G_s serve the next iteration.
+    ||x||_inf <= _NEWTON_TOL max(1, ||v||_inf). Otherwise _line_search
+    halves the step until the candidate stays in the box and lowers
+    ||G_s||_inf; the accepted candidate's Psi^s and G_s serve the next
+    iteration. When the full step leaves the positive orthant, the search
+    starts at the first halving below twice the largest t that keeps
+    v + t x >= 0 (_first_cut): every longer step provably has a component
+    <= 0, so the candidates evaluated, and the outcome, are those of
+    halving from t = 1, bit for bit.
     """
     big_k = model.big_k
+    grad_s = _stage_gradient(model, system, s, v)
     psi_s, g = _stationarity(system, big_k, s, v)
     g_norm = _sup(g)
     for _ in range(_MAX_INNER):
-        jac = _jacobian(system.a, big_k, s, v, psi_s, system.gradient(v))
+        jac = _jacobian(system.a, big_k, v, psi_s, grad_s(v))
         step = _guarded_solve(jac, -g)
         if _sup(step) <= _NEWTON_TOL * max(1.0, _sup(v)):
             return v
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = v + t * step
-            if _in_box(cand, system.box_lo, system.box_hi):
-                cand_psi, cand_g = _stationarity(system, big_k, s, cand)
-                cand_norm = _sup(cand_g)
-                if cand_norm < g_norm:
-                    v, psi_s, g, g_norm = cand, cand_psi, cand_g, cand_norm
-                    break
-            t *= _DAMPING
-        else:
-            if not _in_box(v + 1e-8 * step, system.box_lo, system.box_hi):
-                raise LeftAprioriBox(s)
-            raise InnerNoConvergence(s)
+        v, psi_s, g, g_norm = _line_search(system, big_k, s, v, step, g_norm)
+    raise InnerNoConvergence(s)
+
+
+def _first_cut(v: np.ndarray, step: np.ndarray, cand: np.ndarray) -> tuple[float, int]:
+    """(t, k) with t = _DAMPING**k for the least k >= 1 that has t < 2 t_max
+    (or k = _MAX_HALVINGS), given v > 0 and a full-step candidate
+    cand = v + step with a component <= 0.
+
+    t_max is the least v_i / -step_i over the i with cand_i <= 0, that is
+    with v_i + step_i <= 0 exactly; every other step_i < 0 has a quotient
+    above 1, so this is the least over all step_i < 0, and none overflows.
+    For the i attaining it, each t >= 2 t_max has t (-step_i) >= v_i
+    exactly (the computed quotient is within a factor 1 - u), so the
+    rounded t step_i is <= -v_i and v_i + t step_i rounds to <= 0: _in_box
+    rejects every candidate skipped.
+    """
+    out = cand <= 0.0
+    t_max = float(np.minimum.reduce(v[out] / -step[out], initial=math.inf))
+    t, k = _DAMPING, 1
+    while k < _MAX_HALVINGS and t >= 2.0 * t_max:
+        t *= _DAMPING
+        k += 1
+    return t, k
+
+
+def _line_search(
+    system: _System, big_k: float, s: float, v: np.ndarray, step: np.ndarray, g_norm: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The first candidate v + t step, t = 1, 1/2, ..., 2**-59, in the box
+    with ||G_s||_inf < g_norm, and its Psi^s, G_s and ||G_s||_inf; the
+    halving goes on from _first_cut's t when the full step leaves the
+    orthant. When none qualifies, raises LeftAprioriBox(s) if v + 1e-8 step
+    leaves the box, and InnerNoConvergence(s) otherwise.
+    """
+    t, k = 1.0, 0
+    while k < _MAX_HALVINGS:
+        cand = v + t * step
+        if _in_box(cand, system.box_lo, system.box_hi):
+            cand_psi, cand_g = _stationarity(system, big_k, s, cand)
+            cand_norm = _sup(cand_g)
+            if cand_norm < g_norm:
+                return cand, cand_psi, cand_g, cand_norm
+        elif k == 0 and not np.minimum.reduce(cand) > 0.0:
+            t, k = _first_cut(v, step, cand)
+            continue
+        t *= _DAMPING
+        k += 1
+    if not _in_box(v + 1e-8 * step, system.box_lo, system.box_hi):
+        raise LeftAprioriBox(s)
     raise InnerNoConvergence(s)
 
 
@@ -326,7 +383,8 @@ def _pseudo_transient(model: Model, system: _System, v: np.ndarray) -> tuple[np.
     eye = np.eye(len(v))
     psi, g = _stationarity(system, big_k, 1.0, v)
     g_norm = _sup(g)
-    jac = _jacobian(system.a, big_k, 1.0, v, psi, system.gradient(v))
+    grad = _stage_gradient(model, system, 1.0, v)
+    jac = _jacobian(system.a, big_k, v, psi, grad(v))
     delta = 1.0 / _sup(np.abs(jac).sum(axis=1))
     for _ in range(_MAX_INNER):
         for _ in range(_MAX_HALVINGS):
@@ -350,7 +408,7 @@ def _pseudo_transient(model: Model, system: _System, v: np.ndarray) -> tuple[np.
         # a candidate can solve G_1 exactly (all-ones crowding, say)
         delta *= max(2.0, g_norm / cand_norm if cand_norm > 0.0 else math.inf)
         v, psi, g, g_norm = cand, cand_psi, cand_g, cand_norm
-        jac = _jacobian(system.a, big_k, 1.0, v, psi, system.gradient(v))
+        jac = _jacobian(system.a, big_k, v, psi, grad(v))
     raise InnerNoConvergence(1.0)
 
 

@@ -248,7 +248,7 @@ def _guarded_solve(jac: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
     # a non-finite x makes the growth inf or nan
-    growth = _sup(np.abs(jac).sum(axis=1)) * _sup(x)
+    growth = float(np.maximum.reduce(np.add.reduce(np.abs(jac), axis=1))) * _sup(x)
     bound = 2.0 * math.sqrt(len(b)) / _PIVOT_REL * _sup(b)
     if not (math.isfinite(growth) and growth <= bound):
         raise SingularMatrix(

@@ -114,15 +114,40 @@ def _need(obj: dict, key: str, where: str):
 
 
 def _wrong_type(key: str, where: str, kind: str, value) -> ValueError:
-    return ValueError(f"key {key!r} in {where} must be {kind}, got {json.dumps(value)}")
+    # str renders what JSON cannot, such as a numpy array of bools from the API
+    shown = json.dumps(value, default=str)
+    return ValueError(f"key {key!r} in {where} must be {kind}, got {shown}")
+
+
+def _is_number(value) -> bool:
+    """An int or a float (a JSON number, or a numpy one), not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    """A number (_is_number) or a list, nested or not, of them; a numpy
+    array of ints or floats (model_to_dict's arrays) counts as such a list."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":
+                return False
+        elif not _is_number(item):
+            return False
+    return True
 
 
 def _number(obj: dict, key: str, where: str) -> float:
     value = _need(obj, key, where)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise _wrong_type(key, where, "a number", value) from None
+    if _is_number(value):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise _wrong_type(key, where, "a number", value)
 
 
 def _integer(obj: dict, key: str, where: str) -> int:
@@ -134,10 +159,12 @@ def _integer(obj: dict, key: str, where: str) -> int:
 
 def _array(obj: dict, key: str, where: str) -> np.ndarray:
     value = _need(obj, key, where)
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise _wrong_type(key, where, "numbers", value) from None
+    if _is_numbers(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged lists, integers beyond the float range
+            pass
+    raise _wrong_type(key, where, "numbers", value)
 
 
 def model_from_dict(obj: dict) -> Model:

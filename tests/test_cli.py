@@ -434,6 +434,31 @@ def test_scenario_values_of_the_wrong_type_are_usage_errors(
     assert named in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "command, model, keys, named",
+    [
+        ("simulate", None, {"t_end": True}, "'t_end' in scenario must be a number, got true"),
+        ("simulate", None, {"t_end": "40"}, "'t_end' in scenario must be a number, got \"40\""),
+        ("stability", None, {"initial": {"count": True, "seed": 0}},
+         "'count' in scenario key 'initial' must be a number, got true"),
+        ("simulate", {"r": [True, False]}, {}, "'r' in model must be numbers, got [true, false]"),
+        ("simulate", {"mu": [[0.0, 0.1], [0.1, False]]}, {}, "'mu' in model must be numbers"),
+        ("simulate", {"K": 10**400}, {}, "'K' in model must be a number"),
+        ("simulate", {"r": [10**400, 1.0]}, {}, "'r' in model must be numbers"),
+    ],
+    ids=["t_end-bool", "t_end-string", "count-bool", "r-bools", "mu-nested-bool", "K-huge",
+         "r-huge"],
+)
+def test_scenario_numbers_must_be_json_numbers(capsys, tmp_path, command, model, keys, named):
+    # a bool or a numeric string is not a number, though Python's float() reads one
+    path = _scenario(tmp_path, model, **keys)
+    code, out, err = _run(capsys, command, "--scenario", path)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert named in payload["message"]
+
+
 @pytest.mark.parametrize("state", [[float("nan"), 1.0], [0.0, 0.0], [-1.0, 2.0]])
 @pytest.mark.parametrize("source", ["scenario", "flag"])
 def test_bad_initial_state_is_a_usage_error_naming_its_source(capsys, tmp_path, source, state):

@@ -778,6 +778,118 @@ def test_newton_raises_inner_no_convergence_when_no_damped_step_lowers_the_resid
     assert info.value.s == 0.5
 
 
+def _halving_search(system, big_k, s, v, step, g_norm):
+    """The damped search halving from t = 1 through every one of its
+    _MAX_HALVINGS candidates: the accepted candidate, or the class of the
+    error the search raises."""
+    t = 1.0
+    for _ in range(equilibrium._MAX_HALVINGS):
+        cand = v + t * step
+        if cand.min() > 0.0 and system.box_lo <= cand.sum() <= system.box_hi:
+            cand_g = equilibrium._stationarity(system, big_k, s, cand)[1]
+            if np.max(np.abs(cand_g)) < g_norm:
+                return cand
+        t *= 0.5
+    probe = v + 1e-8 * step
+    if not (probe.min() > 0.0 and system.box_lo <= probe.sum() <= system.box_hi):
+        return LeftAprioriBox
+    return InnerNoConvergence
+
+
+_HYPERCUBES = {loci: _self_crowding_hypercube(loci, 7) for loci in (1, 2, 3)}
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.sampled_from(sorted(_HYPERCUBES)),
+       st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_line_search_outcome_equals_plain_halving(loci, s, seed):
+    # steps of mixed sign whose zero crossings v_i / -step_i lie between a
+    # drawn lowest one in 1e-30..10 and 1e3, so the full step mostly leaves
+    # the orthant and the skip ranges from none to past the last halving;
+    # the box and the residual to beat are drawn around v, so the search
+    # accepts a candidate or raises either error
+    model = _HYPERCUBES[loci]
+    rng = np.random.default_rng(seed)
+    n = model.n
+    v = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    down = rng.random(n) < 0.5
+    down[rng.integers(n)] = True
+    crossings = 10.0 ** rng.uniform(rng.uniform(-30.0, 1.0), 3.0, n)
+    step = np.where(down, -v / crossings, v * 10.0 ** rng.uniform(-3.0, 1.0, n))
+    lo = float(v.sum()) * 10.0 ** rng.uniform(-2.0, 0.3)
+    system = _newton_system(model, (lo, lo * 10.0 ** rng.uniform(0.0, 2.0)))
+    g = equilibrium._stationarity(system, model.big_k, s, v)[1]
+    g_norm = float(np.max(np.abs(g))) * 10.0 ** rng.uniform(-1.0, 1.0)
+    expected = _halving_search(system, model.big_k, s, v, step, g_norm)
+    if isinstance(expected, np.ndarray):
+        cand = equilibrium._line_search(system, model.big_k, s, v, step, g_norm)[0]
+        assert cand.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(expected) as info:
+            equilibrium._line_search(system, model.big_k, s, v, step, g_norm)
+        assert type(info.value) is expected and info.value.s == s
+
+
+def test_line_search_skips_past_the_last_halving(monkeypatch):
+    # v_0 + t step_0 = 1 - 1e30 t < 0 for every t >= 2**-59, so after the
+    # full step only the 1e-8 probe is tested against the box
+    model = get_preset("sym2").model
+    v, step = np.array([1.0, 1.0]), np.array([-1e30, 1.0])
+    system = _newton_system(model, (1e-6, 1e6))
+    box_tests = []
+    in_box = equilibrium._in_box
+
+    def counted(*args):
+        box_tests.append(None)
+        return in_box(*args)
+
+    monkeypatch.setattr(equilibrium, "_in_box", counted)
+    assert _halving_search(system, model.big_k, 1.0, v, step, np.inf) is LeftAprioriBox
+    with pytest.raises(LeftAprioriBox):
+        equilibrium._line_search(system, model.big_k, 1.0, v, step, np.inf)
+    assert len(box_tests) == 2
+
+
+def _ladder_crowding_rungs():
+    """The self-crowding models of the benchmark ladder's rungs n = 4..128
+    at its base draw: r ~ U(0.5, 2) per rung in turn from default_rng(0)."""
+    base = np.random.default_rng(0)
+    rungs = {}
+    for loci in range(2, 8):
+        n = 2 ** loci
+        alpha = 0.8 * np.ones((n, n)) + 0.2 * np.eye(n)
+        rungs[n] = build_model(n, base.uniform(0.5, 2.0, size=n), 10.0,
+                               point_mutation_matrix(loci, 0.01), crowding_linear(alpha))
+    return rungs
+
+
+@pytest.mark.parametrize("n, s, solves, box_tests",
+                         [(32, 0.2, 44, 105), (64, 0.05, 25, 89), (128, 0.05, 20, 71)])
+def test_work_of_the_ladder_rungs_whose_homotopy_leaves_the_box(monkeypatch, n, s, solves,
+                                                                 box_tests):
+    # the line search starts below twice the largest step that stays in the
+    # orthant, so the box is tested 105/89/71 times (687/570/480 halving
+    # from t = 1 every time); the Newton solves and Jacobians do not move
+    counts = {"_guarded_solve": 0, "_jacobian": 0, "_in_box": 0}
+
+    def counted(name):
+        function = getattr(equilibrium, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return spy
+
+    for name in counts:
+        monkeypatch.setattr(equilibrium, name, counted(name))
+    with pytest.raises(LeftAprioriBox) as info:
+        equilibrium_homotopy(_ladder_crowding_rungs()[n])
+    assert (type(info.value), info.value.s) == (LeftAprioriBox, s)
+    assert counts == {"_guarded_solve": solves, "_jacobian": solves, "_in_box": box_tests}
+
+
 def _crowd3_start():
     """crowd3, its _System and _anchor's point, where Psi-tc starts."""
     model = get_preset("crowd3").model

@@ -64,6 +64,18 @@ def test_model_from_dict_reports_missing_keys():
         model_from_dict(obj)
 
 
+def test_model_from_dict_refuses_bools_as_numbers():
+    # model_to_dict's numpy arrays are read as numbers, but not bool arrays
+    obj = model_to_dict(get_preset("sym2").model)
+    obj["r"] = np.array([True, False])
+    with pytest.raises(ValueError, match="'r' in model must be numbers"):
+        model_from_dict(obj)
+    obj = model_to_dict(get_preset("sym2").model)
+    obj["K"] = np.True_
+    with pytest.raises(ValueError, match="'K' in model must be a number"):
+        model_from_dict(obj)
+
+
 def test_float_round_trip_is_exact():
     vals = [0.1, 1.0 / 3.0, 1e-300, 12345.6789e37, 5.0]
     text = dumps_json({"x": vals})
